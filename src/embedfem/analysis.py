@@ -318,8 +318,7 @@ class SGResult:
     converged: bool
 
 
-def sg_newton_solve(model, uncertain, config=None, x0=None,
-                    hot_start=True):
+def sg_newton_solve(model, uncertain, config=None, x0=None):
     """Block Newton on the spectral residual with a mean-based preconditioner.
 
     The mean block starts from the deterministic solve (hot start), which is
@@ -334,7 +333,7 @@ def sg_newton_solve(model, uncertain, config=None, x0=None,
     x_block = np.zeros((basis.size, n))
     if x0 is not None:
         x_block[...] = x0
-    elif hot_start:
+    else:
         # solve the deterministic problem at the expansion means
         nominal = {name: model.library.value(name) for name in uncertain}
         try:
@@ -344,8 +343,6 @@ def sg_newton_solve(model, uncertain, config=None, x0=None,
         finally:
             for name, value in nominal.items():
                 model.library.set_value(name, value)
-    else:
-        x_block[0] = model.initial_guess()
 
     history = []
     f = model.sg_residual(x_block, uncertain)

@@ -12,6 +12,7 @@ which makes the result independent of the workset partition bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -132,6 +133,29 @@ class GlobalSystem:
 
     def diag_indices(self, dofs):
         return self._diag[dofs]
+
+    @cached_property
+    def column_colors(self):
+        """Greedy distance-2 coloring of the pattern's columns.
+
+        Two columns that share a row get different colors, so the columns of
+        one color are structurally orthogonal and can be perturbed together
+        (Curtis, Powell & Reid, 1974). Columns are colored in dof order with
+        the smallest color no conflicting column holds; built on first use.
+        """
+        n = self.num_dofs
+        pattern = sp.csr_matrix(
+            (np.ones(self.nnz), self.indices, self.indptr), shape=(n, n))
+        conflicts = (pattern.T @ pattern).tocsr()
+        colors = np.full(n, -1, dtype=np.int64)
+        for j in range(n):
+            taken = set(colors[conflicts.indices[
+                conflicts.indptr[j]:conflicts.indptr[j + 1]]].tolist())
+            color = 0
+            while color in taken:
+                color += 1
+            colors[j] = color
+        return colors
 
 
 # ---------------------------------------------------------------------------

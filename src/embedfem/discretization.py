@@ -158,12 +158,19 @@ def integrate(accum_field, integrand, weighted):
 # ---------------------------------------------------------------------------
 
 class ElementGeometryEvaluator(Evaluator):
-    """Maps gathered coordinates to weighted basis tables and qp coordinates."""
+    """Maps gathered coordinates to weighted basis tables and qp coordinates.
+
+    With a ``cache`` dict (plain-valued coordinates only), the outputs are
+    kept per workset element range together with the coordinates they came
+    from, and reused while the gathered coordinates stay bit for bit the
+    same. Only the latest coordinates of each workset are kept.
+    """
 
     name = "element_geometry"
 
-    def __init__(self, basis):
+    def __init__(self, basis, cache=None):
         self.basis = basis
+        self.cache = cache
         self.depends = (FieldSpec("coords_node", ("elem", "node", "dim"), "mesh"),)
         self.evaluates = (
             FieldSpec("weighted_bf", ("elem", "node", "qp"), "mesh"),
@@ -174,8 +181,25 @@ class ElementGeometryEvaluator(Evaluator):
         )
 
     def evaluate(self, ctx):
-        basis = self.basis
         coords = ctx.field("coords_node").data
+        if self.cache is None:
+            self._compute(ctx, coords)
+            return
+        # worksets of equal size share one arena, so the key is the element
+        # range; bit patterns are compared so that -0.0 and NaN never hit
+        key = (ctx.workset.start, ctx.workset.stop)
+        hit = self.cache.get(key)
+        if hit is not None and np.array_equal(hit[0], coords.view(np.int64)):
+            for spec, value in zip(self.evaluates, hit[1]):
+                ctx.field(spec.name).assign(value)
+            return
+        self._compute(ctx, coords)
+        self.cache[key] = (coords.view(np.int64).copy(),
+                           [ctx.field(spec.name).data.copy()
+                            for spec in self.evaluates])
+
+    def _compute(self, ctx, coords):
+        basis = self.basis
         det, phys_grad, det_w = element_geometry(coords, basis)
         ctx.field("det_w").assign(det_w)
         wbf = ctx.field("weighted_bf")

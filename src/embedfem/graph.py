@@ -145,7 +145,6 @@ class EvaluatorGraph:
         self.external_inputs = frozenset(external_inputs)
         self.dim_sizes = dict(dim_sizes)
         self._arenas = {}
-        self.execution_count = 0
 
     # -- structure -----------------------------------------------------------
 
@@ -213,7 +212,6 @@ class EvaluatorGraph:
                 ev.evaluate(ctx)
             except Exception as err:
                 raise type(err)(f"[evaluator {ev.name!r}] {err}") from err
-        self.execution_count += 1
 
 
 def build_graph(ev_type, evaluators, required_outputs, external_inputs=(),

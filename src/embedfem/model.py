@@ -70,9 +70,13 @@ class ThermoElectricModel:
 
         lib = self.library
         mats = materials
+        # one geometry cache for every type whose coordinates are plain values
+        geometry_cache = {}
         registrars = [
             gather_coordinates_registrar(self.state, self.conn),
-            lambda ev_type: ElementGeometryEvaluator(self.basis),
+            lambda ev_type: ElementGeometryEvaluator(
+                self.basis,
+                geometry_cache if ev_type.mesh_kind == "real" else None),
             gather_solution_registrar(self.state, self.conn, UNKNOWNS),
             lambda ev_type: SolutionAtQPEvaluator("psi", self.basis),
             lambda ev_type: SolutionAtQPEvaluator("temp", self.basis),

@@ -184,14 +184,6 @@ def _norm_axes(axis, value_ndim):
     return tuple(a % value_ndim for a in axis)
 
 
-def _mean_of(x):
-    if isinstance(x, Dual):
-        return _mean_of(x.val)
-    if isinstance(x, PCE):
-        return x.mean
-    return x
-
-
 def strip_derivatives(x):
     """Explicitly cast away embedded data: dual value and/or spectral mean."""
     if isinstance(x, Dual):
@@ -333,22 +325,22 @@ class PCE:
     # -- comparisons act on the mean ----------------------------------------
 
     def __lt__(self, other):
-        return self.mean < _mean_of(other)
+        return self.mean < strip_derivatives(other)
 
     def __le__(self, other):
-        return self.mean <= _mean_of(other)
+        return self.mean <= strip_derivatives(other)
 
     def __gt__(self, other):
-        return self.mean > _mean_of(other)
+        return self.mean > strip_derivatives(other)
 
     def __ge__(self, other):
-        return self.mean >= _mean_of(other)
+        return self.mean >= strip_derivatives(other)
 
     def __eq__(self, other):
-        return self.mean == _mean_of(other)
+        return self.mean == strip_derivatives(other)
 
     def __ne__(self, other):
-        return self.mean != _mean_of(other)
+        return self.mean != strip_derivatives(other)
 
     def __repr__(self):
         return f"PCE(coeffs={self.coeffs!r})"
@@ -507,22 +499,22 @@ class Dual:
     # -- comparisons act on the value/mean ------------------------------------
 
     def __lt__(self, other):
-        return _mean_of(self) < _mean_of(other)
+        return strip_derivatives(self) < strip_derivatives(other)
 
     def __le__(self, other):
-        return _mean_of(self) <= _mean_of(other)
+        return strip_derivatives(self) <= strip_derivatives(other)
 
     def __gt__(self, other):
-        return _mean_of(self) > _mean_of(other)
+        return strip_derivatives(self) > strip_derivatives(other)
 
     def __ge__(self, other):
-        return _mean_of(self) >= _mean_of(other)
+        return strip_derivatives(self) >= strip_derivatives(other)
 
     def __eq__(self, other):
-        return _mean_of(self) == _mean_of(other)
+        return strip_derivatives(self) == strip_derivatives(other)
 
     def __ne__(self, other):
-        return _mean_of(self) != _mean_of(other)
+        return strip_derivatives(self) != strip_derivatives(other)
 
     def __repr__(self):
         return f"Dual(val={self.val!r}, dx={self.dx!r})"

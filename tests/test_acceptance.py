@@ -93,7 +93,7 @@ def test_criterion_02_jacobian_matches_finite_differences():
         x = random_state(model, seed=seed)
         _, jac = model.jacobian(x)
         dense = jac.toarray()
-        fd = fd_jacobian(model, x)
+        fd = fd_jacobian(model, x).toarray()
         # per-entry relative error with the matrix scale as the denominator
         # floor: entries below the divided-difference noise floor cannot be
         # resolved better than the scale of the matrix itself

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from embedfem import discretization
 from embedfem import graph as gr
 from embedfem import scalars as sc
-from embedfem.mesh import GeometryParams, Resolution, build_slider_mesh
+from embedfem.mesh import GeometryParams, MeshError, Resolution, build_slider_mesh
 from embedfem.model import ThermoElectricModel
+from embedfem.morphing import morph
 from embedfem.physics import default_materials
 from embedfem.verification import jacobian_fd_error
 
@@ -78,6 +80,71 @@ def test_threaded_assembly_is_bitwise_equal_to_serial():
     f_t, j_t = threaded.jacobian(x)
     assert np.array_equal(f_s, f_t)
     assert np.array_equal(j_s.data, j_t.data)
+
+
+def _outputs(model, x):
+    f, jac = model.jacobian(x)
+    return model.residual(x), f, jac.data
+
+
+def _assert_matches_fresh_model(model, x):
+    fresh = demo_model(workset_size=7)
+    fresh.set_coords(model.state.coords.copy())
+    for got, want in zip(_outputs(model, x), _outputs(fresh, x)):
+        assert np.array_equal(got, want)
+
+
+def test_geometry_cache_follows_every_coordinate_change():
+    model = demo_model(workset_size=7)
+    x = random_state(model, seed=8)
+    base = model.mesh.replace_coords(model.base_coords)
+    before = _outputs(model, x)
+
+    model.set_coords(morph(base, np.array([0.05])).coords)
+    _assert_matches_fresh_model(model, x)
+    assert not np.array_equal(model.residual(x), before[0])
+
+    model.reset_coords()
+    _assert_matches_fresh_model(model, x)
+    assert np.array_equal(model.residual(x), before[0])
+
+    model.state.coords[40] += (1e-3, -2e-3)
+    _assert_matches_fresh_model(model, x)
+    assert not np.array_equal(model.residual(x), before[0])
+
+
+def test_geometry_cache_skips_recomputation_at_fixed_coordinates(monkeypatch):
+    model = demo_model(workset_size=7)
+    x = random_state(model, seed=9)
+    model.residual(x)
+    calls = []
+    original = discretization.element_geometry
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(discretization, "element_geometry", counted)
+    model.residual(x)
+    model.jacobian(x)
+    model.tangent(x, ("Alpha",))
+    assert not calls
+    x_p = np.zeros((model.mesh.num_nodes, 2, 1))
+    model.shape_tangent(x, x_p)
+    assert len(calls) == len(model.worksets)
+
+
+def test_geometry_cache_still_rejects_inverted_elements():
+    model = demo_model(workset_size=7)
+    x = random_state(model, seed=10)
+    model.residual(x)
+    flipped = model.state.coords.copy()
+    flipped[:, 0] *= -1.0
+    model.set_coords(flipped)
+    with pytest.raises(MeshError):
+        model.residual(x)
+    model.reset_coords()
+    _assert_matches_fresh_model(model, x)
 
 
 def test_jacobian_matches_finite_differences():
