@@ -293,8 +293,7 @@ class SGSystem:
             x = np.asarray(flat, dtype=float).reshape(p1, n)
             out = np.zeros((p1, n))
             for i, block in enumerate(self.blocks):
-                bx = np.stack([block @ x[j] for j in range(p1)])
-                out += scaled[i].T @ bx
+                out += scaled[i].T @ (block @ x.T).T
             return out.ravel()
 
         return spla.LinearOperator((p1 * n, p1 * n), matvec)
@@ -304,8 +303,7 @@ class SGSystem:
         n, p1 = self.num_dofs, self.num_coeffs
 
         def apply(flat):
-            x = flat.reshape(p1, n)
-            return np.stack([lu.solve(x[k]) for k in range(p1)]).ravel()
+            return lu.solve(flat.reshape(p1, n).T).T.ravel()
 
         return spla.LinearOperator((p1 * n, p1 * n), apply)
 

@@ -224,6 +224,13 @@ def validate_config(cfg):
         parts = key.split(".")
         if len(parts) != 2 or parts[0] not in ("psi", "temp"):
             raise ConfigError(f"boundary key {key!r} is not unknown.node_set")
+    uq = cfg.uq
+    if uq is not None:
+        if uq.degree < 0:
+            raise ConfigError(f"uq.degree must be >= 0, got {uq.degree}")
+        if uq.nisp_order < 1:
+            raise ConfigError(f"uq.nisp_order must be >= 1, got {uq.nisp_order}")
+        _expansion_coefficients(uq)
     g = cfg.geometry
     if g.quad_order not in (1, 2, 3):
         raise ConfigError(f"geometry.quad_order must be 1, 2, or 3")
@@ -236,6 +243,14 @@ def validate_config(cfg):
             warnings.warn(
                 f"element Peclet number {peclet:.2f} exceeds 2; the unstabilized "
                 "convective term may oscillate", stacklevel=2)
+
+
+def _expansion_coefficients(uq):
+    try:
+        return [float(t) for t in uq.expansion.replace(",", " ").split()]
+    except ValueError:
+        raise ConfigError(f"cannot parse uq.expansion = {uq.expansion!r} "
+                          "as a list of floats") from None
 
 
 def config_documentation():
@@ -315,13 +330,16 @@ def build_model(cfg, sg_basis=None):
             model.library.set_value(name, value)
         except Exception:
             raise ConfigError(f"parameter {name!r} is not registered by the model")
+    if cfg.uq is not None and cfg.uq.parameter not in model.library.names():
+        raise ConfigError(f"uq.parameter {cfg.uq.parameter!r} is not registered "
+                          "by the model")
     return model
 
 
 def uncertain_expansion(cfg, basis):
-    coeffs = [float(t) for t in cfg.uq.expansion.replace(",", " ").split()]
-    out = np.zeros(basis.size)
+    coeffs = _expansion_coefficients(cfg.uq)
     if len(coeffs) > basis.size:
         raise ConfigError("uncertain expansion longer than the basis")
+    out = np.zeros(basis.size)
     out[:len(coeffs)] = coeffs
     return {cfg.uq.parameter: out}

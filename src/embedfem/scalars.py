@@ -96,7 +96,7 @@ class BasisData:
     is exact for polynomials of degree 3 * degree.
     """
 
-    __slots__ = ("degree", "norms", "triple", "triple_scaled",
+    __slots__ = ("degree", "norms", "triple", "triple_scaled", "products",
                  "quad_nodes", "quad_weights")
 
     def __init__(self, degree, norms, triple, quad_nodes, quad_weights):
@@ -106,6 +106,14 @@ class BasisData:
         # triple_scaled[i, j, k] = E[P_i P_j P_k] / E[P_k^2], the projection
         # tensor used by Galerkin products.
         self.triple_scaled = triple / norms[None, None, :]
+        # products[k] lists (i, j, triple_scaled[i, j, k]) over the nonzero
+        # entries in i-major, j-minor order: the terms a Galerkin product
+        # actually has (23 of 64 at degree 3).
+        self.products = tuple(
+            tuple((i, j, float(self.triple_scaled[i, j, k]))
+                  for i in range(degree + 1) for j in range(degree + 1)
+                  if self.triple_scaled[i, j, k] != 0.0)
+            for k in range(degree + 1))
         self.quad_nodes = quad_nodes
         self.quad_weights = quad_weights
 
@@ -285,9 +293,8 @@ class PCE:
             return NotImplemented
         if isinstance(other, PCE):
             self._check(other)
-            c = np.einsum("...i,...j,ijk->...k", self.coeffs, other.coeffs,
-                          self.basis.triple_scaled)
-            return PCE(c, self.basis)
+            return PCE(_galerkin_product(self.coeffs, other.coeffs, self.basis),
+                       self.basis)
         other = np.asarray(other, dtype=float)
         return PCE(self.coeffs * other[..., None], self.basis)
 
@@ -344,6 +351,32 @@ class PCE:
 
     def __repr__(self):
         return f"PCE(coeffs={self.coeffs!r})"
+
+
+def _galerkin_product(a, b, basis):
+    """Coefficients c_k = sum_ij a_i b_j E[P_i P_j P_k] / E[P_k^2].
+
+    Only the nonzero triple products are visited. Each c_k adds its terms
+    (a_i b_j) t in the order ``np.einsum("...i,...j,ijk->...k")`` does,
+    starting from the same +0.0, so for finite inputs the result is bitwise
+    the dense einsum's, signed zeros included. Elementwise ufuncs alone make
+    every batch row independent of the batch it is computed in.
+    """
+    size = basis.size
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    # coefficient-major copies, broadcast in full, so that the pairwise
+    # products a_i b_j and every term below run over contiguous memory
+    at, bt = np.empty((2, size) + shape)
+    np.copyto(np.moveaxis(at, 0, -1), a)
+    np.copyto(np.moveaxis(bt, 0, -1), b)
+    outer = at[:, None] * bt[None, :]
+    out = np.zeros((size,) + shape)
+    for k, terms in enumerate(basis.products):
+        acc = out[k, ...]  # a view even when the values are 0-d
+        for i, j, t in terms:
+            acc += outer[i, j] * t
+    # C order, as the einsum returned: later reductions follow memory layout
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def _spectral_divide(num, den, basis):

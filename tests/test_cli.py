@@ -177,3 +177,16 @@ v0_x = -5.0
     assert all(",PASS," in line for line in table[1:])
     summary = json.loads((out / "summary.json").read_text())
     assert all(c["passed"] for c in summary["checks"])
+
+
+@pytest.mark.parametrize("override, message", [
+    ("uq.degree=-1", "uq.degree"),
+    ("uq.nisp_order=0", "uq.nisp_order"),
+    ("uq.parameter=Bogus", "Bogus"),
+    ("uq.expansion=35,abc", "uq.expansion"),
+])
+def test_bad_uq_section_exit_two(tmp_path, capsys, override, message):
+    code, _ = run_cli(tmp_path, (CONFIGS / "uq.ini").read_text(), [override])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from embedfem import discretization
 from embedfem import graph as gr
 from embedfem import scalars as sc
+from embedfem.analysis import SGSystem
 from embedfem.mesh import GeometryParams, MeshError, Resolution, build_slider_mesh
 from embedfem.model import ThermoElectricModel
 from embedfem.morphing import morph
@@ -70,6 +72,27 @@ def test_workset_partition_invariance_is_bitwise():
         assert np.array_equal(f, f0)
         assert np.array_equal(jac.data, j0.data)
         assert np.array_equal(jac.indices, j0.indices)
+
+
+def test_sg_workset_partition_invariance_is_bitwise():
+    uncertain = {"PadSigma0": [35.0, 15.0, 0.0, 0.0]}
+    x_block = None
+    results = []
+    for size in (0, 1, 7):
+        model = demo_model(workset_size=size, sg_basis=BASIS)
+        if x_block is None:
+            rng = np.random.default_rng(12)
+            x_block = np.zeros((BASIS.size, model.num_dofs))
+            x_block[0] = random_state(model, seed=11)
+            x_block[1:] = 0.05 * rng.normal(size=(BASIS.size - 1, model.num_dofs))
+        f, blocks = model.sg_jacobian(x_block, uncertain)
+        results.append((model.sg_residual(x_block, uncertain), f, blocks))
+    r0, f0, blocks0 = results[0]
+    for r, f, blocks in results[1:]:
+        assert np.array_equal(r, r0)
+        assert np.array_equal(f, f0)
+        for block, block0 in zip(blocks, blocks0, strict=True):
+            assert np.array_equal(block.data, block0.data)
 
 
 def test_threaded_assembly_is_bitwise_equal_to_serial():
@@ -223,6 +246,31 @@ def test_sg_block_operator_consistent_to_truncation_order():
     assert rel <= 5e-3
     # the mean block itself is far tighter than the reconstruction
     assert np.max(np.abs(applied[0] - fd[0])) <= 1e-5 * scale
+
+
+def test_sg_system_batched_applies_equal_per_coefficient_loops():
+    model = demo_model(sg_basis=BASIS)
+    uncertain = {"PadSigma0": [35.0, 15.0, 0.0, 0.0]}
+    rng = np.random.default_rng(10)
+    x_block = np.zeros((BASIS.size, model.num_dofs))
+    x_block[0] = random_state(model, seed=10)
+    x_block[1:] = 0.05 * rng.normal(size=(BASIS.size - 1, model.num_dofs))
+    _, blocks = model.sg_jacobian(x_block, uncertain)
+    system = SGSystem(blocks, BASIS)
+    operator, precond = system.operator(), system.mean_preconditioner()
+    assert isinstance(operator, spla.LinearOperator)
+    assert isinstance(precond, spla.LinearOperator)
+    lu = spla.splu(blocks[0].tocsc())
+    scaled = BASIS.triple_scaled
+    for _ in range(3):
+        x = rng.normal(size=(BASIS.size, model.num_dofs))
+        applied = np.zeros_like(x)
+        for i, block in enumerate(blocks):
+            bx = np.stack([block @ x[j] for j in range(BASIS.size)])
+            applied += scaled[i].T @ bx
+        solved = np.stack([lu.solve(x[k]) for k in range(BASIS.size)])
+        assert np.array_equal(operator.matvec(x.ravel()), applied.ravel())
+        assert np.array_equal(precond.matvec(x.ravel()), solved.ravel())
 
 
 def test_spectral_assembly_requires_basis():

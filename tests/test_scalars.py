@@ -294,6 +294,50 @@ def test_pce_product_truncation_residual_is_high_mode_only():
     assert np.allclose((a * b).coeffs, exact, atol=1e-13)
 
 
+@pytest.mark.parametrize("degree", range(6))
+def test_product_table_is_the_nonzero_support_in_order(degree):
+    b = sc.build_basis_data(degree)
+    support = np.zeros_like(b.triple_scaled, dtype=bool)
+    for k, terms in enumerate(b.products):
+        pairs = [(i, j) for i, j, _ in terms]
+        assert pairs == sorted(pairs)
+        for i, j, t in terms:
+            assert t == b.triple_scaled[i, j, k]
+            support[i, j, k] = True
+    assert np.array_equal(support, b.triple_scaled != 0.0)
+    if degree == 3:
+        assert support.sum() == 23
+
+
+def _einsum_product(a, b, basis):
+    """Dense reference: the Galerkin product over every triple-product entry."""
+    return np.einsum("...i,...j,ijk->...k", a, b, basis.triple_scaled)
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((), ()),
+    ((6,), (6,)),
+    ((5, 3), (5, 3)),
+    ((5, 3, 1), (5, 3, 8)),   # nested dual: value times partials
+    ((5, 3, 8), (5, 3, 1)),
+    ((3,), ()),
+])
+def test_pce_product_bitwise_equals_dense_einsum(shape_a, shape_b):
+    rng = np.random.default_rng(11)
+    for basis in (BASIS3, sc.build_basis_data(5)):
+        size = basis.size
+        a = rng.normal(size=shape_a + (size,))
+        b = rng.normal(size=shape_b + (size,))
+        # exact zeros and negative zeros, whole rows of them included
+        a[..., 1::2] = 0.0
+        b.reshape(-1, size)[0] = -0.0
+        b[b > 1.0] = 0.0
+        got = (sc.PCE(a, basis) * sc.PCE(b, basis)).coeffs
+        want = _einsum_product(a, b, basis)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # value/mean consistency across all scalar kinds (single-source invariant)
 # ---------------------------------------------------------------------------
