@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
 from . import scalars as sc
@@ -30,7 +29,7 @@ class NewtonConfig:
     abs_tol: float = 1e-11
     rel_tol: float = 1e-12
     max_iters: int = 30
-    dense_dof_limit: int = 2000    # dense LU below, ILU(0) + GMRES above
+    dense_dof_limit: int = 2000    # sparse LU at or below, ILU(0) + GMRES above
     gmres_tol: float = 1e-10
     gmres_restart: int = 80
     gmres_max_iters: int = 400
@@ -49,17 +48,36 @@ class NewtonResult:
 
 
 def _linear_solve(jacobian, rhs, config):
-    n = rhs.size
-    if n <= config.dense_dof_limit:
-        return sla.lu_solve(sla.lu_factor(jacobian.toarray()), rhs)
-    ilu = spla.spilu(jacobian.tocsc(), drop_tol=0.0, fill_factor=1.0)
-    precond = spla.LinearOperator((n, n), ilu.solve)
-    sol, info = spla.gmres(jacobian, rhs, rtol=config.gmres_tol, atol=0.0,
-                           restart=config.gmres_restart,
-                           maxiter=config.gmres_max_iters, M=precond)
-    if info != 0:
-        raise SolveFailure(f"GMRES did not converge (info={info})")
-    return sol
+    """Solve ``jacobian @ x = rhs`` for one vector or an (n, k) block.
+
+    At or below ``dense_dof_limit`` unknowns one sparse LU factorization
+    (SuperLU) solves every right-hand side; above it, ILU(0)-preconditioned
+    GMRES solves them column by column. A factorization that breaks down
+    raises SolveFailure with SuperLU's message.
+    """
+    n = jacobian.shape[0]
+    direct = n <= config.dense_dof_limit
+    try:
+        factor = (spla.splu(jacobian.tocsc()) if direct else
+                  spla.spilu(jacobian.tocsc(), drop_tol=0.0, fill_factor=1.0))
+    except RuntimeError as err:
+        raise SolveFailure(f"{'LU' if direct else 'ILU'} factorization failed: "
+                           f"{str(err).strip()}") from err
+    if direct:
+        return factor.solve(rhs)
+    precond = spla.LinearOperator((n, n), factor.solve)
+
+    def gmres(b):
+        sol, info = spla.gmres(jacobian, b, rtol=config.gmres_tol, atol=0.0,
+                               restart=config.gmres_restart,
+                               maxiter=config.gmres_max_iters, M=precond)
+        if info != 0:
+            raise SolveFailure(f"GMRES did not converge (info={info})")
+        return sol
+
+    if rhs.ndim == 1:
+        return gmres(rhs)
+    return np.column_stack([gmres(b) for b in rhs.T])
 
 
 def newton_solve(model, config=None, x0=None):
@@ -185,15 +203,16 @@ def reduced_gradient(jacobian, f_p, objective_gradient, config=None):
     """dg/dp = -(dg/dx)^T J^{-1} f_p via the forward-sensitivity solves.
 
     ``f_p`` holds one column per parameter, ``objective_gradient`` the dense
-    dg/dx. The explicit dg/dp term is zero for the shape problem (parameters
-    never appear in the objective directly).
+    dg/dx. One linear solve takes all columns, so the direct branch factors J
+    once however many parameters there are. The explicit dg/dp term is zero
+    for the shape problem (parameters never appear in the objective
+    directly).
     """
     config = config or NewtonConfig()
     f_p = np.atleast_2d(np.asarray(f_p, dtype=float))
     if f_p.shape[0] != jacobian.shape[0]:
         f_p = f_p.T
-    sens = np.column_stack([_linear_solve(jacobian, f_p[:, k], config)
-                            for k in range(f_p.shape[1])])
+    sens = _linear_solve(jacobian, f_p, config)
     return -(np.asarray(objective_gradient) @ sens)
 
 

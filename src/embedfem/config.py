@@ -69,7 +69,7 @@ class SolverSection:
     abs_tol: float = 1e-11
     rel_tol: float = 1e-12
     max_iters: int = 30
-    dense_dof_limit: int = 2000
+    dense_dof_limit: int = 2000    # sparse LU at or below, ILU(0) + GMRES above
     gmres_tol: float = 1e-10
     gmres_restart: int = 80
     gmres_max_iters: int = 400

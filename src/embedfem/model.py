@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scalars as sc
+from .analysis import SolveFailure
 from .assembly import (AssemblyState, ConnectivityMap, GlobalSystem, Workset,
                        build_worksets, gather_coordinates_registrar,
                        gather_solution_registrar, scatter_residual_registrar)
@@ -151,8 +152,12 @@ class ThermoElectricModel:
         x = self.initial_guess()
         f, jac = self.jacobian(x)
         psi = np.arange(UNKNOWNS.index("psi"), self.num_dofs, N_EQ)
-        sub = jac[psi][:, psi].tocsc()
-        x[psi] -= spla.splu(sub).solve(f[psi])
+        try:
+            lu = spla.splu(jac[psi][:, psi].tocsc())
+        except RuntimeError as err:
+            raise SolveFailure("LU factorization of the potential block "
+                               f"failed: {str(err).strip()}") from err
+        x[psi] -= lu.solve(f[psi])
         return x
 
     def objective(self, x):

@@ -1,16 +1,22 @@
-"""Solver drivers on closed-form problems: Newton, gradients, optimization,
+"""Solver drivers: the linear solve and the reduced gradient on the demo
+Jacobian, and on closed-form problems Newton, gradients, optimization,
 continuation, and the spectral solve on a linear-in-parameter case."""
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from embedfem import config
 from embedfem import scalars as sc
-from embedfem.analysis import (NewtonConfig, SolveFailure, continuation,
-                               convergence_order_estimate, newton_solve,
-                               nisp_project, optimize, reduced_gradient,
-                               sg_newton_solve)
+from embedfem.analysis import (NewtonConfig, SolveFailure, _linear_solve,
+                               continuation, convergence_order_estimate,
+                               newton_solve, nisp_project, optimize,
+                               reduced_gradient, sg_newton_solve,
+                               shape_objective_gradient)
 from embedfem.mesh import build_rect_mesh
+from embedfem.morphing import mesh_sensitivity
 from embedfem.model import ThermoElectricModel
 from embedfem.physics import MaterialTable, RegionMaterial
 
@@ -83,6 +89,49 @@ def test_convergence_order_estimate_drops_floor_entries():
 
 
 # ---------------------------------------------------------------------------
+# linear solve
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def demo():
+    """The demo model (16x16 strip, 578 dofs) and its Newton solution."""
+    model = config.build_model(config.RunConfig())
+    return model, newton_solve(model).x
+
+
+def test_linear_solve_matches_dense_lu_on_demo_jacobian(demo):
+    model, x = demo
+    f, jac = model.jacobian(x)
+    block = np.column_stack([f, np.random.default_rng(0).normal(
+        size=(model.num_dofs, 2))])
+    assert model.num_dofs <= NewtonConfig().dense_dof_limit
+    reference = sla.lu_solve(sla.lu_factor(jac.toarray()), block)
+    for rhs, ref in ((f, reference[:, 0]), (block, reference)):
+        got = _linear_solve(jac, rhs, NewtonConfig())
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("limit, kind", [(3, "LU"), (2, "ILU")])
+def test_linear_solve_singular_matrix_raises_solve_failure(limit, kind):
+    # row and column 1 hold no entry at all
+    jac = sp.csr_matrix(([1.0, 2.0], ([0, 2], [0, 2])), shape=(3, 3))
+    with pytest.raises(SolveFailure, match=f"^{kind} factorization failed: "):
+        _linear_solve(jac, np.ones(3), NewtonConfig(dense_dof_limit=limit))
+
+
+def test_linear_solve_ilu_branch_solves_a_block_column_by_column():
+    toy = AffineToy()
+    jac = sp.csr_matrix(toy.mat)
+    block = np.random.default_rng(1).normal(size=(toy.num_dofs, 3))
+    cfg = NewtonConfig(dense_dof_limit=toy.num_dofs - 1)
+    got = _linear_solve(jac, block, cfg)
+    by_column = np.column_stack([_linear_solve(jac, b, cfg) for b in block.T])
+    assert np.array_equal(got, by_column)
+    assert np.allclose(toy.mat @ got, block, rtol=0.0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
 # reduced gradient
 # ---------------------------------------------------------------------------
 
@@ -109,6 +158,28 @@ def test_reduced_gradient_linear_in_objective_gradient():
     one = reduced_gradient(jac, f_p, g_x)
     two = reduced_gradient(jac, f_p, 2.0 * g_x)
     assert np.allclose(two, 2.0 * one, rtol=1e-13)
+
+
+def test_reduced_gradient_two_shape_parameters_matches_per_column_solves(demo):
+    # deflection_top and deflection_bottom: one factorization, two columns
+    model, _ = demo
+    base = model.mesh.replace_coords(model.base_coords)
+    p = np.array([0.05, -0.03])
+    try:
+        _, grad, state = shape_objective_gradient(model, p)
+        x_p = mesh_sensitivity(base, p)
+        _, f_p = model.shape_tangent(state.x, x_p.reshape(len(base.coords),
+                                                          2, p.size))
+        _, jac = model.jacobian(state.x)
+        g_x = model.objective(state.x).dense_gradient(model.num_dofs)
+    finally:
+        model.reset_coords()
+    lu = spla.splu(jac.tocsc())
+    per_column = np.column_stack([lu.solve(f_p[:, k]) for k in range(p.size)])
+    expected = -(g_x @ per_column)
+    assert grad.shape == (2,)
+    assert np.array_equal(reduced_gradient(jac, f_p, g_x), expected)
+    assert np.array_equal(grad, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,18 @@ def test_solver_failure_exit_one(tmp_path):
     assert code == 1
 
 
+def test_singular_ilu_factor_exit_one_without_traceback(tmp_path, capsys):
+    # the 32 x 32 strip (2,178 dofs) is above dense_dof_limit, and ILU(0) of
+    # its Jacobian hits an exactly zero pivot
+    code, _ = run_cli(tmp_path, (CONFIGS / "demo.ini").read_text(),
+                      ["geometry.nx_conductor=16", "geometry.nx_pad=4",
+                       "geometry.nx_slider=12", "geometry.ny=32"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "solver failure: ILU factorization failed" in err
+    assert "Traceback" not in err
+
+
 def test_summary_bitwise_deterministic(tmp_path):
     code1, out1 = run_cli(tmp_path / "a", LAPLACE)
     code2, out2 = run_cli(tmp_path / "b", LAPLACE)

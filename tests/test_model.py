@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from embedfem import discretization
 from embedfem import graph as gr
 from embedfem import scalars as sc
-from embedfem.analysis import SGSystem
+from embedfem.analysis import SGSystem, SolveFailure
 from embedfem.mesh import GeometryParams, MeshError, Resolution, build_slider_mesh
 from embedfem.model import ThermoElectricModel
 from embedfem.morphing import morph
@@ -278,3 +278,13 @@ def test_spectral_assembly_requires_basis():
     with pytest.raises(ValueError, match="sg_basis"):
         model.assemble(gr.SG_RESIDUAL,
                        x_block=np.zeros((4, model.num_dofs)))
+
+
+def test_warm_start_factorization_failure_is_a_solve_failure(monkeypatch):
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    with pytest.raises(SolveFailure, match="potential block failed: Factor "
+                                           "is exactly singular"):
+        demo_model().warm_start()
