@@ -3,10 +3,11 @@
 The gather evaluators pull global vectors into element-local fields and seed
 the embedded scalar data for the evaluation type at hand (identity seeding for
 stiffness rows, parameter or direction seeds for sensitivities, coordinate
-seeds for shape derivatives, coefficient gathers for spectral unknowns). The
-scatter evaluators extract the embedded results and stage them; the assembly
-driver merges staged contributions into the global objects in element order,
-which makes the result independent of the workset partition bit for bit.
+seeds for shape derivatives, coefficient gathers for spectral unknowns, one
+state per sample for ensembles). The scatter evaluators extract the embedded
+results and stage them; the assembly driver merges staged contributions into
+the global objects in element order, which makes the result independent of the
+workset partition bit for bit.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import scalars as sc
-from .graph import (Evaluator, FieldSpec, JACOBIAN, RESIDUAL, SG_JACOBIAN,
-                    SG_RESIDUAL, SHAPE_TANGENT, TANGENT,
+from .graph import (ENSEMBLE_RESIDUAL, Evaluator, FieldSpec, JACOBIAN,
+                    RESIDUAL, SG_JACOBIAN, SG_RESIDUAL, SHAPE_TANGENT, TANGENT,
                     MissingSpecializationError)
 
 
@@ -168,7 +169,7 @@ class AssemblyState:
     def __init__(self):
         self.coords = None        # (num_nodes, 2)
         self.x = None             # (num_dofs,)
-        self.x_block = None       # (num_coeffs, num_dofs) spectral unknowns
+        self.x_block = None       # (num_coeffs or samples, num_dofs) unknowns
         self.v = None             # directional seed vector
         self.Xp = None            # (num_nodes, 2, n_shape_params)
         self.tangent_mode = "parameters"  # or "direction"
@@ -271,6 +272,13 @@ class GatherSolutionSG(_GatherSolutionBase):
             data.coeffs[...] = np.moveaxis(self.state.x_block[:, dofs], 0, -1)
 
 
+class GatherSolutionEnsemble(_GatherSolutionBase):
+    def evaluate(self, ctx):
+        for eq, u in enumerate(self.unknowns):
+            ctx.field(f"{u}_node").data.vals[...] = \
+                self.state.x_block[:, self._dofs(ctx.workset, eq)]
+
+
 class GatherSolutionSGJacobian(_GatherSolutionBase):
     def evaluate(self, ctx):
         n_eq = len(self.unknowns)
@@ -371,6 +379,23 @@ class ScatterSGResidual(_ScatterBase):
         ctx.stage("F", (rows, coeffs.reshape(rows.size, n_coeff)))
 
 
+class ScatterEnsembleResidual(_ScatterBase):
+    """Stages every sample's residual rows into the flattened (samples,
+    num_dofs) residual: sample s's rows are the plain rows plus s num_dofs,
+    in the plain order, so each entry sums its terms in the plain order."""
+
+    def evaluate(self, ctx):
+        ws = ctx.workset
+        n_nodes = self.conn.node_conn.shape[1]
+        samples = self.state.x_block.shape[0]
+        vals = np.empty((samples, ws.size, n_nodes, len(self.unknowns)))
+        for eq, u in enumerate(self.unknowns):
+            vals[..., eq] = ctx.field(f"{u}_residual").data.vals
+        offsets = np.arange(samples)[:, None] * self.conn.num_global_dofs
+        ctx.stage("f", ((offsets + self._rows(ws).ravel()).ravel(),
+                        vals.ravel()))
+
+
 class ScatterSGJacobian(_ScatterBase):
     def evaluate(self, ctx):
         ws = ctx.workset
@@ -397,6 +422,7 @@ _GATHER_SOLUTION = {
     SHAPE_TANGENT.tag: GatherSolutionTangent,
     SG_RESIDUAL.tag: GatherSolutionSG,
     SG_JACOBIAN.tag: GatherSolutionSGJacobian,
+    ENSEMBLE_RESIDUAL.tag: GatherSolutionEnsemble,
 }
 
 _GATHER_COORDINATES = {
@@ -406,6 +432,7 @@ _GATHER_COORDINATES = {
     SHAPE_TANGENT.tag: GatherCoordinatesShape,
     SG_RESIDUAL.tag: GatherCoordinates,
     SG_JACOBIAN.tag: GatherCoordinates,
+    ENSEMBLE_RESIDUAL.tag: GatherCoordinates,
 }
 
 _SCATTER = {
@@ -415,6 +442,7 @@ _SCATTER = {
     SHAPE_TANGENT.tag: ScatterTangent,
     SG_RESIDUAL.tag: ScatterSGResidual,
     SG_JACOBIAN.tag: ScatterSGJacobian,
+    ENSEMBLE_RESIDUAL.tag: ScatterEnsembleResidual,
 }
 
 

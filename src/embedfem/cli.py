@@ -1,8 +1,7 @@
 """Batch driver: binds config files to analysis modes and writes result files.
 
 Exit codes distinguish configuration problems (2) from numerical failures (1);
-identical configs and overrides produce byte-identical summary files in
-single-threaded runs.
+identical configs and overrides produce byte-identical summary files.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .analysis import (NewtonConfig, SolveFailure, continuation,
                        shape_objective_gradient)
 from .config import (ConfigError, build_model, config_documentation,
                      newton_config, parse_config, uncertain_expansion)
-from .graph import EVALUATION_TYPES
 from .io import (write_solution_csv, write_summary, write_table_csv,
                  write_vtk)
 from .morphing import morph
@@ -70,8 +68,7 @@ def _dispatch(cfg, dump_graph=False):
     out_dir.mkdir(parents=True, exist_ok=True)
     model = build_model(cfg)
     if dump_graph:
-        for ev_type in EVALUATION_TYPES:
-            graph = model.graphs[ev_type]
+        for ev_type, graph in model.graphs.items():
             (out_dir / f"graph_{ev_type.tag}.txt").write_text(graph.dump_text())
             (out_dir / f"graph_{ev_type.tag}.dot").write_text(graph.dump_dot())
     handler = {

@@ -64,7 +64,7 @@ class MaterialsSection:
 
 @dataclass
 class SolverSection:
-    """Newton and linear-solver settings plus workset execution knobs."""
+    """Newton and linear-solver settings plus the workset size."""
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-12
@@ -74,7 +74,6 @@ class SolverSection:
     gmres_restart: int = 80
     gmres_max_iters: int = 400
     workset_size: int = 0
-    threads: int = 1
 
 
 @dataclass
@@ -323,8 +322,7 @@ def build_model(cfg, sg_basis=None):
     model = ThermoElectricModel(
         mesh, build_materials(cfg), quad_order=cfg.geometry.quad_order,
         workset_size=cfg.solver.workset_size, sg_basis=sg_basis,
-        with_joule=cfg.materials.joule, dirichlet=build_dirichlet(cfg, mesh),
-        threads=cfg.solver.threads)
+        with_joule=cfg.materials.joule, dirichlet=build_dirichlet(cfg, mesh))
     for name, value in cfg.parameters.items():
         try:
             model.library.set_value(name, value)

@@ -1,10 +1,11 @@
 """Named multidimensional arrays over a generic scalar, workset-local storage.
 
-A ``Field`` owns one storage object (ndarray, ``Dual``, or ``PCE``) whose
-leading axes follow the field layout; kernels read and write whole fields at
-once so the per-element work stays vectorized. A ``FieldArena`` allocates the
-buffers for one evaluator graph once per workset size and hands out handles,
-keeping the assembly hot loop free of repeated structural allocation.
+A ``Field`` owns one storage object (ndarray, ``Dual``, ``PCE`` or
+``Ensemble``) whose value axes follow the field layout; kernels read and write
+whole fields at once so the per-element work stays vectorized. A
+``FieldArena`` allocates the buffers for one evaluator graph once per workset
+size and hands out handles, keeping the assembly hot loop free of repeated
+structural allocation.
 """
 
 from __future__ import annotations
@@ -98,10 +99,10 @@ class Field:
         if __debug__:
             self._check_bounds(idx)
         entry = self.data[idx]
-        if isinstance(entry, (sc.Dual, sc.PCE)):
+        if isinstance(entry, (sc.Dual, sc.PCE, sc.Ensemble)):
             sc.copy_into(entry, value)
         else:
-            if isinstance(value, (sc.Dual, sc.PCE)):
+            if isinstance(value, (sc.Dual, sc.PCE, sc.Ensemble)):
                 raise TypeError(
                     "assigning embedded scalars into plain storage requires "
                     "strip_derivatives(...)")
@@ -126,14 +127,19 @@ class Field:
         return f"Field({self.name!r}, extents={self.layout.extents})"
 
 
-def make_storage(kind, extents, deriv_width=None, basis=None):
+def make_storage(kind, extents, deriv_width=None, basis=None, samples=None):
     """Zero-initialized storage for one of the concrete scalar kinds.
 
-    kind is one of "real", "dual", "pce", "nested". Dual kinds need the
-    derivative width; spectral kinds need the shared basis tables.
+    kind is one of "real", "dual", "pce", "nested", "ensemble". Dual kinds
+    need the derivative width, spectral kinds the shared basis tables and
+    the ensemble kind its sample count.
     """
     if kind == "real":
         return np.zeros(extents)
+    if kind == "ensemble":
+        if samples is None:
+            raise ValueError("ensemble storage needs a sample count")
+        return sc.Ensemble(np.zeros((samples,) + extents))
     if kind == "dual":
         if deriv_width is None:
             raise ValueError("dual storage needs a derivative width")
@@ -157,10 +163,11 @@ class FieldArena:
     same buffers. ``allocations`` counts buffer creations so reuse is testable.
     """
 
-    def __init__(self, dim_sizes, deriv_width=None, basis=None):
+    def __init__(self, dim_sizes, deriv_width=None, basis=None, samples=None):
         self.dim_sizes = dict(dim_sizes)
         self.deriv_width = deriv_width
         self.basis = basis
+        self.samples = samples
         self.fields = {}
         self.allocations = 0
 
@@ -169,7 +176,8 @@ class FieldArena:
         if field is not None:
             return field
         layout = resolve_layout(dims, self.dim_sizes)
-        data = make_storage(kind, layout.extents, self.deriv_width, self.basis)
+        data = make_storage(kind, layout.extents, self.deriv_width, self.basis,
+                            self.samples)
         field = Field(name, layout, data)
         self.fields[name] = field
         self.allocations += 1

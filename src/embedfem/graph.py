@@ -3,8 +3,13 @@
 Each evaluator names the fields it depends on and the fields it evaluates;
 ``build_graph`` topologically orders the evaluators transitively required for
 the requested outputs. One graph is instantiated per evaluation type, so the
-same compute kernels run over plain, dual, or spectral storage depending only
-on which type the graph was built for.
+same compute kernels run over plain, dual, spectral or ensemble storage
+depending only on which type the graph was built for.
+
+``EVALUATION_TYPES`` are the six analysis outputs. ``ENSEMBLE_RESIDUAL``
+evaluates S plain residuals at once (the finite-difference oracle's perturbed
+states). It needs only a scalar kind, one storage kind and its own gather and
+scatter specializations, and it sits outside the six: it adds no new output.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ __all__ = [
     "EvaluationType",
     "EVALUATION_TYPES",
     "RESIDUAL", "JACOBIAN", "TANGENT", "SHAPE_TANGENT", "SG_RESIDUAL", "SG_JACOBIAN",
+    "ENSEMBLE_RESIDUAL",
     "Evaluator",
     "EvaluatorGraph",
     "FieldSpec",
@@ -82,6 +88,10 @@ SG_JACOBIAN = EvaluationType("SGJacobian", "nested", "real")
 
 EVALUATION_TYPES = (RESIDUAL, JACOBIAN, TANGENT, SHAPE_TANGENT,
                     SG_RESIDUAL, SG_JACOBIAN)
+
+#: S plain residuals in one assembly; its mesh kind is real, so it shares the
+#: plain types' geometry cache
+ENSEMBLE_RESIDUAL = EvaluationType("EnsembleResidual", "ensemble", "real")
 
 
 @dataclass(frozen=True)
@@ -184,13 +194,14 @@ class EvaluatorGraph:
 
     # -- execution -----------------------------------------------------------
 
-    def arena_for(self, n_elem, deriv_width=None, basis=None, worker=0):
-        key = (n_elem, deriv_width, None if basis is None else id(basis), worker)
+    def arena_for(self, n_elem, deriv_width=None, basis=None, samples=None):
+        key = (n_elem, deriv_width, None if basis is None else id(basis), samples)
         arena = self._arenas.get(key)
         if arena is None:
             dim_sizes = dict(self.dim_sizes)
             dim_sizes["elem"] = n_elem
-            arena = FieldArena(dim_sizes, deriv_width=deriv_width, basis=basis)
+            arena = FieldArena(dim_sizes, deriv_width=deriv_width, basis=basis,
+                               samples=samples)
             for ev in self.schedule:
                 for spec in list(ev.depends) + list(ev.evaluates):
                     arena.ensure(spec.name, spec.dims,

@@ -7,12 +7,12 @@
 with the staged contributions merged in element order, then applies Dirichlet
 conditions by row replacement (row <- e_i, f <- x - g), which keeps the sparse
 pattern static and is transparent to every embedded derivative.
+``ThermoElectricModel.residuals`` runs the same loop once for a whole block of
+states under the ensemble type.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +24,9 @@ from .assembly import (AssemblyState, ConnectivityMap, GlobalSystem, Workset,
                        gather_solution_registrar, scatter_residual_registrar)
 from .discretization import (ElementGeometryEvaluator, SolutionAtQPEvaluator,
                              bilinear_basis)
-from .graph import (EVALUATION_TYPES, JACOBIAN, RESIDUAL, SG_JACOBIAN,
-                    SG_RESIDUAL, SHAPE_TANGENT, TANGENT, WorksetContext,
-                    instantiate_for_all_types)
+from .graph import (ENSEMBLE_RESIDUAL, EVALUATION_TYPES, JACOBIAN, RESIDUAL,
+                    SG_JACOBIAN, SG_RESIDUAL, SHAPE_TANGENT, TANGENT,
+                    WorksetContext, instantiate_for_all_types)
 from .physics import (ConductivityEvaluator, HeatResidualEvaluator,
                       JouleHeatingEvaluator, ParameterLibrary,
                       PotentialResidualEvaluator, QuadraticSourceEvaluator,
@@ -40,7 +40,7 @@ N_EQ = len(UNKNOWNS)
 class AssemblyOutputs:
     """Per-type results; the residual value component is always filled."""
 
-    residual: np.ndarray = None
+    residual: np.ndarray = None    # (samples, num_dofs) for the ensemble type
     jacobian: object = None        # scipy CSR
     tangent: np.ndarray = None     # (num_dofs, n_params)
     directional: np.ndarray = None
@@ -53,14 +53,13 @@ class ThermoElectricModel:
 
     def __init__(self, mesh, materials, *, quad_order=2, workset_size=0,
                  sg_basis=None, with_joule=True, mms_forcing=None,
-                 dirichlet=(), threads=1):
+                 dirichlet=()):
         self.mesh = mesh
         self.materials = materials
         self.basis = bilinear_basis(quad_order)
         self.conn = ConnectivityMap(mesh.connectivity, N_EQ)
         self.system = GlobalSystem(self.conn)
         self.worksets = build_worksets(mesh, workset_size)
-        self.threads = max(1, int(threads))
         self.sg_basis = sg_basis
         self.state = AssemblyState()
         self.state.coords = mesh.coords.copy()
@@ -95,12 +94,16 @@ class ThermoElectricModel:
         registrars.append(scatter_residual_registrar(self.state, self.conn, UNKNOWNS))
 
         self.graphs = instantiate_for_all_types(
-            registrars, EVALUATION_TYPES, ["residual_scattered"],
+            registrars, EVALUATION_TYPES + (ENSEMBLE_RESIDUAL,),
+            ["residual_scattered"],
             dim_sizes={"node": self.basis.num_nodes, "qp": self.basis.num_qp,
                        "dim": 2, "eq": N_EQ})
         self.library.freeze()
 
         self.dirichlet_dofs, self.dirichlet_values = self._build_dirichlet(dirichlet)
+        # CSR data positions of the Dirichlet rows and of their diagonals
+        self._dirichlet_entries = self.system.row_entry_indices(self.dirichlet_dofs)
+        self._dirichlet_diag = self.system.diag_indices(self.dirichlet_dofs)
 
     # -- configuration --------------------------------------------------------
 
@@ -166,18 +169,28 @@ class ThermoElectricModel:
 
     # -- assembly -------------------------------------------------------------
 
-    def assemble(self, ev_type, x=None, *, tangent_params=(), v=None, Xp=None,
-                 x_block=None, uncertain=None):
+    def assemble(self, ev_type, x=None, **inputs):
+        """Assemble one of the six ``EVALUATION_TYPES``; see ``_assemble``.
+
+        The ensemble type has its own entry point, :meth:`residuals`.
+        """
+        if ev_type is ENSEMBLE_RESIDUAL:
+            raise ValueError("ensemble residuals are assembled by residuals()")
+        return self._assemble(ev_type, x, **inputs)
+
+    def _assemble(self, ev_type, x=None, *, tangent_params=(), v=None, Xp=None,
+                  x_block=None, uncertain=None):
         state = self.state
         state.tangent_mode = "parameters"
         state.v = None
         state.Xp = None
         basis_needed = ev_type in (SG_RESIDUAL, SG_JACOBIAN)
-        if basis_needed:
-            if self.sg_basis is None:
-                raise ValueError("spectral assembly needs the model built with sg_basis")
+        if basis_needed and self.sg_basis is None:
+            raise ValueError("spectral assembly needs the model built with sg_basis")
+        if basis_needed or ev_type is ENSEMBLE_RESIDUAL:
             if x_block is None:
-                raise ValueError("spectral assembly needs the block unknown vector")
+                raise ValueError(f"{ev_type.tag} assembly needs the block "
+                                 "unknown vector")
             state.x_block = np.asarray(x_block, dtype=float)
             state.x = state.x_block[0]
         else:
@@ -185,7 +198,7 @@ class ThermoElectricModel:
                 raise ValueError("assembly needs the solution vector")
             state.x = np.asarray(x, dtype=float)
 
-        width = None
+        width = samples = None
         if ev_type is JACOBIAN or ev_type is SG_JACOBIAN:
             width = self.conn.dofs_per_element
         elif ev_type is TANGENT:
@@ -203,6 +216,8 @@ class ThermoElectricModel:
                 raise ValueError("shape-tangent assembly needs coordinate sensitivities")
             state.Xp = np.asarray(Xp, dtype=float)
             width = state.Xp.shape[-1]
+        elif ev_type is ENSEMBLE_RESIDUAL:
+            samples = state.x_block.shape[0]
         state.n_deriv = width
 
         self._tangent_params = tuple(tangent_params)
@@ -212,31 +227,22 @@ class ThermoElectricModel:
 
         graph = self.graphs[ev_type]
         sg_basis = self.sg_basis if basis_needed else None
-        staged = self._run_worksets(graph, width, sg_basis)
-        return self._merge(ev_type, staged, width)
-
-    def _run_worksets(self, graph, width, sg_basis):
-        parallel = self.threads > 1 and len(self.worksets) > 1
-
-        def run(ws):
-            # one arena per worker thread; merge order is fixed by the caller
-            worker = threading.get_ident() if parallel else 0
+        staged = []
+        for ws in self.worksets:
             arena = graph.arena_for(ws.size, deriv_width=width, basis=sg_basis,
-                                    worker=worker)
+                                    samples=samples)
             ctx = WorksetContext(ws, arena)
             graph.execute(ctx)
-            return ctx.staged
-
-        if not parallel:
-            return [run(ws) for ws in self.worksets]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(run, self.worksets))
+            staged.append(ctx.staged)
+        return self._merge(ev_type, staged, width)
 
     def _merge(self, ev_type, staged, width):
         out = AssemblyOutputs()
         system = self.system
         n = self.num_dofs
-        f = system.new_vector()
+        state = self.state
+        x = state.x_block if ev_type is ENSEMBLE_RESIDUAL else state.x
+        f = np.zeros(x.shape)   # (samples, num_dofs) for the ensemble type
         jac_data = fp = spectral = jac_blocks = None
         if ev_type is JACOBIAN:
             jac_data = system.new_matrix_data()
@@ -250,7 +256,7 @@ class ThermoElectricModel:
         for ws, stage in zip(self.worksets, staged):
             if "f" in stage:
                 rows, vals = stage["f"]
-                np.add.at(f, rows, vals)
+                np.add.at(f.reshape(-1), rows, vals)
             if "fp" in stage:
                 rows, cols = stage["fp"]
                 np.add.at(fp, rows, cols)
@@ -269,18 +275,17 @@ class ThermoElectricModel:
         # Dirichlet row replacement: f <- x - g, J rows <- identity
         d = self.dirichlet_dofs
         g = self.dirichlet_values
-        state = self.state
-        if ev_type in (SG_RESIDUAL, SG_JACOBIAN):
+        if spectral is not None:
             spectral[d, :] = state.x_block[:, d].T
             spectral[d, 0] -= g
             f = spectral[:, 0].copy()
         else:
-            f[d] = state.x[d] - g
+            f[..., d] = x[..., d] - g
         out.residual = f
 
         if jac_data is not None:
-            jac_data[system.row_entry_indices(d)] = 0.0
-            jac_data[system.diag_indices(d)] = 1.0
+            jac_data[self._dirichlet_entries] = 0.0
+            jac_data[self._dirichlet_diag] = 1.0
             out.jacobian = system.matrix_from_data(jac_data)
         if fp is not None:
             if state.tangent_mode == "direction":
@@ -292,9 +297,8 @@ class ThermoElectricModel:
         if spectral is not None:
             out.sg_residual = np.ascontiguousarray(spectral.T)
         if jac_blocks is not None:
-            rows_d = system.row_entry_indices(d)
-            jac_blocks[rows_d, :] = 0.0
-            jac_blocks[system.diag_indices(d), 0] = 1.0
+            jac_blocks[self._dirichlet_entries, :] = 0.0
+            jac_blocks[self._dirichlet_diag, 0] = 1.0
             out.sg_jacobian = [system.matrix_from_data(jac_blocks[:, k].copy())
                                for k in range(self.sg_basis.size)]
         return out
@@ -303,6 +307,15 @@ class ThermoElectricModel:
 
     def residual(self, x):
         return self.assemble(RESIDUAL, x).residual
+
+    def residuals(self, x_block):
+        """Residuals of the S states in the rows of ``x_block`` (S, num_dofs)
+        from one ensemble assembly; row s is bitwise ``residual(x_block[s])``.
+
+        Goes straight to the assembly driver: ``assemble`` serves the six
+        analysis types only.
+        """
+        return self._assemble(ENSEMBLE_RESIDUAL, x_block=x_block).residual
 
     def jacobian(self, x):
         out = self.assemble(JACOBIAN, x)

@@ -186,10 +186,10 @@ class ConductivityEvaluator(Evaluator):
         sigma0 = self.pad_sigma0 if REGIONS[region] == "pad" else mat.sigma0
         temp = ctx.field("temp_qp").data
         denom = 1.0 + mat.beta * (temp - mat.T0)
-        denom_values = sc.strip_derivatives(denom)
-        if np.any(denom_values <= 0.0):
-            bad = np.unique(np.nonzero(np.any(
-                np.atleast_2d(denom_values <= 0.0), axis=-1))[0])
+        nonpositive = sc.strip_derivatives(denom) <= 0.0
+        if np.any(nonpositive):
+            # value axes (elem, qp) trail an ensemble's sample axis
+            bad = np.unique(np.nonzero(nonpositive)[-2])
             raise NonPhysicalStateError(
                 "conductivity denominator non-positive in elements "
                 f"{(bad + ctx.workset.start)[:8].tolist()}")

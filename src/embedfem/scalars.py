@@ -6,11 +6,14 @@ mode AD). ``PCE`` attaches Legendre polynomial-chaos coefficients combined by
 Galerkin projection. A ``Dual`` whose components are ``PCE`` objects is the
 nested scalar used for spectral Jacobians; the chain-rule code is written once
 and works for either component algebra, so nesting costs no extra code.
+``Ensemble`` holds S independent samples of a value along a leading sample
+axis and combines them elementwise, so one assembly evaluates S states.
 
 Value storage may be a single number or a numpy array: one object then
 represents a whole batch of scalars, with arithmetic broadcasting over the
 leading (value) axes. The derivative axis of ``Dual.dx`` and the coefficient
-axis of ``PCE.coeffs`` always stay trailing.
+axis of ``PCE.coeffs`` always stay trailing; the sample axis of
+``Ensemble.vals`` always leads.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ __all__ = [
     "BasisMismatchError",
     "DerivativeDimensionError",
     "Dual",
+    "Ensemble",
     "NestedDual",
     "PCE",
     "SpectralDivisionError",
@@ -193,11 +197,16 @@ def _norm_axes(axis, value_ndim):
 
 
 def strip_derivatives(x):
-    """Explicitly cast away embedded data: dual value and/or spectral mean."""
+    """Explicitly cast away embedded data: dual value and/or spectral mean.
+
+    An ensemble becomes the plain array of its samples, sample axis first.
+    """
     if isinstance(x, Dual):
         return strip_derivatives(x.val)
     if isinstance(x, PCE):
         return x.mean
+    if isinstance(x, Ensemble):
+        return x.vals
     return x
 
 
@@ -268,7 +277,7 @@ class PCE:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, Dual):
+        if isinstance(other, (Dual, Ensemble)):
             return NotImplemented
         if isinstance(other, PCE):
             self._check(other)
@@ -278,7 +287,7 @@ class PCE:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Dual):
+        if isinstance(other, (Dual, Ensemble)):
             return NotImplemented
         if isinstance(other, PCE):
             self._check(other)
@@ -289,7 +298,7 @@ class PCE:
         return PCE(self._lift(other) - self.coeffs, self.basis)
 
     def __mul__(self, other):
-        if isinstance(other, Dual):
+        if isinstance(other, (Dual, Ensemble)):
             return NotImplemented
         if isinstance(other, PCE):
             self._check(other)
@@ -301,7 +310,7 @@ class PCE:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Dual):
+        if isinstance(other, (Dual, Ensemble)):
             return NotImplemented
         if isinstance(other, PCE):
             self._check(other)
@@ -471,6 +480,8 @@ class Dual:
     # -- arithmetic (chain rule) ---------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, Ensemble):
+            return NotImplemented
         if isinstance(other, Dual):
             self._check(other)
             return Dual(self.val + other.val, self.dx + other.dx)
@@ -479,6 +490,8 @@ class Dual:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, Ensemble):
+            return NotImplemented
         if isinstance(other, Dual):
             self._check(other)
             return Dual(self.val - other.val, self.dx - other.dx)
@@ -488,6 +501,8 @@ class Dual:
         return Dual(other - self.val, -self.dx)
 
     def __mul__(self, other):
+        if isinstance(other, Ensemble):
+            return NotImplemented
         if isinstance(other, Dual):
             self._check(other)
             return Dual(self.val * other.val,
@@ -497,6 +512,8 @@ class Dual:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        if isinstance(other, Ensemble):
+            return NotImplemented
         if isinstance(other, Dual):
             self._check(other)
             _require_nonzero(other.val)
@@ -566,6 +583,95 @@ def dual_constant(value, n):
 
 
 # ---------------------------------------------------------------------------
+# ensembles of independent samples
+# ---------------------------------------------------------------------------
+
+def _lead(vals, ndim):
+    """Sample-first ``vals`` with size-1 value axes inserted after the sample
+    axis up to ``ndim`` axes, so that value axes align from the right."""
+    missing = ndim - vals.ndim
+    return vals[(slice(None),) + (None,) * missing] if missing > 0 else vals
+
+
+class Ensemble:
+    """S independent samples of one value, combined elementwise.
+
+    ``vals[s]`` is sample s. The sample axis leads, so each sample is a
+    C-ordered block on which numpy runs the loops it runs on a plain array of
+    the value shape, reductions included: numpy sums a contiguous axis of 8
+    or more entries pairwise, and a trailing sample axis would make that sum
+    sequential. Every sample is therefore bitwise what the plain computation
+    gives. Value axes align from the right, as numpy aligns plain arrays.
+    Ensembles do not mix with dual or spectral scalars (TypeError).
+    """
+
+    __slots__ = ("vals",)
+    __array_ufunc__ = None
+
+    def __init__(self, vals):
+        self.vals = np.asarray(vals, dtype=float)
+
+    @property
+    def shape(self):
+        return self.vals.shape[1:]
+
+    def __getitem__(self, idx):
+        # behind the sample axis every index, Ellipsis too, meets value axes
+        if not isinstance(idx, tuple):
+            idx = (idx,)
+        return Ensemble(self.vals[(slice(None),) + idx])
+
+    def sum(self, axis=None):
+        axes = _norm_axes(axis, self.vals.ndim - 1)
+        return Ensemble(self.vals.sum(axis=tuple(a + 1 for a in axes)))
+
+    def _pair(self, other):
+        """Sample values of both operands, aligned for one elementwise op."""
+        if isinstance(other, Ensemble):
+            ndim = max(self.vals.ndim, other.vals.ndim)
+            return _lead(self.vals, ndim), _lead(other.vals, ndim)
+        if isinstance(other, (Dual, PCE)):
+            raise TypeError(
+                f"an Ensemble does not mix with {type(other).__name__} scalars")
+        # plain numbers have no ndim attribute; arrays and numpy scalars do
+        return _lead(self.vals, getattr(other, "ndim", 0) + 1), other
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        return Ensemble(a + b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        a, b = self._pair(other)
+        return Ensemble(a - b)
+
+    def __rsub__(self, other):
+        a, b = self._pair(other)
+        return Ensemble(b - a)
+
+    def __mul__(self, other):
+        a, b = self._pair(other)
+        return Ensemble(a * b)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        a, b = self._pair(other)
+        return Ensemble(a / b)
+
+    def __rtruediv__(self, other):
+        a, b = self._pair(other)
+        return Ensemble(b / a)
+
+    def __neg__(self):
+        return Ensemble(-self.vals)
+
+    def __repr__(self):
+        return f"Ensemble(vals={self.vals!r})"
+
+
+# ---------------------------------------------------------------------------
 # transcendental functions (real or dual-over-real arguments)
 # ---------------------------------------------------------------------------
 
@@ -617,6 +723,8 @@ def fill_zero(dst):
         fill_zero(dst.dx)
     elif isinstance(dst, PCE):
         dst.coeffs[...] = 0.0
+    elif isinstance(dst, Ensemble):
+        dst.vals[...] = 0.0
     else:
         dst[...] = 0.0
 
@@ -647,8 +755,14 @@ def copy_into(dst, src):
         else:
             dst.coeffs[...] = 0.0
             dst.coeffs[..., 0] = src
-    else:
+    elif isinstance(dst, Ensemble):
         if isinstance(src, (Dual, PCE)):
+            raise TypeError("an Ensemble does not mix with dual or spectral scalars")
+        if isinstance(src, Ensemble):
+            src = _lead(src.vals, dst.vals.ndim)
+        np.copyto(dst.vals, src)
+    else:
+        if isinstance(src, (Dual, PCE, Ensemble)):
             raise TypeError(
                 "assigning embedded scalars into plain storage requires "
                 "strip_derivatives(...)")
@@ -674,8 +788,14 @@ def add_into(dst, src):
             dst.coeffs += src.coeffs
         else:
             dst.coeffs[..., 0] += src
-    else:
+    elif isinstance(dst, Ensemble):
         if isinstance(src, (Dual, PCE)):
+            raise TypeError("an Ensemble does not mix with dual or spectral scalars")
+        if isinstance(src, Ensemble):
+            src = _lead(src.vals, dst.vals.ndim)
+        dst.vals += src
+    else:
+        if isinstance(src, (Dual, PCE, Ensemble)):
             raise TypeError(
                 "accumulating embedded scalars into plain storage requires "
                 "strip_derivatives(...)")

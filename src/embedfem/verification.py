@@ -35,6 +35,12 @@ class CheckResult:
         return (self.name, status, self.measured, self.tolerance, self.detail)
 
 
+#: element-samples per ensemble assembly in ``fd_jacobian``: the 16x16
+#: strip's 256 elements times its 36 perturbed states. Bigger meshes evaluate
+#: fewer states at once, which bounds the ensemble's field buffers.
+_ENSEMBLE_ELEMENT_SAMPLES = 256 * 36
+
+
 def fd_jacobian(model, x, step_scale=1e-6):
     """Central-difference Jacobian of the assembled residual, as CSR on the
     model's static pattern.
@@ -43,23 +49,28 @@ def fd_jacobian(model, x, step_scale=1e-6):
     one color of ``model.system.column_colors`` share no row, and each row's
     residual depends only on the unknowns of its own stencil, so one pair of
     residuals per color gives every entry bitwise the divided difference that
-    perturbing its column alone would give.
+    perturbing its column alone would give. The perturbed states go through
+    ``model.residuals`` in groups of colors, each sample bitwise a plain
+    residual.
     """
     system = model.system
     colors = system.column_colors
+    n_colors = int(colors.max()) + 1
     h = step_scale * (1.0 + np.abs(x))
     rows = np.repeat(np.arange(x.size), np.diff(system.indptr))
     cols = system.indices
     data = np.empty(system.nnz)
-    for color in range(int(colors.max()) + 1):
-        group = colors == color
-        xp = x.copy()
-        xp[group] += h[group]
-        xm = x.copy()
-        xm[group] -= h[group]
-        diff = model.residual(xp) - model.residual(xm)
-        entries = group[cols]
-        data[entries] = diff[rows[entries]] / (2.0 * h[cols[entries]])
+    per_call = max(1, _ENSEMBLE_ELEMENT_SAMPLES // (2 * model.mesh.num_elems))
+    for first in range(0, n_colors, per_call):
+        # rows 2k and 2k + 1: color first + k stepped up and down
+        groups = colors == np.arange(first, min(first + per_call, n_colors))[:, None]
+        states = np.empty((2 * len(groups), x.size))
+        states[0::2] = np.where(groups, x + h, x)
+        states[1::2] = np.where(groups, x - h, x)
+        res = model.residuals(states)
+        for group, diff in zip(groups, res[0::2] - res[1::2]):
+            entries = group[cols]
+            data[entries] = diff[rows[entries]] / (2.0 * h[cols[entries]])
     return system.matrix_from_data(data)
 
 

@@ -67,6 +67,15 @@ def test_unknown_key_exit_two(tmp_path):
     assert code == 2
 
 
+def test_removed_threads_key_exit_two(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, LAPLACE, overrides=["solver.threads=2"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "threads" in err
+    with pytest.raises(ConfigError, match="threads"):
+        parse_config(tmp_path / "run.ini", ["solver.threads=2"])
+
+
 def test_bad_override_exit_two(tmp_path):
     code, _ = run_cli(tmp_path, LAPLACE, overrides=["notakeyvalue"])
     assert code == 2
@@ -117,6 +126,10 @@ def test_dump_graph_writes_dag_files(tmp_path):
     assert "gather_solution" in text and "scatter_residual" in text
     dot = (out / "graph_Jacobian.dot").read_text()
     assert dot.startswith("digraph")
+    ensemble = (out / "graph_EnsembleResidual.txt").read_text()
+    assert ensemble == text
+    assert (out / "graph_EnsembleResidual.dot").read_text().startswith(
+        'digraph "EnsembleResidual"')
 
 
 def test_version_flag(capsys):

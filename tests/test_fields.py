@@ -107,3 +107,14 @@ def test_same_name_coexists_across_arenas_without_aliasing():
     dual.fill(2.0)
     assert np.all(real.data == 1.0)
     assert np.all(dual.data.val == 2.0)
+
+
+def test_ensemble_storage_holds_one_copy_per_sample():
+    with pytest.raises(ValueError, match="sample count"):
+        make_storage("ensemble", (3,))
+    f = Field("u", Layout((3,)), make_storage("ensemble", (3,), samples=2))
+    f.fill(1.5)
+    f[1] = 2.0
+    assert np.array_equal(f.data.vals, [[1.5, 2.0, 1.5], [1.5, 2.0, 1.5]])
+    with pytest.raises(TypeError):
+        Field("p", Layout((3,)), make_storage("real", (3,))).assign(f.data)

@@ -1,4 +1,4 @@
-"""Assembly-level invariants: single-source values, partitioning, threading."""
+"""Assembly-level invariants: single-source values, partitioning, ensembles."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from embedfem import discretization
 from embedfem import graph as gr
 from embedfem import scalars as sc
 from embedfem.analysis import SGSystem, SolveFailure
+from embedfem.assembly import GlobalSystem
 from embedfem.mesh import GeometryParams, MeshError, Resolution, build_slider_mesh
 from embedfem.model import ThermoElectricModel
 from embedfem.morphing import morph
@@ -95,14 +96,42 @@ def test_sg_workset_partition_invariance_is_bitwise():
             assert np.array_equal(block.data, block0.data)
 
 
-def test_threaded_assembly_is_bitwise_equal_to_serial():
-    serial = demo_model(workset_size=16)
-    threaded = demo_model(workset_size=16, threads=2)
-    x = random_state(serial)
-    f_s, j_s = serial.jacobian(x)
-    f_t, j_t = threaded.jacobian(x)
-    assert np.array_equal(f_s, f_t)
-    assert np.array_equal(j_s.data, j_t.data)
+@pytest.mark.parametrize("quad_order", [1, 2, 3])
+@pytest.mark.parametrize("workset_size", [0, 1, 7])
+def test_ensemble_residuals_are_bitwise_the_plain_residuals(quad_order,
+                                                           workset_size):
+    model = demo_model(quad_order=quad_order, workset_size=workset_size)
+    rng = np.random.default_rng(quad_order * 10 + workset_size)
+    states = model.initial_guess() + 0.3 * rng.normal(size=(5, model.num_dofs))
+    got = model.residuals(states)
+    assert got.shape == states.shape
+    for state, row in zip(states, got, strict=True):
+        assert np.array_equal(row.view(np.int64),
+                              model.residual(state).view(np.int64))
+
+
+def test_ensemble_type_has_its_own_entry_point():
+    model = demo_model()
+    with pytest.raises(ValueError, match="residuals"):
+        model.assemble(gr.ENSEMBLE_RESIDUAL, x_block=np.zeros((2, model.num_dofs)))
+
+
+def test_dirichlet_row_entries_are_found_once_per_model(monkeypatch):
+    model = demo_model(sg_basis=BASIS)
+    x = random_state(model)
+    x_block = np.zeros((BASIS.size, model.num_dofs))
+    x_block[0] = x
+    uncertain = {"PadSigma0": [35.0, 5.0, 0.0, 0.0]}
+    before = (model.jacobian(x)[1].data, model.sg_jacobian(x_block, uncertain)[1])
+
+    def forbidden(self, dofs):
+        raise AssertionError("row entries looked up during assembly")
+
+    monkeypatch.setattr(GlobalSystem, "row_entry_indices", forbidden)
+    assert np.array_equal(model.jacobian(x)[1].data, before[0])
+    for block, block0 in zip(model.sg_jacobian(x_block, uncertain)[1], before[1],
+                             strict=True):
+        assert np.array_equal(block.data, block0.data)
 
 
 def _outputs(model, x):

@@ -215,6 +215,23 @@ def test_conductivity_nonphysical_state_reports_elements():
         model.residual(x)
 
 
+def test_ensemble_nonphysical_state_names_global_elements():
+    # sample 1 is out of range on element 3 only; the sample index must not
+    # be reported as an element id
+    mesh = build_rect_mesh(4, 1)
+    model = build_model(mesh, uniform_materials(sigma0=35.0, beta=0.1),
+                        with_joule=False)
+    states = np.zeros((3, model.num_dofs))
+    right = np.nonzero(mesh.coords[:, 0] == 1.0)[0]
+    states[1, 2 * right + 1] = -40.0
+    with pytest.raises(NonPhysicalStateError) as plain:
+        model.residual(states[1])
+    with pytest.raises(NonPhysicalStateError) as ensemble:
+        model.residuals(states)
+    assert str(ensemble.value) == str(plain.value)
+    assert str(ensemble.value).endswith("elements [3]")
+
+
 def test_source_term_examples():
     mesh = build_rect_mesh(1, 1)
     model = build_model(mesh, uniform_materials(), with_joule=False)

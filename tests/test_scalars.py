@@ -449,3 +449,103 @@ def test_add_into_accumulates():
     sc.add_into(dst, 1.0)
     assert np.array_equal(dst.coeffs[:, 0], [2.0, 2.0])
     assert np.all(dst.coeffs[:, 1:] == 1.0)
+
+
+# ---------------------------------------------------------------------------
+# ensembles: every sample bitwise the plain computation
+# ---------------------------------------------------------------------------
+
+def bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+def _broadcastable(draw, shape, full=False):
+    """A shape that broadcasts against ``shape``: a suffix with some 1s."""
+    keep = len(shape) if full else draw(st.integers(0, len(shape)))
+    return tuple(1 if draw(st.booleans()) else e
+                 for e in shape[len(shape) - keep:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_ensemble_ops_are_bitwise_the_per_sample_plain_ops(data):
+    draw = data.draw
+    samples = draw(st.integers(1, 4))
+    shape = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=3)))
+    other = _broadcastable(draw, shape)
+    extra = tuple(draw(st.lists(st.integers(1, 3), max_size=1)))
+    plain_shape = extra + _broadcastable(draw, shape, full=bool(extra))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(samples,) + shape)
+    b = rng.normal(size=(samples,) + other)
+    p = rng.normal(size=plain_shape)
+    # the integrate kernel's weighted basis against integrand[:, None]
+    w = rng.normal(size=shape[:1] + (3,) + shape[1:])
+    c = float(rng.normal())
+    A, B = sc.Ensemble(a), sc.Ensemble(b)
+
+    ops = [
+        (lambda x, y: x + y, A, B, a, b),
+        (lambda x, y: x - y, A, B, a, b),
+        (lambda x, y: x * y, A, B, a, b),
+        (lambda x, y: x / y, A, B, a, b),
+        (lambda x, y: y - x, A, B, a, b),
+        (lambda x, y: y / x, A, B, a, b),
+    ]
+    for op, X, Y, x, y in ops:
+        got = op(X, Y).vals
+        for s in range(samples):
+            assert np.array_equal(bits(got[s]), bits(op(x[s], y[s])))
+    for op in (lambda x: x + p, lambda x: p - x, lambda x: x * p,
+               lambda x: p / x, lambda x: x / p, lambda x: c * x - c,
+               lambda x: c / x, lambda x: -x, lambda x: w * x[:, None],
+               lambda x: x[0], lambda x: x[None, -1]):
+        got = op(A).vals
+        for s in range(samples):
+            assert np.array_equal(bits(got[s]), bits(op(a[s])))
+    # sums over every axis choice, of stored values and of fresh products
+    for axis in [None, 0, -1] + [tuple(range(1, len(shape)))] * (len(shape) > 1):
+        for op in (lambda x: x.sum(axis=axis),
+                   lambda x: (p * x).sum(axis=axis if extra == () else None),
+                   lambda x: (w * x[:, None]).sum(axis=2 if len(shape) > 1 else 0)):
+            got = op(A).vals
+            for s in range(samples):
+                assert np.array_equal(bits(got[s]), bits(op(a[s])))
+
+
+def test_ensemble_sums_long_axes_pairwise_like_plain_arrays():
+    # numpy sums a contiguous axis of 8 or more entries pairwise; with the
+    # sample axis in front, each sample's sum keeps that order. Terms of
+    # mixed magnitude make any other order show in the last bits.
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(3, 4, 9)) * 10.0 ** rng.integers(-8, 8, size=(3, 4, 9))
+    got = sc.Ensemble(a).sum(axis=-1).vals
+    for s in range(3):
+        assert np.array_equal(bits(got[s]), bits(a[s].sum(axis=-1)))
+
+
+def test_ensemble_refuses_dual_and_spectral_operands():
+    ens = sc.Ensemble(np.ones((2, 3)))
+    for other in (sc.Dual(np.ones(3), np.ones((3, 2))),
+                  pce(np.ones((3, 4)))):
+        for op in (lambda x, y: x + y, lambda x, y: x - y,
+                   lambda x, y: x * y, lambda x, y: x / y):
+            with pytest.raises(TypeError):
+                op(ens, other)
+            with pytest.raises(TypeError):
+                op(other, ens)
+        with pytest.raises(TypeError):
+            sc.copy_into(sc.Ensemble(np.zeros((2, 3))), other)
+    with pytest.raises(TypeError):
+        sc.copy_into(np.zeros(3), ens)
+
+
+def test_ensemble_storage_promotes_plain_values_to_every_sample():
+    ens = sc.Ensemble(np.zeros((2, 3)))
+    sc.copy_into(ens, np.array([1.0, 2.0, 3.0]))
+    sc.add_into(ens, sc.Ensemble(np.array([[1.0], [2.0]])))
+    assert np.array_equal(ens.vals, [[2.0, 3.0, 4.0], [3.0, 4.0, 5.0]])
+    assert np.array_equal(sc.strip_derivatives(ens), ens.vals)
+    assert ens.shape == (3,)
+    sc.fill_zero(ens)
+    assert not np.any(ens.vals)

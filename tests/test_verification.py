@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from embedfem import verification
 from embedfem.assembly import ConnectivityMap, GlobalSystem
 from embedfem.mesh import GeometryParams, Resolution, build_rect_mesh, build_slider_mesh
 from embedfem.model import ThermoElectricModel
@@ -64,6 +65,20 @@ def test_colored_oracle_is_bitwise_the_column_reference():
     partitioned = strip_model(workset_size=7)
     assert np.array_equal(fd_jacobian(partitioned, x).toarray(), reference)
     assert jacobian_fd_error(partitioned, x) == column_fd_error(model, x, reference)
+
+
+@pytest.mark.parametrize("element_samples", [1, 256 * 2 * 5],
+                         ids=["pairs", "five_colors"])
+def test_ensemble_grouping_does_not_change_the_oracle(monkeypatch,
+                                                      element_samples):
+    # 18 calls of one color pair, or four calls of up to five pairs, against
+    # the one call of all 18 that the column reference test checks
+    model = strip_model(workset_size=7)
+    x = random_state(model, 9)
+    whole = fd_jacobian(model, x).data
+    monkeypatch.setattr(verification, "_ENSEMBLE_ELEMENT_SAMPLES",
+                        element_samples)
+    assert np.array_equal(fd_jacobian(model, x).data, whole)
 
 
 @pytest.mark.parametrize("mesh", [strip_mesh(16), strip_mesh(32),
