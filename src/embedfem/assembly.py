@@ -26,11 +26,10 @@ from .graph import (ENSEMBLE_RESIDUAL, Evaluator, FieldSpec, JACOBIAN,
 
 @dataclass(frozen=True)
 class Workset:
-    """A contiguous, region-homogeneous block of elements."""
+    """A contiguous block of elements; it may span several material regions."""
 
     start: int
     stop: int
-    region: int
 
     @property
     def size(self):
@@ -42,20 +41,14 @@ class Workset:
 
 
 def build_worksets(mesh, workset_size=0):
-    """Partition all elements into region-homogeneous contiguous blocks.
+    """Partition all elements into contiguous blocks of ``workset_size``
+    elements (the last one may be shorter).
 
-    ``workset_size`` of zero means one workset per region.
+    ``workset_size`` of zero means one workset for the whole mesh.
     """
-    out = []
-    for region, start, stop in mesh.region_ranges():
-        if workset_size <= 0:
-            out.append(Workset(start, stop, region))
-            continue
-        s = start
-        while s < stop:
-            out.append(Workset(s, min(s + workset_size, stop), region))
-            s = min(s + workset_size, stop)
-    return out
+    n = mesh.num_elems
+    size = workset_size if workset_size > 0 else n
+    return [Workset(s, min(s + size, n)) for s in range(0, n, size)]
 
 
 class ConnectivityMap:
@@ -113,9 +106,6 @@ class GlobalSystem:
     @property
     def num_dofs(self):
         return self.conn.num_global_dofs
-
-    def new_vector(self):
-        return np.zeros(self.num_dofs)
 
     def new_matrix_data(self, trailing=()):
         return np.zeros((self.nnz,) + trailing)

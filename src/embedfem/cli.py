@@ -23,7 +23,7 @@ from .io import (write_solution_csv, write_summary, write_table_csv,
                  write_vtk)
 from .morphing import morph
 from .physics import NonPhysicalStateError
-from .verification import run_verification, sg_vs_nisp, temperature_max
+from .verification import run_verification, sg_vs_nisp
 
 #: names accepted by continuation/optimize that address the slider shape
 SHAPE_PARAMETERS = ("deflection", "deflection_top", "deflection_bottom")

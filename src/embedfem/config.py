@@ -64,7 +64,7 @@ class MaterialsSection:
 
 @dataclass
 class SolverSection:
-    """Newton and linear-solver settings plus the workset size."""
+    """Newton and linear-solver settings plus the workset size (0: whole mesh)."""
 
     abs_tol: float = 1e-11
     rel_tol: float = 1e-12
@@ -73,7 +73,7 @@ class SolverSection:
     gmres_tol: float = 1e-10
     gmres_restart: int = 80
     gmres_max_iters: int = 400
-    workset_size: int = 0
+    workset_size: int = 0    # elements per workset; blocks span regions
 
 
 @dataclass

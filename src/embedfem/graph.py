@@ -127,16 +127,16 @@ class Evaluator:
 class WorksetContext:
     """Per-workset execution state handed to kernels.
 
-    ``workset`` carries the element range and region; ``arena`` owns the field
+    ``workset`` carries the element range, which may span material regions
+    (kernels look up per-element material data by it); ``arena`` owns the field
     buffers; ``staged`` collects extracted global contributions for the
     deterministic merge done by the assembly driver.
     """
 
-    def __init__(self, workset, arena, extra=None):
+    def __init__(self, workset, arena):
         self.workset = workset
         self.arena = arena
         self.staged = {}
-        self.extra = extra or {}
 
     def field(self, name):
         return self.arena.get(name)

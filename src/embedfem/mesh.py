@@ -3,8 +3,8 @@
 The demo domain is a rectangular strip of three x-bands, conductor | pad |
 slider, meshed with bilinear quads. The slider band ends at the symmetry
 plane of the full device, so only half of the physical slider is meshed.
-Elements are numbered column-major (x-band by x-band), which keeps each
-material region a contiguous element range for workset partitioning.
+Elements are numbered column-major (x-band by x-band); assembly does not rely
+on that order, it reads each element's material from ``Mesh.region_of``.
 """
 
 from __future__ import annotations
@@ -60,17 +60,6 @@ class Mesh:
     def element_coords(self, elems=slice(None)):
         """Corner coordinates of the selected elements, (n, 4, 2)."""
         return self.coords[self.connectivity[elems]]
-
-    def region_ranges(self):
-        """Contiguous (start, stop) element range per region present."""
-        out = []
-        start = 0
-        for r in range(len(REGIONS)):
-            count = int(np.sum(self.region_of == r))
-            if count:
-                out.append((r, start, start + count))
-                start += count
-        return out
 
     def replace_coords(self, coords):
         """Same topology with new node coordinates (morphing support)."""

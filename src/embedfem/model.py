@@ -19,7 +19,7 @@ import numpy as np
 
 from . import scalars as sc
 from .analysis import SolveFailure
-from .assembly import (AssemblyState, ConnectivityMap, GlobalSystem, Workset,
+from .assembly import (AssemblyState, ConnectivityMap, GlobalSystem,
                        build_worksets, gather_coordinates_registrar,
                        gather_solution_registrar, scatter_residual_registrar)
 from .discretization import (ElementGeometryEvaluator, SolutionAtQPEvaluator,
@@ -27,13 +27,24 @@ from .discretization import (ElementGeometryEvaluator, SolutionAtQPEvaluator,
 from .graph import (ENSEMBLE_RESIDUAL, EVALUATION_TYPES, JACOBIAN, RESIDUAL,
                     SG_JACOBIAN, SG_RESIDUAL, SHAPE_TANGENT, TANGENT,
                     WorksetContext, instantiate_for_all_types)
-from .physics import (ConductivityEvaluator, HeatResidualEvaluator,
-                      JouleHeatingEvaluator, ParameterLibrary,
-                      PotentialResidualEvaluator, QuadraticSourceEvaluator,
-                      TabulatedSourceEvaluator, objective_max_temperature)
+from .physics import (ConductivityEvaluator, ElementMaterials,
+                      HeatResidualEvaluator, JouleHeatingEvaluator,
+                      ParameterLibrary, PotentialResidualEvaluator,
+                      QuadraticSourceEvaluator, TabulatedSourceEvaluator,
+                      objective_max_temperature)
 
 UNKNOWNS = ("psi", "temp")
 N_EQ = len(UNKNOWNS)
+
+
+def _add_rows(target, rows, vals):
+    """``target[rows[i]] += vals[i]`` in the order of i, as one 1-D ``add.at``
+    over a contiguous target's flat entries: numpy's multi-dimensional
+    ``add.at`` is several times slower and adds in the same order."""
+    width = target[0].size
+    if width > 1:
+        rows = (rows[:, None] * width + np.arange(width)).ravel()
+    np.add.at(target.reshape(-1), rows, vals.reshape(-1))
 
 
 @dataclass
@@ -65,11 +76,9 @@ class ThermoElectricModel:
         self.state.coords = mesh.coords.copy()
         self.base_coords = mesh.coords.copy()
         self.library = ParameterLibrary()
-        self._tangent_params = ()
-        self._uncertain = {}
 
         lib = self.library
-        mats = materials
+        mats = ElementMaterials(materials, mesh.region_of)
         # one geometry cache for every type whose coordinates are plain values
         geometry_cache = {}
         registrars = [
@@ -220,10 +229,8 @@ class ThermoElectricModel:
             samples = state.x_block.shape[0]
         state.n_deriv = width
 
-        self._tangent_params = tuple(tangent_params)
-        self._uncertain = dict(uncertain or {})
-        self.library.push(ev_type, tangent_params=self._tangent_params,
-                          uncertain=self._uncertain, basis=self.sg_basis)
+        self.library.push(ev_type, tangent_params=tuple(tangent_params),
+                          uncertain=uncertain, basis=self.sg_basis)
 
         graph = self.graphs[ev_type]
         sg_basis = self.sg_basis if basis_needed else None
@@ -254,23 +261,13 @@ class ThermoElectricModel:
             jac_blocks = system.new_matrix_data((self.sg_basis.size,))
 
         for ws, stage in zip(self.worksets, staged):
-            if "f" in stage:
-                rows, vals = stage["f"]
-                np.add.at(f.reshape(-1), rows, vals)
-            if "fp" in stage:
-                rows, cols = stage["fp"]
-                np.add.at(fp, rows, cols)
-            if "F" in stage:
-                rows, coeffs = stage["F"]
-                np.add.at(spectral, rows, coeffs)
-            if "jac" in stage:
-                pos = system.positions[ws.elements].ravel()
-                np.add.at(jac_data, pos, stage["jac"].ravel())
-            if "jac_blocks" in stage:
-                blocks = stage["jac_blocks"]
-                pos = system.positions[ws.elements].ravel()
-                np.add.at(jac_blocks, pos,
-                          blocks.reshape(pos.size, blocks.shape[-1]))
+            for key, target in (("f", f.reshape(-1)), ("fp", fp), ("F", spectral)):
+                if key in stage:
+                    _add_rows(target, *stage[key])
+            pos = system.positions[ws.elements].ravel()
+            for key, target in (("jac", jac_data), ("jac_blocks", jac_blocks)):
+                if key in stage:
+                    _add_rows(target, pos, stage[key])
 
         # Dirichlet row replacement: f <- x - g, J rows <- identity
         d = self.dirichlet_dofs

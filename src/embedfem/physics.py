@@ -125,15 +125,37 @@ class MaterialTable:
     slider: RegionMaterial
 
     def __post_init__(self):
-        for name in REGIONS:
-            mat = self.region(REGIONS.index(name))
+        for name, mat in zip(REGIONS, (self.conductor, self.pad, self.slider)):
             if mat.sigma0 <= 0.0 or mat.kappa <= 0.0:
                 raise ValueError(f"{name}: sigma0 and kappa must be positive")
         if any(v != 0.0 for v in self.slider.velocity):
             raise ValueError("the slider moves with the frame, its velocity is 0")
 
-    def region(self, region_index):
-        return (self.conductor, self.pad, self.slider)[region_index]
+
+class ElementMaterials:
+    """A MaterialTable resolved per element, built once per model.
+
+    Each constant is a (num_elems, 1) column, so the rows of a workset
+    broadcast over its quadrature points whatever regions it spans.
+    ``pad_runs`` holds the [start, stop) ranges of consecutive pad elements;
+    elements need not be numbered region by region.
+    """
+
+    def __init__(self, table, region_of):
+        per_region = np.array([(m.sigma0, m.kappa, *m.velocity, m.beta, m.T0)
+                               for m in (table.conductor, table.pad, table.slider)])
+        (self.sigma0, self.kappa, vx, vy, self.beta,
+         self.T0) = np.split(per_region[region_of], 6, axis=1)
+        self.velocity = (vx, vy)
+        self.pad_sigma0 = table.pad.sigma0
+        # the padded pad indicator steps up at each run's start, down at its stop
+        is_pad = np.concatenate(([0], region_of == REGIONS.index("pad"), [0]))
+        self.pad_runs = np.flatnonzero(np.diff(is_pad)).reshape(-1, 2).tolist()
+
+    def pad_slices(self, ws):
+        """Workset-local slices of the pad elements inside workset ``ws``."""
+        return [slice(max(a, ws.start) - ws.start, min(b, ws.stop) - ws.start)
+                for a, b in self.pad_runs if a < ws.stop and b > ws.start]
 
 
 def default_materials(sigma0_conductor=100.0, sigma0_pad=35.0,
@@ -163,7 +185,7 @@ class ConductivityEvaluator(Evaluator):
 
     The pad conductivity is the registered parameter "PadSigma0", so it can be
     a design variable or an uncertain spectral input; the other regions use
-    their table constants.
+    their table constants. ``materials`` is the model's ElementMaterials.
     """
 
     name = "conductivity"
@@ -172,8 +194,8 @@ class ConductivityEvaluator(Evaluator):
 
     def __init__(self, materials, library, ev_type):
         self.materials = materials
-        self.pad_sigma0 = materials.pad.sigma0
-        library.register("PadSigma0", self, ev_type, materials.pad.sigma0)
+        self.pad_sigma0 = materials.pad_sigma0
+        library.register("PadSigma0", self, ev_type, materials.pad_sigma0)
 
     def set_parameter(self, name, scalar):
         if name != "PadSigma0":
@@ -181,19 +203,22 @@ class ConductivityEvaluator(Evaluator):
         self.pad_sigma0 = scalar
 
     def evaluate(self, ctx):
-        region = ctx.workset.region
-        mat = self.materials.region(region)
-        sigma0 = self.pad_sigma0 if REGIONS[region] == "pad" else mat.sigma0
+        ws, mats = ctx.workset, self.materials
+        e = ws.elements
         temp = ctx.field("temp_qp").data
-        denom = 1.0 + mat.beta * (temp - mat.T0)
+        denom = 1.0 + mats.beta[e] * (temp - mats.T0[e])
         nonpositive = sc.strip_derivatives(denom) <= 0.0
         if np.any(nonpositive):
             # value axes (elem, qp) trail an ensemble's sample axis
             bad = np.unique(np.nonzero(nonpositive)[-2])
             raise NonPhysicalStateError(
                 "conductivity denominator non-positive in elements "
-                f"{(bad + ctx.workset.start)[:8].tolist()}")
-        ctx.field("sigma_qp").assign(sigma0 / denom)
+                f"{(bad + ws.start)[:8].tolist()}")
+        sigma = ctx.field("sigma_qp")
+        sigma.assign(mats.sigma0[e] / denom)
+        # slices write into the field; a boolean mask would write into a copy
+        for run in mats.pad_slices(ws):
+            sigma[run] = self.pad_sigma0 / denom[run]
 
 
 class JouleHeatingEvaluator(Evaluator):
@@ -296,14 +321,16 @@ class HeatResidualEvaluator(Evaluator):
         self.depends = tuple(depends)
 
     def evaluate(self, ctx):
-        mat = self.materials.region(ctx.workset.region)
+        e = ctx.workset.elements
+        kappa = self.materials.kappa[e]
+        vx, vy = (v[e] for v in self.materials.velocity)
         gt = ctx.field("grad_temp_qp").data
         wbf = ctx.field("weighted_bf").data
         wgbf = ctx.field("weighted_grad_bf").data
         out = ctx.field("temp_residual")
         for d in range(2):
-            integrate(out, mat.kappa * gt[:, :, d], wgbf[:, :, :, d])
-        bulk = -(mat.velocity[0] * gt[:, :, 0] + mat.velocity[1] * gt[:, :, 1])
+            integrate(out, kappa * gt[:, :, d], wgbf[:, :, :, d])
+        bulk = -(vx * gt[:, :, 0] + vy * gt[:, :, 1])
         if self.with_joule:
             bulk = bulk - ctx.field("joule_qp").data
         if self.with_source:

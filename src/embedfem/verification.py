@@ -172,10 +172,6 @@ def check_mms(sizes=(8, 16, 32), target=2.0, window=0.15):
 # spectral cross-check
 # ---------------------------------------------------------------------------
 
-def temperature_max(state, n_eq=2, temp_eq=1):
-    return float(np.max(state[temp_eq::n_eq]))
-
-
 def sg_vs_nisp(model, expansion, nisp_order=6, config=None):
     """Max-temperature expansions by the intrusive solve and by projection.
 
@@ -190,14 +186,15 @@ def sg_vs_nisp(model, expansion, nisp_order=6, config=None):
     coeffs = sc.PCE(np.asarray(expansion[name], dtype=float), basis)
 
     sg = sg_newton_solve(model, expansion, config)
-    sg_coeffs = sg_functional_expansion(sg, basis, temperature_max, nisp_order)
+    sg_coeffs = sg_functional_expansion(
+        sg, basis, lambda x: model.objective(x).value, nisp_order)
 
     nominal = model.library.value(name)
 
     def sample(xi):
         model.library.set_value(name, float(coeffs.evaluate(xi)))
         try:
-            return temperature_max(newton_solve(model, config).x)
+            return model.objective(newton_solve(model, config).x).value
         finally:
             model.library.set_value(name, nominal)
 

@@ -23,8 +23,7 @@ from embedfem.mesh import GeometryParams, Resolution, build_slider_mesh
 from embedfem.model import ThermoElectricModel
 from embedfem.morphing import mesh_sensitivity, morph
 from embedfem.physics import default_materials
-from embedfem.verification import (check_mms, fd_jacobian, sg_vs_nisp,
-                                   temperature_max)
+from embedfem.verification import check_mms, fd_jacobian, sg_vs_nisp
 from test_scalars import _ZOO
 
 DEMO_BC = [("left_conductor_end", "psi", 0.0),

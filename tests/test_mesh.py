@@ -47,14 +47,6 @@ def test_demo_mesh_pad_adjacent_to_slider():
     assert set(m.node_sets["pad_interface"]) <= (pad_nodes & slider_nodes)
 
 
-def test_region_ranges_are_contiguous_partition():
-    m = demo_mesh()
-    ranges = m.region_ranges()
-    assert ranges[0][1] == 0 and ranges[-1][2] == m.num_elems
-    for r, start, stop in ranges:
-        assert np.all(m.region_of[start:stop] == r)
-
-
 def test_connectivity_is_counterclockwise():
     m = demo_mesh()
     x = m.element_coords()

@@ -6,13 +6,15 @@ import scipy.sparse.linalg as spla
 
 from embedfem import discretization
 from embedfem import graph as gr
+from embedfem import model as model_module
 from embedfem import scalars as sc
 from embedfem.analysis import SGSystem, SolveFailure
 from embedfem.assembly import GlobalSystem
-from embedfem.mesh import GeometryParams, MeshError, Resolution, build_slider_mesh
+from embedfem.mesh import (GeometryParams, Mesh, MeshError, Resolution,
+                           build_slider_mesh)
 from embedfem.model import ThermoElectricModel
 from embedfem.morphing import morph
-from embedfem.physics import default_materials
+from embedfem.physics import NonPhysicalStateError, default_materials
 from embedfem.verification import jacobian_fd_error
 
 DEMO_BC = [("left_conductor_end", "psi", 0.0),
@@ -59,27 +61,43 @@ def test_value_component_bitwise_across_all_types():
         assert np.array_equal(values, reference), tag
 
 
+#: sizes whose worksets straddle the conductor|pad (element 128) and
+#: pad|slider (element 160) boundaries of the demo mesh, next to 1 and 7
+PARTITION_SIZES = (1, 5, 7, 33, 100)
+
+
+def _all_plain_outputs(model, x):
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=model.num_dofs)
+    x_p = 0.01 * rng.normal(size=(model.mesh.num_nodes, 2, 2))
+    states = x + 0.01 * rng.normal(size=(4, model.num_dofs))
+    f, jac = model.jacobian(x)
+    return {
+        "Residual": [model.residual(x)],
+        "Jacobian": [f, jac.data, jac.indices],
+        "Tangent": list(model.tangent(x, ("Alpha", "PadSigma0"))),
+        "Directional": [model.directional(x, v)],
+        "ShapeTangent": list(model.shape_tangent(x, x_p)),
+        "EnsembleResidual": [model.residuals(states)],
+    }
+
+
 def test_workset_partition_invariance_is_bitwise():
-    x = None
-    results = []
-    for size in (0, 1, 7):
-        model = demo_model(workset_size=size)
-        if x is None:
-            x = random_state(model)
-        f, jac = model.jacobian(x)
-        results.append((f, jac))
-    f0, j0 = results[0]
-    for f, jac in results[1:]:
-        assert np.array_equal(f, f0)
-        assert np.array_equal(jac.data, j0.data)
-        assert np.array_equal(jac.indices, j0.indices)
+    reference = demo_model()
+    x = random_state(reference)
+    want = _all_plain_outputs(reference, x)
+    for size in PARTITION_SIZES:
+        got = _all_plain_outputs(demo_model(workset_size=size), x)
+        for tag, arrays in want.items():
+            for a, b in zip(got[tag], arrays, strict=True):
+                assert np.array_equal(a, b), (size, tag)
 
 
 def test_sg_workset_partition_invariance_is_bitwise():
     uncertain = {"PadSigma0": [35.0, 15.0, 0.0, 0.0]}
     x_block = None
     results = []
-    for size in (0, 1, 7):
+    for size in (0,) + PARTITION_SIZES:
         model = demo_model(workset_size=size, sg_basis=BASIS)
         if x_block is None:
             rng = np.random.default_rng(12)
@@ -94,6 +112,68 @@ def test_sg_workset_partition_invariance_is_bitwise():
         assert np.array_equal(f, f0)
         for block, block0 in zip(blocks, blocks0, strict=True):
             assert np.array_equal(block.data, block0.data)
+
+
+def test_model_on_permuted_elements_matches_ordered_mesh():
+    # elements not grouped by region: every element keeps its own material
+    ordered = build_slider_mesh(GeometryParams(), Resolution())
+    perm = np.random.default_rng(0).permutation(ordered.num_elems)
+    permuted = Mesh(ordered.coords, ordered.connectivity[perm],
+                    ordered.region_of[perm], ordered.node_sets)
+    reference = demo_model()
+    x = random_state(reference, seed=13)
+    f0, jac0 = reference.jacobian(x)
+    _, fp0 = reference.tangent(x, ("PadSigma0",))
+    for size in (0, 33):
+        model = ThermoElectricModel(permuted, default_materials(),
+                                    dirichlet=DEMO_BC, workset_size=size)
+        f, jac = model.jacobian(x)
+        _, fp = model.tangent(x, ("PadSigma0",))
+        assert np.array_equal(jac.indices, jac0.indices)
+        for got, want in ((model.residual(x), f0), (f, f0),
+                          (jac.data, jac0.data), (fp, fp0)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_nonphysical_state_in_a_mixed_workset_names_global_elements():
+    # element 130 is a pad element; with 33 elements per workset it sits in
+    # the workset [99, 132), which also holds conductor elements
+    model = demo_model(workset_size=33)
+    x = model.initial_guess()
+    x[model.conn.dof[130, :, 1]] = -5.5    # 1 + 0.2 T < 0 there only
+    for assemble in (model.residual, model.jacobian,
+                     lambda x: model.tangent(x, ("PadSigma0",)),
+                     lambda x: model.residuals(np.stack([0.0 * x, x]))):
+        with pytest.raises(NonPhysicalStateError,
+                           match=r"non-positive in elements \[130\]$"):
+            assemble(x)
+
+
+def test_merge_adds_rows_bitwise_like_a_2d_add_at(monkeypatch):
+    rng = np.random.default_rng(14)
+    rows = rng.integers(0, 6, size=40)
+    vals = rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-8, 8, size=(40, 4))
+    got, want = np.zeros((6, 4)), np.zeros((6, 4))
+    model_module._add_rows(got, rows, vals)
+    np.add.at(want, rows, vals)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    # the SG residual and Jacobian merges against the 2-D reference
+    model = demo_model(sg_basis=BASIS)
+    uncertain = {"PadSigma0": [35.0, 15.0, 0.0, 0.0]}
+    x_block = np.zeros((BASIS.size, model.num_dofs))
+    x_block[0] = random_state(model, seed=15)
+    x_block[1:] = 0.05 * rng.normal(size=(BASIS.size - 1, model.num_dofs))
+    f, blocks = model.sg_jacobian(x_block, uncertain)
+
+    def add_2d(target, rows, vals):
+        np.add.at(target, rows, vals.reshape(rows.size, target.shape[1]))
+
+    monkeypatch.setattr(model_module, "_add_rows", add_2d)
+    f_ref, blocks_ref = model.sg_jacobian(x_block, uncertain)
+    assert np.array_equal(f, f_ref)
+    for block, ref in zip(blocks, blocks_ref, strict=True):
+        assert np.array_equal(block.data.view(np.int64), ref.data.view(np.int64))
 
 
 @pytest.mark.parametrize("quad_order", [1, 2, 3])

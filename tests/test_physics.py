@@ -5,11 +5,13 @@ import pytest
 
 from embedfem import graph as gr
 from embedfem import scalars as sc
+from embedfem.assembly import Workset
 from embedfem.discretization import bilinear_basis
 from embedfem.mesh import build_rect_mesh
 from embedfem.model import ThermoElectricModel
-from embedfem.physics import (MaterialTable, NonPhysicalStateError,
-                              ParameterError, ParameterLibrary, RegionMaterial,
+from embedfem.physics import (ElementMaterials, MaterialTable,
+                              NonPhysicalStateError, ParameterError,
+                              ParameterLibrary, RegionMaterial,
                               default_materials, objective_max_temperature)
 
 
@@ -22,6 +24,17 @@ def uniform_materials(**kw):
     return MaterialTable(conductor=m,
                          pad=material(**{**kw, "velocity": (0.0, 0.0)}),
                          slider=material(**{**kw, "velocity": (0.0, 0.0)}))
+
+
+def test_element_materials_columns_and_unsorted_pad_runs():
+    region_of = np.array([1, 1, 0, 1, 2, 2, 1])
+    mats = ElementMaterials(default_materials(), region_of)
+    assert mats.sigma0.shape == (7, 1)
+    assert mats.sigma0[:, 0].tolist() == [35, 35, 100, 35, 100, 100, 35]
+    assert mats.velocity[0][:, 0].tolist() == [0, 0, -10, 0, 0, 0, 0]
+    assert mats.pad_runs == [[0, 2], [3, 4], [6, 7]]
+    assert mats.pad_slices(Workset(1, 6)) == [slice(0, 1), slice(2, 3)]
+    assert mats.pad_slices(Workset(4, 6)) == []
 
 
 def build_model(mesh, materials, **kw):
