@@ -14,7 +14,6 @@ import numpy as np
 import scipy.sparse.linalg as spla
 
 from . import scalars as sc
-from .graph import SG_JACOBIAN, SG_RESIDUAL
 
 
 class SolveFailure(RuntimeError):

@@ -1,15 +1,20 @@
-"""Gather/seed and extract/scatter stages plus global linear-algebra objects.
+"""Gather/seed and extract/scatter specializations plus global linear-algebra objects.
 
-The gather evaluators pull global vectors into element-local fields and seed
-the embedded scalar data for the evaluation type at hand (identity seeding for
-stiffness rows, parameter or direction seeds for sensitivities, coordinate
-seeds for shape derivatives, coefficient gathers for spectral unknowns, one
-state per sample for ensembles). The scatter evaluators extract the embedded
-results and stage them; the assembly driver merges staged contributions into
-the global objects in element order, which makes the result independent of the
-workset partition bit for bit.
+``_SPECIALIZATIONS`` holds one row per evaluation type: a coordinate gather,
+a solution gather and a scatter. The solution gather's ``bind`` checks the
+type's inputs and returns the arena keys; its ``evaluate`` pulls global
+vectors into element-local fields and seeds the embedded scalar data
+(identity seeds for stiffness rows, parameter or direction seeds for
+sensitivities, coordinate seeds for shape derivatives, coefficients for
+spectral unknowns, one state per sample for ensembles). The scatter's
+``targets`` name the global objects it fills, and its ``evaluate`` adds each
+workset's rows straight into them. Worksets run in element order, so every
+entry sums its terms in element order, bitwise independent of the workset
+partition. ``finish`` replaces the Dirichlet rows of whatever was filled.
+
+A new evaluation type needs a storage kind in ``fields.make_storage``, an
+``EvaluationType`` constant and one row here; the assembly loop is unchanged.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -18,10 +23,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from . import scalars as sc
 from .graph import (ENSEMBLE_RESIDUAL, Evaluator, FieldSpec, JACOBIAN,
-                    RESIDUAL, SG_JACOBIAN, SG_RESIDUAL, SHAPE_TANGENT, TANGENT,
-                    MissingSpecializationError)
+                    RESIDUAL, SG_JACOBIAN, SG_RESIDUAL, SHAPE_TANGENT, TANGENT)
 
 
 @dataclass(frozen=True)
@@ -149,47 +152,72 @@ class GlobalSystem:
         return colors
 
 
+def _add_rows(target, rows, vals):
+    """``target[rows[i]] += vals[i]`` in the order of i, as one 1-D ``add.at``
+    over a contiguous target's flat entries: numpy's multi-dimensional
+    ``add.at`` is several times slower and adds in the same order."""
+    width = target[0].size
+    if width > 1:
+        rows = (rows[:, None] * width + np.arange(width)).ravel()
+    np.add.at(target.reshape(-1), rows, vals.reshape(-1))
+
+
+def _required(value, what):
+    if value is None:
+        raise ValueError(f"assembly needs {what}")
+    return np.asarray(value, dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # assembly state shared between the driver and the gather/scatter evaluators
 # ---------------------------------------------------------------------------
 
 class AssemblyState:
-    """Inputs of the current assembly: coordinates, vectors, and seed data."""
+    """Inputs and global objects of the current assembly.
 
-    def __init__(self):
-        self.coords = None        # (num_nodes, 2)
-        self.x = None             # (num_dofs,)
-        self.x_block = None       # (num_coeffs or samples, num_dofs) unknowns
+    :func:`bind` clears the inputs, lets the type's gather store the ones it
+    reads and allocates the global objects its scatter adds into
+    (``targets``, by name); :func:`finish` takes the targets out again.
+    """
+
+    def __init__(self, system, coords, sg_basis=None):
+        self.system = system
+        self.coords = coords      # (num_nodes, 2)
+        self.sg_basis = sg_basis  # chaos basis tables of the spectral types
+        self.x = None             # (num_dofs,), or (coeffs or samples, num_dofs)
         self.v = None             # directional seed vector
         self.Xp = None            # (num_nodes, 2, n_shape_params)
-        self.tangent_mode = "parameters"  # or "direction"
-        self.n_deriv = None       # derivative width of the current assembly
+        self.targets = {}
+
+
+class _Specialized(Evaluator):
+    """An evaluator of the specialization table: it reads its inputs from and
+    scatters into the shared assembly state."""
+
+    def __init__(self, state, unknowns):
+        self.state = state
+        self.conn = state.system.conn
+        self.unknowns = tuple(unknowns)
 
 
 # ---------------------------------------------------------------------------
 # gather evaluators (seed + gather fused)
 # ---------------------------------------------------------------------------
 
-class _GatherCoordinatesBase(Evaluator):
+class GatherCoordinates(_Specialized):
+    """Plain copy of node coordinates into the workset field."""
+
     name = "gather_coordinates"
     evaluates = (FieldSpec("coords_node", ("elem", "node", "dim"), "mesh"),)
 
-    def __init__(self, state, conn):
-        self.state = state
-        self.conn = conn
-
     def _values(self, ws):
         return self.state.coords[self.conn.node_conn[ws.elements]]
-
-
-class GatherCoordinates(_GatherCoordinatesBase):
-    """Plain copy of node coordinates into the workset field."""
 
     def evaluate(self, ctx):
         ctx.field("coords_node").assign(self._values(ctx.workset))
 
 
-class GatherCoordinatesShape(_GatherCoordinatesBase):
+class GatherCoordinatesShape(GatherCoordinates):
     """Copies coordinates and seeds their shape-parameter derivatives.
 
     The seed columns come from the precalculated coordinate sensitivities, so
@@ -197,37 +225,46 @@ class GatherCoordinatesShape(_GatherCoordinatesBase):
     """
 
     def evaluate(self, ctx):
-        if self.state.Xp is None:
-            raise ValueError("shape-tangent assembly needs coordinate sensitivities")
         field = ctx.field("coords_node")
         field.data.val[...] = self._values(ctx.workset)
         field.data.dx[...] = self.state.Xp[self.conn.node_conn[ctx.workset.elements]]
 
 
-class _GatherSolutionBase(Evaluator):
+class GatherSolution(_Specialized):
+    """Plain copy of the solution vector into the workset fields."""
+
     name = "gather_solution"
 
-    def __init__(self, state, conn, unknowns):
-        self.state = state
-        self.conn = conn
-        self.unknowns = tuple(unknowns)
+    def __init__(self, state, unknowns):
+        super().__init__(state, unknowns)
         self.evaluates = tuple(
             FieldSpec(f"{u}_node", ("elem", "node"), "solution")
             for u in self.unknowns)
 
+    @staticmethod
+    def bind(state, x=None):
+        """Check this type's inputs and store them in ``state``. Returns the
+        arena keys (``deriv_width``, ``basis``, ``samples``) and the seeds
+        for ``ParameterLibrary.push`` (``tangent_params``, ``uncertain``)."""
+        state.x = _required(x, "the solution vector x")
+        return {}, {}
+
     def _dofs(self, ws, eq):
         return self.conn.dof[ws.elements, :, eq]
 
-
-class GatherSolution(_GatherSolutionBase):
     def evaluate(self, ctx):
         for eq, u in enumerate(self.unknowns):
             ctx.field(f"{u}_node").assign(
                 self.state.x[self._dofs(ctx.workset, eq)])
 
 
-class GatherSolutionJacobian(_GatherSolutionBase):
+class GatherSolutionJacobian(GatherSolution):
     """Gathers values and seeds d(local x)/d(local x) with the identity."""
+
+    @staticmethod
+    def bind(state, x=None):
+        GatherSolution.bind(state, x)
+        return {"deriv_width": state.system.conn.dofs_per_element}, {}
 
     def evaluate(self, ctx):
         n_eq = len(self.unknowns)
@@ -240,9 +277,20 @@ class GatherSolutionJacobian(_GatherSolutionBase):
                 data.dx[:, n, n * n_eq + eq] = 1.0
 
 
-class GatherSolutionTangent(_GatherSolutionBase):
+class GatherSolutionTangent(GatherSolution):
     """Solution partials stay zero (parameters seed themselves), or carry the
-    supplied direction for directional-derivative assemblies."""
+    direction v for directional-derivative assemblies."""
+
+    @staticmethod
+    def bind(state, x=None, tangent_params=(), v=None):
+        GatherSolution.bind(state, x)
+        if v is not None:
+            state.v = np.asarray(v, dtype=float)
+            return {"deriv_width": 1}, {}
+        if not tangent_params:
+            raise ValueError("tangent assembly needs tangent_params or a direction v")
+        return ({"deriv_width": len(tangent_params)},
+                {"tangent_params": tuple(tangent_params)})
 
     def evaluate(self, ctx):
         for eq, u in enumerate(self.unknowns):
@@ -250,216 +298,284 @@ class GatherSolutionTangent(_GatherSolutionBase):
             dofs = self._dofs(ctx.workset, eq)
             data.val[...] = self.state.x[dofs]
             data.dx[...] = 0.0
-            if self.state.tangent_mode == "direction":
+            if self.state.v is not None:
                 data.dx[:, :, 0] = self.state.v[dofs]
 
 
-class GatherSolutionSG(_GatherSolutionBase):
+class GatherSolutionShapeTangent(GatherSolutionTangent):
+    """Zero solution partials; the coordinate gather seeds d/dp from Xp."""
+
+    @staticmethod
+    def bind(state, x=None, Xp=None):
+        GatherSolution.bind(state, x)
+        state.Xp = _required(Xp, "the coordinate sensitivities Xp")
+        return {"deriv_width": state.Xp.shape[-1]}, {}
+
+
+class GatherSolutionSG(GatherSolution):
+    @staticmethod
+    def bind(state, x_block=None, uncertain=None):
+        if state.sg_basis is None:
+            raise ValueError("spectral assembly needs the model built with sg_basis")
+        state.x = _required(x_block, "the block unknowns x_block")
+        return ({"basis": state.sg_basis},
+                {"uncertain": uncertain, "basis": state.sg_basis})
+
     def evaluate(self, ctx):
         for eq, u in enumerate(self.unknowns):
             data = ctx.field(f"{u}_node").data
             dofs = self._dofs(ctx.workset, eq)
-            data.coeffs[...] = np.moveaxis(self.state.x_block[:, dofs], 0, -1)
+            data.coeffs[...] = np.moveaxis(self.state.x[:, dofs], 0, -1)
 
 
-class GatherSolutionEnsemble(_GatherSolutionBase):
-    def evaluate(self, ctx):
-        for eq, u in enumerate(self.unknowns):
-            ctx.field(f"{u}_node").data.vals[...] = \
-                self.state.x_block[:, self._dofs(ctx.workset, eq)]
+class GatherSolutionSGJacobian(GatherSolutionSG):
+    @staticmethod
+    def bind(state, x_block=None, uncertain=None):
+        keys, seeds = GatherSolutionSG.bind(state, x_block, uncertain)
+        return dict(keys, deriv_width=state.system.conn.dofs_per_element), seeds
 
-
-class GatherSolutionSGJacobian(_GatherSolutionBase):
     def evaluate(self, ctx):
         n_eq = len(self.unknowns)
         n_nodes = self.conn.node_conn.shape[1]
         for eq, u in enumerate(self.unknowns):
             data = ctx.field(f"{u}_node").data
             dofs = self._dofs(ctx.workset, eq)
-            data.val.coeffs[...] = np.moveaxis(self.state.x_block[:, dofs], 0, -1)
+            data.val.coeffs[...] = np.moveaxis(self.state.x[:, dofs], 0, -1)
             data.dx.coeffs[...] = 0.0
             for n in range(n_nodes):
                 data.dx.coeffs[:, n, n * n_eq + eq, 0] = 1.0
 
 
+class GatherSolutionEnsemble(GatherSolution):
+    @staticmethod
+    def bind(state, x_block=None):
+        state.x = _required(x_block, "the block unknowns x_block")
+        return {"samples": state.x.shape[0]}, {}
+
+    def evaluate(self, ctx):
+        for eq, u in enumerate(self.unknowns):
+            ctx.field(f"{u}_node").data.vals[...] = \
+                self.state.x[:, self._dofs(ctx.workset, eq)]
+
+
 # ---------------------------------------------------------------------------
-# scatter evaluators (extract + scatter fused, staging for ordered merge)
+# scatter evaluators (extract + scatter fused, straight into the globals)
 # ---------------------------------------------------------------------------
 
-class _ScatterBase(Evaluator):
+class ScatterResidual(_Specialized):
+    """Adds the workset's residual rows into ``f``; every scatter's
+    ``targets`` name the global objects its ``evaluate`` adds into."""
+
     name = "scatter_residual"
+    targets = ("f",)
     evaluates = (FieldSpec("residual_scattered", ("elem",), "real"),)
 
-    def __init__(self, state, conn, unknowns):
-        self.state = state
-        self.conn = conn
-        self.unknowns = tuple(unknowns)
+    def __init__(self, state, unknowns):
+        super().__init__(state, unknowns)
         self.depends = tuple(
             FieldSpec(f"{u}_residual", ("elem", "node"), "solution")
             for u in self.unknowns)
 
-    def _rows(self, ws):
-        # (n_ws, n_nodes, n_eq) in element-major order
-        return self.conn.dof[ws.elements]
-
-    def _local(self, ctx, shape, fill):
-        """Element-local residual block (n_ws, n_nodes, n_eq, ...)."""
-        out = np.empty(shape)
+    def _local(self, ctx, part, trailing=()):
+        """Element-local block (n_ws, n_nodes, n_eq, *trailing) of one part
+        of the residual storage, e.g. its values or its partials."""
+        n_ws, n_nodes = ctx.workset.size, self.conn.node_conn.shape[1]
+        out = np.empty((n_ws, n_nodes, len(self.unknowns)) + trailing)
         for eq, u in enumerate(self.unknowns):
-            fill(out, eq, ctx.field(f"{u}_residual").data)
+            out[:, :, eq] = part(ctx.field(f"{u}_residual").data)
         return out
 
+    def _add_at_dofs(self, ctx, name, local):
+        _add_rows(self.state.targets[name],
+                  self.conn.dof[ctx.workset.elements].ravel(), local)
 
-class ScatterResidual(_ScatterBase):
+    def _add_at_entries(self, ctx, name, local):
+        """Element matrices into CSR data at their pattern positions."""
+        _add_rows(self.state.targets[name],
+                  self.state.system.positions[ctx.workset.elements].ravel(), local)
+
     def evaluate(self, ctx):
-        ws = ctx.workset
-        n_nodes = self.conn.node_conn.shape[1]
-        vals = self._local(
-            ctx, (ws.size, n_nodes, len(self.unknowns)),
-            lambda out, eq, data: out.__setitem__((..., eq), data))
-        ctx.stage("f", (self._rows(ws).ravel(), vals.ravel()))
+        self._add_at_dofs(ctx, "f", self._local(ctx, lambda data: data))
 
 
-class ScatterJacobian(_ScatterBase):
+class ScatterJacobian(ScatterResidual):
     """Values go to the residual; derivative rows go to the stiffness entries."""
 
+    targets = ("f", "jac")
+
     def evaluate(self, ctx):
-        ws = ctx.workset
-        n_nodes = self.conn.node_conn.shape[1]
-        n_eq = len(self.unknowns)
-        nd = n_nodes * n_eq
-        vals = np.empty((ws.size, n_nodes, n_eq))
-        jac = np.empty((ws.size, nd, nd))
-        for eq, u in enumerate(self.unknowns):
-            data = ctx.field(f"{u}_residual").data
-            vals[..., eq] = data.val
-            jac[:, eq::n_eq, :] = data.dx
-        ctx.stage("f", (self._rows(ws).ravel(), vals.ravel()))
-        ctx.stage("jac", jac)
+        nd = self.conn.dofs_per_element
+        self._add_at_dofs(ctx, "f", self._local(ctx, lambda data: data.val))
+        self._add_at_entries(ctx, "jac",
+                             self._local(ctx, lambda data: data.dx, (nd,)))
 
 
-class ScatterTangent(_ScatterBase):
+class ScatterTangent(ScatterResidual):
     """Extracts d(residual)/d(parameter) columns alongside the values."""
 
+    targets = ("f", "fp")
+
     def evaluate(self, ctx):
-        ws = ctx.workset
-        n_nodes = self.conn.node_conn.shape[1]
-        n_eq = len(self.unknowns)
-        vals = np.empty((ws.size, n_nodes, n_eq))
-        cols = np.empty((ws.size, n_nodes, n_eq, self.state.n_deriv))
-        for eq, u in enumerate(self.unknowns):
-            data = ctx.field(f"{u}_residual").data
-            vals[..., eq] = data.val
-            cols[:, :, eq, :] = data.dx
-        rows = self._rows(ws).ravel()
-        ctx.stage("f", (rows, vals.ravel()))
-        ctx.stage("fp", (rows, cols.reshape(rows.size, self.state.n_deriv)))
+        width = self.state.targets["fp"].shape[1]
+        self._add_at_dofs(ctx, "f", self._local(ctx, lambda data: data.val))
+        self._add_at_dofs(ctx, "fp",
+                          self._local(ctx, lambda data: data.dx, (width,)))
 
 
-class ScatterSGResidual(_ScatterBase):
+class ScatterSGResidual(ScatterResidual):
+    targets = ("F",)
+
     def evaluate(self, ctx):
-        ws = ctx.workset
-        n_nodes = self.conn.node_conn.shape[1]
-        n_eq = len(self.unknowns)
-        n_coeff = ctx.field(f"{self.unknowns[0]}_residual").data.basis.size
-        coeffs = np.empty((ws.size, n_nodes, n_eq, n_coeff))
-        for eq, u in enumerate(self.unknowns):
-            coeffs[:, :, eq, :] = ctx.field(f"{u}_residual").data.coeffs
-        rows = self._rows(ws).ravel()
-        ctx.stage("F", (rows, coeffs.reshape(rows.size, n_coeff)))
+        size = self.state.targets["F"].shape[1]
+        self._add_at_dofs(ctx, "F",
+                          self._local(ctx, lambda data: data.coeffs, (size,)))
 
 
-class ScatterEnsembleResidual(_ScatterBase):
-    """Stages every sample's residual rows into the flattened (samples,
+class ScatterSGJacobian(ScatterResidual):
+    targets = ("F", "jac_blocks")
+
+    def evaluate(self, ctx):
+        size = self.state.targets["F"].shape[1]
+        nd = self.conn.dofs_per_element
+        self._add_at_dofs(
+            ctx, "F", self._local(ctx, lambda data: data.val.coeffs, (size,)))
+        self._add_at_entries(
+            ctx, "jac_blocks",
+            self._local(ctx, lambda data: data.dx.coeffs, (nd, size)))
+
+
+class ScatterEnsembleResidual(ScatterResidual):
+    """Adds every sample's residual rows into the flattened (samples,
     num_dofs) residual: sample s's rows are the plain rows plus s num_dofs,
     in the plain order, so each entry sums its terms in the plain order."""
 
     def evaluate(self, ctx):
         ws = ctx.workset
-        n_nodes = self.conn.node_conn.shape[1]
-        samples = self.state.x_block.shape[0]
-        vals = np.empty((samples, ws.size, n_nodes, len(self.unknowns)))
+        f = self.state.targets["f"]
+        vals = np.empty((f.shape[0], ws.size, self.conn.node_conn.shape[1],
+                         len(self.unknowns)))
         for eq, u in enumerate(self.unknowns):
             vals[..., eq] = ctx.field(f"{u}_residual").data.vals
-        offsets = np.arange(samples)[:, None] * self.conn.num_global_dofs
-        ctx.stage("f", ((offsets + self._rows(ws).ravel()).ravel(),
-                        vals.ravel()))
+        offsets = np.arange(f.shape[0])[:, None] * f.shape[1]
+        _add_rows(f.reshape(-1),
+                  (offsets + self.conn.dof[ws.elements].ravel()).ravel(), vals)
 
 
-class ScatterSGJacobian(_ScatterBase):
-    def evaluate(self, ctx):
-        ws = ctx.workset
-        n_nodes = self.conn.node_conn.shape[1]
-        n_eq = len(self.unknowns)
-        nd = n_nodes * n_eq
-        data0 = ctx.field(f"{self.unknowns[0]}_residual").data
-        n_coeff = data0.val.basis.size
-        coeffs = np.empty((ws.size, n_nodes, n_eq, n_coeff))
-        jac = np.empty((ws.size, nd, nd, n_coeff))
-        for eq, u in enumerate(self.unknowns):
-            data = ctx.field(f"{u}_residual").data
-            coeffs[:, :, eq, :] = data.val.coeffs
-            jac[:, eq::n_eq, :, :] = data.dx.coeffs
-        rows = self._rows(ws).ravel()
-        ctx.stage("F", (rows, coeffs.reshape(rows.size, n_coeff)))
-        ctx.stage("jac_blocks", jac)
-
-
-_GATHER_SOLUTION = {
-    RESIDUAL.tag: GatherSolution,
-    JACOBIAN.tag: GatherSolutionJacobian,
-    TANGENT.tag: GatherSolutionTangent,
-    SHAPE_TANGENT.tag: GatherSolutionTangent,
-    SG_RESIDUAL.tag: GatherSolutionSG,
-    SG_JACOBIAN.tag: GatherSolutionSGJacobian,
-    ENSEMBLE_RESIDUAL.tag: GatherSolutionEnsemble,
-}
-
-_GATHER_COORDINATES = {
-    RESIDUAL.tag: GatherCoordinates,
-    JACOBIAN.tag: GatherCoordinates,
-    TANGENT.tag: GatherCoordinates,
-    SHAPE_TANGENT.tag: GatherCoordinatesShape,
-    SG_RESIDUAL.tag: GatherCoordinates,
-    SG_JACOBIAN.tag: GatherCoordinates,
-    ENSEMBLE_RESIDUAL.tag: GatherCoordinates,
-}
-
-_SCATTER = {
-    RESIDUAL.tag: ScatterResidual,
-    JACOBIAN.tag: ScatterJacobian,
-    TANGENT.tag: ScatterTangent,
-    SHAPE_TANGENT.tag: ScatterTangent,
-    SG_RESIDUAL.tag: ScatterSGResidual,
-    SG_JACOBIAN.tag: ScatterSGJacobian,
-    ENSEMBLE_RESIDUAL.tag: ScatterEnsembleResidual,
+#: one row per evaluation type: its coordinate gather, solution gather and
+#: scatter; a registrar from ``specialization_registrars`` builds one column
+_SPECIALIZATIONS = {
+    RESIDUAL.tag: (GatherCoordinates, GatherSolution, ScatterResidual),
+    JACOBIAN.tag: (GatherCoordinates, GatherSolutionJacobian, ScatterJacobian),
+    TANGENT.tag: (GatherCoordinates, GatherSolutionTangent, ScatterTangent),
+    SHAPE_TANGENT.tag: (GatherCoordinatesShape, GatherSolutionShapeTangent,
+                        ScatterTangent),
+    SG_RESIDUAL.tag: (GatherCoordinates, GatherSolutionSG, ScatterSGResidual),
+    SG_JACOBIAN.tag: (GatherCoordinates, GatherSolutionSGJacobian,
+                      ScatterSGJacobian),
+    ENSEMBLE_RESIDUAL.tag: (GatherCoordinates, GatherSolutionEnsemble,
+                            ScatterEnsembleResidual),
 }
 
 
-def _specialized(table, registrar_name, ev_type):
-    cls = table.get(ev_type.tag)
-    if cls is None:
-        raise MissingSpecializationError(
-            f"registrar {registrar_name} has no specialization for {ev_type.tag}")
-    return cls
+def specialization_registrars(state, unknowns):
+    """The gather-coordinates, gather-solution and scatter registrars.
+
+    A type without a row raises ``KeyError``, which
+    ``graph.instantiate_for_all_types`` reports with the registrar's name.
+    """
+    def column(index, name):
+        def registrar(ev_type):
+            return _SPECIALIZATIONS[ev_type.tag][index](state, unknowns)
+        registrar.__name__ = name
+        return registrar
+    return [column(i, name) for i, name in enumerate(
+        ("gather_coordinates", "gather_solution", "scatter_residual"))]
 
 
-def gather_coordinates_registrar(state, conn):
-    def gather_coordinates(ev_type):
-        return _specialized(_GATHER_COORDINATES, "gather_coordinates",
-                            ev_type)(state, conn)
-    return gather_coordinates
+# ---------------------------------------------------------------------------
+# one assembly: bind the inputs, (execute the graph per workset), finish
+# ---------------------------------------------------------------------------
+
+def bind(ev_type, state, x=None, **inputs):
+    """Check and store one assembly's inputs through the type's gather and
+    allocate the global objects its scatter names. Returns the arena keys
+    and the parameter seeds."""
+    _, gather, scatter = _SPECIALIZATIONS[ev_type.tag]
+    state.x = state.v = state.Xp = None
+    if x is not None:
+        inputs["x"] = x
+    keys, seeds = gather.bind(state, **inputs)
+    state.targets = _zeros(scatter.targets, state.system, **keys)
+    return keys, seeds
 
 
-def gather_solution_registrar(state, conn, unknowns):
-    def gather_solution(ev_type):
-        return _specialized(_GATHER_SOLUTION, "gather_solution",
-                            ev_type)(state, conn, unknowns)
-    return gather_solution
+def _zeros(names, system, deriv_width=None, basis=None, samples=None):
+    """Zeroed global objects by name: the residual ``f`` (one row per
+    sample), tangent columns ``fp``, spectral residual ``F`` and the CSR data
+    ``jac`` and ``jac_blocks`` (one column per chaos coefficient)."""
+    n, nnz = system.num_dofs, system.nnz
+    size = None if basis is None else basis.size
+    shapes = {"f": (n,) if samples is None else (samples, n),
+              "fp": (n, deriv_width), "F": (n, size),
+              "jac": (nnz,), "jac_blocks": (nnz, size)}
+    return {name: np.zeros(shapes[name]) for name in names}
 
 
-def scatter_residual_registrar(state, conn, unknowns):
-    def scatter_residual(ev_type):
-        return _specialized(_SCATTER, "scatter_residual",
-                            ev_type)(state, conn, unknowns)
-    return scatter_residual
+@dataclass
+class AssemblyOutputs:
+    """Per-type results; the residual value component is always filled."""
+
+    residual: np.ndarray = None    # (samples, num_dofs) for the ensemble type
+    jacobian: object = None        # scipy CSR
+    tangent: np.ndarray = None     # (num_dofs, n_params)
+    directional: np.ndarray = None
+    sg_residual: np.ndarray = None # (n_coeffs, num_dofs)
+    sg_jacobian: list = None       # one CSR per coefficient
+
+
+class DirichletRows:
+    """Dofs and values of the Dirichlet conditions, with the CSR data
+    positions of their rows and diagonals found once per model."""
+
+    def __init__(self, system, dofs, values):
+        self.dofs = dofs
+        self.values = values
+        self.entries = system.row_entry_indices(dofs)
+        self.diag = system.diag_indices(dofs)
+
+
+def finish(state, dirichlet):
+    """Replace the Dirichlet rows of whichever global objects the scatter
+    filled (f <- x - g, J rows <- identity) and return them as outputs."""
+    targets, state.targets = state.targets, {}
+    d, g = dirichlet.dofs, dirichlet.values
+    out = AssemblyOutputs()
+    if "F" in targets:
+        F = targets["F"]
+        F[d, :] = state.x[:, d].T
+        F[d, 0] -= g
+        out.residual = F[:, 0].copy()
+        out.sg_residual = np.ascontiguousarray(F.T)
+    else:
+        out.residual = targets["f"]
+        out.residual[..., d] = state.x[..., d] - g
+    if "fp" in targets:
+        fp = targets["fp"]
+        if state.v is not None:
+            fp[d, 0] = state.v[d]
+            out.directional = fp[:, 0].copy()
+        else:
+            fp[d, :] = 0.0
+            out.tangent = fp
+    if "jac" in targets:
+        jac = targets["jac"]
+        jac[dirichlet.entries] = 0.0
+        jac[dirichlet.diag] = 1.0
+        out.jacobian = state.system.matrix_from_data(jac)
+    if "jac_blocks" in targets:
+        blocks = targets["jac_blocks"]
+        blocks[dirichlet.entries, :] = 0.0
+        blocks[dirichlet.diag, 0] = 1.0
+        out.sg_jacobian = [state.system.matrix_from_data(blocks[:, k].copy())
+                           for k in range(blocks.shape[1])]
+    return out

@@ -14,9 +14,8 @@ import numpy as np
 
 from . import __version__
 from . import scalars as sc
-from .analysis import (NewtonConfig, SolveFailure, continuation,
-                       convergence_order_estimate, newton_solve, optimize,
-                       shape_objective_gradient)
+from .analysis import (SolveFailure, continuation, convergence_order_estimate,
+                       newton_solve, optimize, shape_objective_gradient)
 from .config import (ConfigError, build_model, config_documentation,
                      newton_config, parse_config, uncertain_expansion)
 from .io import (write_solution_csv, write_summary, write_table_csv,

@@ -14,7 +14,7 @@ scatter specializations, and it sits outside the six: it adds no new output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .fields import FieldArena
 
@@ -58,8 +58,11 @@ class EvaluationType:
 
     ``solution_kind`` is the concrete kind of solution-dependent fields,
     ``mesh_kind`` that of coordinate-dependent fields. The set of types is a
-    closed enumeration; adding one touches this module plus the gather and
-    scatter specializations only.
+    closed enumeration. A new type needs a storage kind in
+    ``fields.make_storage``, a constant here and one row of
+    ``assembly._SPECIALIZATIONS``, whose gather gives the arena keys and
+    whose scatter names the global objects it adds into; the assembly loop
+    does not test which type it runs.
     """
 
     tag: str
@@ -129,20 +132,17 @@ class WorksetContext:
 
     ``workset`` carries the element range, which may span material regions
     (kernels look up per-element material data by it); ``arena`` owns the field
-    buffers; ``staged`` collects extracted global contributions for the
-    deterministic merge done by the assembly driver.
+    buffers. The scatter adds the workset's rows straight into the global
+    objects of the assembly; worksets run in element order, which keeps the
+    sums independent of the partition.
     """
 
     def __init__(self, workset, arena):
         self.workset = workset
         self.arena = arena
-        self.staged = {}
 
     def field(self, name):
         return self.arena.get(name)
-
-    def stage(self, key, value):
-        self.staged[key] = value
 
 
 class EvaluatorGraph:

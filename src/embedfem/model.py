@@ -1,27 +1,27 @@
 """Problem driver: wires mesh, physics, and per-type evaluator graphs.
 
-``ThermoElectricModel.assemble`` realizes the workset loop
+``ThermoElectricModel.assemble`` realizes one loop for every evaluation type
 
-    zero globals; for each workset: gather -> execute graph -> scatter
+    bind inputs, allocate globals; push parameters;
+    for each workset in element order: gather -> kernels -> scatter; finish
 
-with the staged contributions merged in element order, then applies Dirichlet
-conditions by row replacement (row <- e_i, f <- x - g), which keeps the sparse
-pattern static and is transparent to every embedded derivative.
+without testing which type it runs: the type's gather specialization checks
+and binds its inputs, its scatter adds each workset's rows straight into the
+global objects, and ``assembly.finish`` applies Dirichlet conditions by row
+replacement (row <- e_i, f <- x - g), which keeps the sparse pattern static
+and is transparent to every embedded derivative.
 ``ThermoElectricModel.residuals`` runs the same loop once for a whole block of
 states under the ensemble type.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from . import scalars as sc
 from .analysis import SolveFailure
-from .assembly import (AssemblyState, ConnectivityMap, GlobalSystem,
-                       build_worksets, gather_coordinates_registrar,
-                       gather_solution_registrar, scatter_residual_registrar)
+from .assembly import (AssemblyState, ConnectivityMap, DirichletRows,
+                       GlobalSystem, bind, build_worksets, finish,
+                       specialization_registrars)
 from .discretization import (ElementGeometryEvaluator, SolutionAtQPEvaluator,
                              bilinear_basis)
 from .graph import (ENSEMBLE_RESIDUAL, EVALUATION_TYPES, JACOBIAN, RESIDUAL,
@@ -37,28 +37,6 @@ UNKNOWNS = ("psi", "temp")
 N_EQ = len(UNKNOWNS)
 
 
-def _add_rows(target, rows, vals):
-    """``target[rows[i]] += vals[i]`` in the order of i, as one 1-D ``add.at``
-    over a contiguous target's flat entries: numpy's multi-dimensional
-    ``add.at`` is several times slower and adds in the same order."""
-    width = target[0].size
-    if width > 1:
-        rows = (rows[:, None] * width + np.arange(width)).ravel()
-    np.add.at(target.reshape(-1), rows, vals.reshape(-1))
-
-
-@dataclass
-class AssemblyOutputs:
-    """Per-type results; the residual value component is always filled."""
-
-    residual: np.ndarray = None    # (samples, num_dofs) for the ensemble type
-    jacobian: object = None        # scipy CSR
-    tangent: np.ndarray = None     # (num_dofs, n_params)
-    directional: np.ndarray = None
-    sg_residual: np.ndarray = None # (n_coeffs, num_dofs)
-    sg_jacobian: list = None       # one CSR per coefficient
-
-
 class ThermoElectricModel:
     """Coupled potential/heat model on a region-tagged quad mesh."""
 
@@ -72,8 +50,7 @@ class ThermoElectricModel:
         self.system = GlobalSystem(self.conn)
         self.worksets = build_worksets(mesh, workset_size)
         self.sg_basis = sg_basis
-        self.state = AssemblyState()
-        self.state.coords = mesh.coords.copy()
+        self.state = AssemblyState(self.system, mesh.coords.copy(), sg_basis)
         self.base_coords = mesh.coords.copy()
         self.library = ParameterLibrary()
 
@@ -81,12 +58,14 @@ class ThermoElectricModel:
         mats = ElementMaterials(materials, mesh.region_of)
         # one geometry cache for every type whose coordinates are plain values
         geometry_cache = {}
+        gather_coordinates, gather_solution, scatter = \
+            specialization_registrars(self.state, UNKNOWNS)
         registrars = [
-            gather_coordinates_registrar(self.state, self.conn),
+            gather_coordinates,
             lambda ev_type: ElementGeometryEvaluator(
                 self.basis,
                 geometry_cache if ev_type.mesh_kind == "real" else None),
-            gather_solution_registrar(self.state, self.conn, UNKNOWNS),
+            gather_solution,
             lambda ev_type: SolutionAtQPEvaluator("psi", self.basis),
             lambda ev_type: SolutionAtQPEvaluator("temp", self.basis),
             lambda ev_type: ConductivityEvaluator(mats, lib, ev_type),
@@ -100,7 +79,7 @@ class ThermoElectricModel:
         registrars.append(lambda ev_type: PotentialResidualEvaluator())
         registrars.append(lambda ev_type: HeatResidualEvaluator(
             mats, with_joule=with_joule))
-        registrars.append(scatter_residual_registrar(self.state, self.conn, UNKNOWNS))
+        registrars.append(scatter)
 
         self.graphs = instantiate_for_all_types(
             registrars, EVALUATION_TYPES + (ENSEMBLE_RESIDUAL,),
@@ -109,10 +88,8 @@ class ThermoElectricModel:
                        "dim": 2, "eq": N_EQ})
         self.library.freeze()
 
-        self.dirichlet_dofs, self.dirichlet_values = self._build_dirichlet(dirichlet)
-        # CSR data positions of the Dirichlet rows and of their diagonals
-        self._dirichlet_entries = self.system.row_entry_indices(self.dirichlet_dofs)
-        self._dirichlet_diag = self.system.diag_indices(self.dirichlet_dofs)
+        self.dirichlet = DirichletRows(self.system,
+                                       *self._build_dirichlet(dirichlet))
 
     # -- configuration --------------------------------------------------------
 
@@ -147,7 +124,7 @@ class ThermoElectricModel:
 
     def initial_guess(self):
         x = np.zeros(self.num_dofs)
-        x[self.dirichlet_dofs] = self.dirichlet_values
+        x[self.dirichlet.dofs] = self.dirichlet.values
         return x
 
     def warm_start(self):
@@ -183,122 +160,21 @@ class ThermoElectricModel:
 
         The ensemble type has its own entry point, :meth:`residuals`.
         """
-        if ev_type is ENSEMBLE_RESIDUAL:
-            raise ValueError("ensemble residuals are assembled by residuals()")
+        if ev_type not in EVALUATION_TYPES:
+            raise ValueError(f"{ev_type.tag} is not one of the six analysis "
+                             "types; ensemble residuals are assembled by "
+                             "residuals()")
         return self._assemble(ev_type, x, **inputs)
 
-    def _assemble(self, ev_type, x=None, *, tangent_params=(), v=None, Xp=None,
-                  x_block=None, uncertain=None):
-        state = self.state
-        state.tangent_mode = "parameters"
-        state.v = None
-        state.Xp = None
-        basis_needed = ev_type in (SG_RESIDUAL, SG_JACOBIAN)
-        if basis_needed and self.sg_basis is None:
-            raise ValueError("spectral assembly needs the model built with sg_basis")
-        if basis_needed or ev_type is ENSEMBLE_RESIDUAL:
-            if x_block is None:
-                raise ValueError(f"{ev_type.tag} assembly needs the block "
-                                 "unknown vector")
-            state.x_block = np.asarray(x_block, dtype=float)
-            state.x = state.x_block[0]
-        else:
-            if x is None:
-                raise ValueError("assembly needs the solution vector")
-            state.x = np.asarray(x, dtype=float)
-
-        width = samples = None
-        if ev_type is JACOBIAN or ev_type is SG_JACOBIAN:
-            width = self.conn.dofs_per_element
-        elif ev_type is TANGENT:
-            if v is not None:
-                state.tangent_mode = "direction"
-                state.v = np.asarray(v, dtype=float)
-                width = 1
-                tangent_params = ()
-            else:
-                if not tangent_params:
-                    raise ValueError("tangent assembly needs parameters or a direction")
-                width = len(tangent_params)
-        elif ev_type is SHAPE_TANGENT:
-            if Xp is None:
-                raise ValueError("shape-tangent assembly needs coordinate sensitivities")
-            state.Xp = np.asarray(Xp, dtype=float)
-            width = state.Xp.shape[-1]
-        elif ev_type is ENSEMBLE_RESIDUAL:
-            samples = state.x_block.shape[0]
-        state.n_deriv = width
-
-        self.library.push(ev_type, tangent_params=tuple(tangent_params),
-                          uncertain=uncertain, basis=self.sg_basis)
-
+    def _assemble(self, ev_type, x=None, **inputs):
+        """Bind the inputs through the type's gather, push the parameters,
+        run the graph on every workset in element order and finish."""
+        keys, seeds = bind(ev_type, self.state, x, **inputs)
+        self.library.push(ev_type, **seeds)
         graph = self.graphs[ev_type]
-        sg_basis = self.sg_basis if basis_needed else None
-        staged = []
         for ws in self.worksets:
-            arena = graph.arena_for(ws.size, deriv_width=width, basis=sg_basis,
-                                    samples=samples)
-            ctx = WorksetContext(ws, arena)
-            graph.execute(ctx)
-            staged.append(ctx.staged)
-        return self._merge(ev_type, staged, width)
-
-    def _merge(self, ev_type, staged, width):
-        out = AssemblyOutputs()
-        system = self.system
-        n = self.num_dofs
-        state = self.state
-        x = state.x_block if ev_type is ENSEMBLE_RESIDUAL else state.x
-        f = np.zeros(x.shape)   # (samples, num_dofs) for the ensemble type
-        jac_data = fp = spectral = jac_blocks = None
-        if ev_type is JACOBIAN:
-            jac_data = system.new_matrix_data()
-        if ev_type is TANGENT or ev_type is SHAPE_TANGENT:
-            fp = np.zeros((n, width))
-        if ev_type is SG_RESIDUAL or ev_type is SG_JACOBIAN:
-            spectral = np.zeros((n, self.sg_basis.size))
-        if ev_type is SG_JACOBIAN:
-            jac_blocks = system.new_matrix_data((self.sg_basis.size,))
-
-        for ws, stage in zip(self.worksets, staged):
-            for key, target in (("f", f.reshape(-1)), ("fp", fp), ("F", spectral)):
-                if key in stage:
-                    _add_rows(target, *stage[key])
-            pos = system.positions[ws.elements].ravel()
-            for key, target in (("jac", jac_data), ("jac_blocks", jac_blocks)):
-                if key in stage:
-                    _add_rows(target, pos, stage[key])
-
-        # Dirichlet row replacement: f <- x - g, J rows <- identity
-        d = self.dirichlet_dofs
-        g = self.dirichlet_values
-        if spectral is not None:
-            spectral[d, :] = state.x_block[:, d].T
-            spectral[d, 0] -= g
-            f = spectral[:, 0].copy()
-        else:
-            f[..., d] = x[..., d] - g
-        out.residual = f
-
-        if jac_data is not None:
-            jac_data[self._dirichlet_entries] = 0.0
-            jac_data[self._dirichlet_diag] = 1.0
-            out.jacobian = system.matrix_from_data(jac_data)
-        if fp is not None:
-            if state.tangent_mode == "direction":
-                fp[d, 0] = state.v[d]
-                out.directional = fp[:, 0].copy()
-            else:
-                fp[d, :] = 0.0
-                out.tangent = fp
-        if spectral is not None:
-            out.sg_residual = np.ascontiguousarray(spectral.T)
-        if jac_blocks is not None:
-            jac_blocks[self._dirichlet_entries, :] = 0.0
-            jac_blocks[self._dirichlet_diag, 0] = 1.0
-            out.sg_jacobian = [system.matrix_from_data(jac_blocks[:, k].copy())
-                               for k in range(self.sg_basis.size)]
-        return out
+            graph.execute(WorksetContext(ws, graph.arena_for(ws.size, **keys)))
+        return finish(self.state, self.dirichlet)
 
     # -- convenience wrappers ---------------------------------------------------
 

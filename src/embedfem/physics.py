@@ -13,14 +13,13 @@ what flows through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import scalars as sc
 from .discretization import integrate
-from .graph import (Evaluator, FieldSpec, JACOBIAN, RESIDUAL, SG_JACOBIAN,
-                    SG_RESIDUAL, SHAPE_TANGENT, TANGENT)
+from .graph import Evaluator, FieldSpec
 from .mesh import REGIONS
 
 
@@ -42,9 +41,9 @@ class ParameterLibrary:
     Evaluators register parameters during construction; after the library is
     frozen, analysis code changes values through :meth:`set_value` and the
     library pushes the promoted scalar into every per-type evaluator instance.
-    Under the sensitivity (tangent) type, active parameters carry their unit
-    seed; under the spectral types, uncertain parameters carry their chaos
-    expansion.
+    The seeds come from the assembly's inputs, not from its type: a name in
+    ``tangent_params`` carries its unit seed, a name in ``uncertain`` its
+    chaos expansion.
     """
 
     def __init__(self):
@@ -84,18 +83,21 @@ class ParameterLibrary:
         self._values[name] = float(value)
 
     def push(self, ev_type, *, tangent_params=(), uncertain=None, basis=None):
-        """Push promoted parameter scalars into one evaluation type's kernels."""
+        """Push promoted parameter scalars into one evaluation type's kernels.
+
+        The type's gather decides which seeds an assembly passes here.
+        """
         uncertain = uncertain or {}
         for name, per_type in self._accessors.items():
             accessor = per_type.get(ev_type.tag)
             if accessor is None:
                 continue
             value = self._values[name]
-            if ev_type is TANGENT and name in tangent_params:
+            if name in tangent_params:
                 seed = np.zeros(len(tangent_params))
                 seed[list(tangent_params).index(name)] = 1.0
                 scalar = sc.Dual(value, seed)
-            elif ev_type in (SG_RESIDUAL, SG_JACOBIAN) and name in uncertain:
+            elif name in uncertain:
                 coeffs = np.asarray(uncertain[name], dtype=float)
                 scalar = sc.PCE(coeffs, basis)
             else:

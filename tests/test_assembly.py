@@ -80,16 +80,6 @@ def test_csr_pattern_positions():
 # gather seeding by evaluation type
 # ---------------------------------------------------------------------------
 
-def run_gather(model, ev_type, **kw):
-    """Assemble once and return the gathered solution fields."""
-    graph = model.graphs[ev_type]
-    model.assemble(ev_type, **kw)
-    width = model.state.n_deriv
-    basis = model.sg_basis if ev_type in (gr.SG_RESIDUAL, gr.SG_JACOBIAN) else None
-    arena = graph.arena_for(model.worksets[0].size, deriv_width=width, basis=basis)
-    return arena
-
-
 def test_gather_residual_copies_values():
     model = demo_model()
     x = np.arange(model.num_dofs, dtype=float)
@@ -154,10 +144,30 @@ def test_gather_coordinates_shape_seeds():
     assert np.all(coords.dx[mask] == 0.0)
 
 
-def test_directional_gather_requires_vector_or_params():
-    model = demo_model()
-    with pytest.raises(ValueError):
-        model.assemble(gr.TANGENT, model.initial_guess())
+MISSING_INPUTS = [
+    (gr.RESIDUAL, False, "the solution vector x"),
+    (gr.JACOBIAN, False, "the solution vector x"),
+    (gr.TANGENT, True, "tangent_params or a direction v"),
+    (gr.SHAPE_TANGENT, True, "the coordinate sensitivities Xp"),
+    (gr.SG_RESIDUAL, False, "the block unknowns x_block"),
+    (gr.SG_JACOBIAN, False, "the block unknowns x_block"),
+]
+
+
+@pytest.mark.parametrize("ev_type, with_x, missing", MISSING_INPUTS,
+                         ids=[case[0].tag for case in MISSING_INPUTS])
+def test_assembly_names_a_missing_input_before_any_evaluator_runs(
+        monkeypatch, ev_type, with_x, missing):
+    model = demo_model(sg_basis=sc.build_basis_data(3))
+    x = model.initial_guess() if with_x else None
+
+    def execute(self, ctx):
+        raise AssertionError("an evaluator ran before the inputs were checked")
+
+    monkeypatch.setattr(gr.EvaluatorGraph, "execute", execute)
+    with pytest.raises(ValueError, match=f"needs {missing}$") as err:
+        model.assemble(ev_type, x)
+    assert "[evaluator" not in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +213,12 @@ def test_dirichlet_rows_are_identity_and_offset():
     model = demo_model()
     x = random_state(model, seed=7)
     f, jac = model.jacobian(x)
-    d = model.dirichlet_dofs
+    d = model.dirichlet.dofs
     dense_rows = jac[d].toarray()
     expected = np.zeros_like(dense_rows)
     expected[np.arange(len(d)), d] = 1.0
     assert np.array_equal(dense_rows, expected)
-    assert np.array_equal(f[d], x[d] - model.dirichlet_values)
+    assert np.array_equal(f[d], x[d] - model.dirichlet.values)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from embedfem import discretization
+from embedfem import assembly, discretization
 from embedfem import graph as gr
-from embedfem import model as model_module
 from embedfem import scalars as sc
 from embedfem.analysis import SGSystem, SolveFailure
 from embedfem.assembly import GlobalSystem
@@ -149,12 +148,52 @@ def test_nonphysical_state_in_a_mixed_workset_names_global_elements():
             assemble(x)
 
 
+def _bitwise(got, want):
+    if hasattr(want, "indptr"):   # CSR: same pattern and the same data bits
+        return (np.array_equal(got.indptr, want.indptr)
+                and np.array_equal(got.indices, want.indices)
+                and _bitwise(got.data, want.data))
+    if isinstance(want, tuple):
+        return all(_bitwise(g, w) for g, w in zip(got, want, strict=True))
+    return np.array_equal(np.asarray(got).view(np.int64),
+                          np.asarray(want).view(np.int64))
+
+
+def test_no_state_survives_from_one_assembly_to_the_next():
+    # the scatter writes global objects held by the shared assembly state:
+    # neither a failed assembly nor another type may leak into the next one
+    model = demo_model(workset_size=33)
+    bad = model.initial_guess()
+    bad[model.conn.dof[130, :, 1]] = -5.5
+    for assemble in (model.residual, model.jacobian,
+                     lambda x: model.tangent(x, ("PadSigma0",)),
+                     lambda x: model.residuals(np.stack([0.0 * x, x]))):
+        with pytest.raises(NonPhysicalStateError):
+            assemble(bad)
+    x = random_state(model, seed=16)
+    fresh = demo_model(workset_size=33)
+    assert _bitwise(model.residual(x), fresh.residual(x))
+    assert _bitwise(model.jacobian(x), fresh.jacobian(x))
+
+    rng = np.random.default_rng(17)
+    v = rng.normal(size=model.num_dofs)
+    x_p = 0.01 * rng.normal(size=(model.mesh.num_nodes, 2, 2))
+    states = x + 0.1 * rng.normal(size=(3, model.num_dofs))
+    calls = (lambda m: m.directional(x, v),
+             lambda m: m.tangent(x, ("Alpha", "PadSigma0")),
+             lambda m: m.shape_tangent(x, x_p),
+             lambda m: m.residuals(states))
+    model = demo_model(workset_size=33)
+    for call in calls:
+        assert _bitwise(call(model), call(demo_model(workset_size=33)))
+
+
 def test_merge_adds_rows_bitwise_like_a_2d_add_at(monkeypatch):
     rng = np.random.default_rng(14)
     rows = rng.integers(0, 6, size=40)
     vals = rng.normal(size=(40, 4)) * 10.0 ** rng.integers(-8, 8, size=(40, 4))
     got, want = np.zeros((6, 4)), np.zeros((6, 4))
-    model_module._add_rows(got, rows, vals)
+    assembly._add_rows(got, rows, vals)
     np.add.at(want, rows, vals)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -169,7 +208,7 @@ def test_merge_adds_rows_bitwise_like_a_2d_add_at(monkeypatch):
     def add_2d(target, rows, vals):
         np.add.at(target, rows, vals.reshape(rows.size, target.shape[1]))
 
-    monkeypatch.setattr(model_module, "_add_rows", add_2d)
+    monkeypatch.setattr(assembly, "_add_rows", add_2d)
     f_ref, blocks_ref = model.sg_jacobian(x_block, uncertain)
     assert np.array_equal(f, f_ref)
     for block, ref in zip(blocks, blocks_ref, strict=True):
