@@ -8,9 +8,11 @@ oracle used to verify it.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import scalars as sc
@@ -46,24 +48,90 @@ class NewtonResult:
     converged: bool
 
 
+@dataclass(frozen=True)
+class _ColumnOrder:
+    """SuperLU's column order of one sparsity pattern, ready for reuse.
+
+    ``gather`` takes the pattern's CSR data to the CSC data of the
+    column-permuted matrix A[:, order], whose structure is ``indices`` and
+    ``indptr``.
+    """
+
+    order: np.ndarray
+    gather: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @classmethod
+    def of(cls, csr, perm_c):
+        order = np.argsort(perm_c)
+        positions = sp.csr_matrix((np.arange(1, csr.nnz + 1), csr.indices,
+                                   csr.indptr), shape=csr.shape)
+        permuted = positions.tocsc()[:, order]
+        return cls(order, permuted.data - 1, permuted.indices, permuted.indptr)
+
+
+#: column orders of the most recently factored sparsity patterns, keyed by
+#: (shape, indptr, indices); an order depends on the pattern alone, so a hit
+#: gives the factors and solutions that a fresh COLAMD run would give
+_COLUMN_ORDERS = OrderedDict()
+_COLUMN_ORDER_LIMIT = 8
+
+
+def sparse_lu(matrix, label="LU factorization"):
+    """Factor a square sparse matrix with SuperLU; returns ``solve(rhs)``.
+
+    The first factorization of a sparsity pattern runs SuperLU's COLAMD
+    ordering (with its elimination-tree postorder) and records the resulting
+    column order. Later factorizations of the same pattern factor the
+    column-permuted matrix in natural order and un-permute the solution, so
+    the ordering is paid once per pattern. L, U, the row pivots and every
+    solution are bitwise those of a plain ``splu``. A factorization that
+    breaks down raises SolveFailure("<label> failed: <SuperLU's message>").
+    """
+    csr = matrix.tocsr()
+    key = (csr.shape, csr.indptr.tobytes(), csr.indices.tobytes())
+    column_order = _COLUMN_ORDERS.get(key)
+    try:
+        if column_order is None:
+            lu = spla.splu(csr.tocsc())
+            _COLUMN_ORDERS[key] = _ColumnOrder.of(csr, lu.perm_c)
+            if len(_COLUMN_ORDERS) > _COLUMN_ORDER_LIMIT:
+                _COLUMN_ORDERS.popitem(last=False)
+            return lu.solve
+        _COLUMN_ORDERS.move_to_end(key)
+        permuted = sp.csc_matrix((csr.data[column_order.gather],
+                                  column_order.indices, column_order.indptr),
+                                 shape=csr.shape)
+        lu = spla.splu(permuted, permc_spec="NATURAL")
+    except RuntimeError as err:
+        raise SolveFailure(f"{label} failed: {str(err).strip()}") from err
+
+    def solve(rhs):
+        y = lu.solve(rhs)
+        x = np.empty_like(y)   # keeps the layout of SuperLU's own solution
+        x[column_order.order] = y
+        return x
+
+    return solve
+
+
 def _linear_solve(jacobian, rhs, config):
     """Solve ``jacobian @ x = rhs`` for one vector or an (n, k) block.
 
     At or below ``dense_dof_limit`` unknowns one sparse LU factorization
-    (SuperLU) solves every right-hand side; above it, ILU(0)-preconditioned
-    GMRES solves them column by column. A factorization that breaks down
-    raises SolveFailure with SuperLU's message.
+    (:func:`sparse_lu`) solves every right-hand side; above it,
+    ILU(0)-preconditioned GMRES solves them column by column. A
+    factorization that breaks down raises SolveFailure with SuperLU's
+    message.
     """
     n = jacobian.shape[0]
-    direct = n <= config.dense_dof_limit
+    if n <= config.dense_dof_limit:
+        return sparse_lu(jacobian)(rhs)
     try:
-        factor = (spla.splu(jacobian.tocsc()) if direct else
-                  spla.spilu(jacobian.tocsc(), drop_tol=0.0, fill_factor=1.0))
+        factor = spla.spilu(jacobian.tocsc(), drop_tol=0.0, fill_factor=1.0)
     except RuntimeError as err:
-        raise SolveFailure(f"{'LU' if direct else 'ILU'} factorization failed: "
-                           f"{str(err).strip()}") from err
-    if direct:
-        return factor.solve(rhs)
+        raise SolveFailure(f"ILU factorization failed: {str(err).strip()}") from err
     precond = spla.LinearOperator((n, n), factor.solve)
 
     def gmres(b):
@@ -96,14 +164,16 @@ def newton_solve(model, config=None, x0=None):
         x = warm() if warm is not None else model.initial_guess()
     else:
         x = np.asarray(x0, dtype=float).copy()
-    history = []
-    norm = float(np.linalg.norm(model.residual(x)))
-    history.append(norm)
-    norm0 = norm
+    # the Jacobian assembly's residual is bitwise the plain residual, so it
+    # gives ||f(x0)|| as well
+    f, jac = model.jacobian(x)
+    norm = norm0 = float(np.linalg.norm(f))
+    history = [norm]
     if norm <= config.abs_tol:
         return NewtonResult(x, history, 0, True)
     for it in range(1, config.max_iters + 1):
-        f, jac = model.jacobian(x)
+        if it > 1:
+            f, jac = model.jacobian(x)
         step = _linear_solve(jac, f, config)
         alpha = 1.0
         for _ in range(40):
@@ -317,11 +387,11 @@ class SGSystem:
         return spla.LinearOperator((p1 * n, p1 * n), matvec)
 
     def mean_preconditioner(self):
-        lu = spla.splu(self.blocks[0].tocsc())
+        solve = sparse_lu(self.blocks[0], "LU factorization of the SG mean block")
         n, p1 = self.num_dofs, self.num_coeffs
 
         def apply(flat):
-            return lu.solve(flat.reshape(p1, n).T).T.ravel()
+            return solve(flat.reshape(p1, n).T).T.ravel()
 
         return spla.LinearOperator((p1 * n, p1 * n), apply)
 

@@ -110,9 +110,6 @@ class GlobalSystem:
     def num_dofs(self):
         return self.conn.num_global_dofs
 
-    def new_matrix_data(self, trailing=()):
-        return np.zeros((self.nnz,) + trailing)
-
     def matrix_from_data(self, data):
         n = self.num_dofs
         return sp.csr_matrix((data, self.indices.copy(), self.indptr.copy()),

@@ -140,17 +140,29 @@ def integrate(accum_field, integrand, weighted):
     Scalar integrands contract with the weighted basis values, vector
     integrands with the weighted basis gradients; the call accumulates so a
     residual can be built up term by term.
+
+    The terms are added one quadrature point at a time, ((t0 + t1) + t2) + t3,
+    without forming the (e, i, q, ...) product. For four points numpy's
+    ``sum`` over q adds in this order in every storage layout (plain,
+    trailing partials or coefficients, leading samples), starting from +0.0;
+    that start only turns an all -0.0 sum into +0.0, as does accumulating
+    into the field's zeroed storage. So the field ends up bitwise as with
+    the broadcast-and-sum form. Vector integrands are added in row-major
+    (q, d) order; numpy would sum those 8 terms pairwise for plain values
+    but sequentially for partials, so no single order matches it there.
     """
-    w_rank = len(weighted.shape if isinstance(weighted, (sc.Dual, sc.PCE))
-                 else np.shape(weighted))
-    i_rank = len(integrand.shape if isinstance(integrand, (sc.Dual, sc.PCE))
-                 else np.shape(integrand))
-    if w_rank != i_rank + 1:
-        raise ValueError(
-            f"integrand rank {i_rank} does not match weighted basis rank {w_rank}")
-    axes = (2,) if w_rank == 3 else (2, 3)
-    contribution = (weighted * integrand[:, None]).sum(axis=axes)
-    accum_field.accumulate(contribution)
+    # np.shape reads the ``shape`` of every scalar kind: value axes only
+    w_shape = np.shape(weighted)
+    i_rank = len(np.shape(integrand))
+    if len(w_shape) != i_rank + 1:
+        raise ValueError(f"integrand rank {i_rank} does not match weighted "
+                         f"basis rank {len(w_shape)}")
+    acc = None
+    for point in np.ndindex(*w_shape[2:]):
+        term = weighted[(slice(None), slice(None)) + point] \
+            * integrand[(slice(None),) + point][:, None]
+        acc = term if acc is None else acc + term
+    accum_field.accumulate(acc)
 
 
 # ---------------------------------------------------------------------------

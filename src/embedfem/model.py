@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .analysis import SolveFailure
+from .analysis import sparse_lu
 from .assembly import (AssemblyState, ConnectivityMap, DirichletRows,
                        GlobalSystem, bind, build_worksets, finish,
                        specialization_registrars)
@@ -136,17 +136,12 @@ class ThermoElectricModel:
         the (then linear, decoupled) potential sub-block once removes that
         spike; the temperature stays at the reference value.
         """
-        import scipy.sparse.linalg as spla
-
         x = self.initial_guess()
         f, jac = self.jacobian(x)
         psi = np.arange(UNKNOWNS.index("psi"), self.num_dofs, N_EQ)
-        try:
-            lu = spla.splu(jac[psi][:, psi].tocsc())
-        except RuntimeError as err:
-            raise SolveFailure("LU factorization of the potential block "
-                               f"failed: {str(err).strip()}") from err
-        x[psi] -= lu.solve(f[psi])
+        solve = sparse_lu(jac[psi][:, psi],
+                          "LU factorization of the potential block")
+        x[psi] -= solve(f[psi])
         return x
 
     def objective(self, x):

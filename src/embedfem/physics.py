@@ -260,8 +260,15 @@ class QuadraticSourceEvaluator(Evaluator):
             raise ParameterError(f"{type(self).__name__} does not own {name!r}")
 
     def evaluate(self, ctx):
+        source = ctx.field("source_qp")
+        if isinstance(self.beta, float) and self.beta == 0.0:
+            # for finite u a plain zero beta adds only signed zeros: the full
+            # expression may leave -0.0 where alpha alone leaves +0.0, and
+            # both sum to the same residual in its zeroed storage
+            source.assign(self.alpha)
+            return
         u = ctx.field("temp_qp").data
-        ctx.field("source_qp").assign(self.alpha + self.beta * u * u)
+        source.assign(self.alpha + self.beta * u * u)
 
 
 class TabulatedSourceEvaluator(Evaluator):

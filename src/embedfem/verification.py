@@ -39,6 +39,11 @@ class CheckResult:
 #: strip's 256 elements times its 36 perturbed states. Bigger meshes evaluate
 #: fewer states at once, which bounds the ensemble's field buffers.
 _ENSEMBLE_ELEMENT_SAMPLES = 256 * 36
+#: and at most 12 states per assembly. On the 16x16 strip all 36 states at
+#: once make every kernel temporary 288 KiB; malloc then trims the top of the
+#: heap after each kernel and faults it back in, about 1,700 minor page
+#: faults per call, and three assemblies of 12 states measured faster.
+_ENSEMBLE_MAX_SAMPLES = 12
 
 
 def fd_jacobian(model, x, step_scale=1e-6):
@@ -60,7 +65,8 @@ def fd_jacobian(model, x, step_scale=1e-6):
     rows = np.repeat(np.arange(x.size), np.diff(system.indptr))
     cols = system.indices
     data = np.empty(system.nnz)
-    per_call = max(1, _ENSEMBLE_ELEMENT_SAMPLES // (2 * model.mesh.num_elems))
+    per_call = max(1, min(_ENSEMBLE_ELEMENT_SAMPLES // model.mesh.num_elems,
+                          _ENSEMBLE_MAX_SAMPLES) // 2)
     for first in range(0, n_colors, per_call):
         # rows 2k and 2k + 1: color first + k stepped up and down
         groups = colors == np.arange(first, min(first + per_call, n_colors))[:, None]

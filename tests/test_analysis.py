@@ -8,13 +8,14 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from embedfem import config
+from embedfem import analysis, config
 from embedfem import scalars as sc
-from embedfem.analysis import (NewtonConfig, SolveFailure, _linear_solve,
-                               continuation, convergence_order_estimate,
-                               newton_solve, nisp_project, optimize,
-                               reduced_gradient, sg_newton_solve,
-                               shape_objective_gradient)
+from embedfem.analysis import (NewtonConfig, SGSystem, SolveFailure,
+                               _linear_solve, continuation,
+                               convergence_order_estimate, newton_solve,
+                               nisp_project, optimize, reduced_gradient,
+                               sg_newton_solve, shape_objective_gradient,
+                               sparse_lu)
 from embedfem.mesh import build_rect_mesh
 from embedfem.morphing import mesh_sensitivity
 from embedfem.model import ThermoElectricModel
@@ -82,6 +83,42 @@ def test_newton_failure_carries_history():
     assert len(err.value.history) >= 2
 
 
+class CountingModel:
+    """Forwards to a model and counts its residual and Jacobian assemblies."""
+
+    def __init__(self, model):
+        self.model = model
+        self.num_dofs = model.num_dofs
+        self.calls = {"residual": 0, "jacobian": 0}
+
+    def residual(self, x):
+        self.calls["residual"] += 1
+        return self.model.residual(x)
+
+    def jacobian(self, x):
+        self.calls["jacobian"] += 1
+        return self.model.jacobian(x)
+
+
+def test_newton_takes_the_initial_norm_from_the_first_jacobian():
+    model = config.build_model(config.RunConfig())
+    x0 = model.warm_start()
+    counting = CountingModel(model)
+    result = newton_solve(counting, x0=x0)
+    assert result.history[0] == np.linalg.norm(model.residual(x0))
+    assert result.iterations == 4
+    # one Jacobian per iteration and, as every step of this solve is a full
+    # step, one line-search residual per iteration: none for ||f(x0)||
+    assert counting.calls == {"residual": 4, "jacobian": 4}
+
+
+def test_newton_at_an_exact_initial_guess_assembles_one_jacobian():
+    toy = CountingModel(AffineToy())
+    x_star = np.linalg.solve(toy.model.mat, toy.model.rhs)
+    assert newton_solve(toy, x0=x_star).iterations == 0
+    assert toy.calls == {"residual": 0, "jacobian": 1}
+
+
 def test_convergence_order_estimate_drops_floor_entries():
     history = [1.0, 1e-2, 1e-4, 1e-8, 3e-14]
     order = convergence_order_estimate(history)
@@ -129,6 +166,105 @@ def test_linear_solve_ilu_branch_solves_a_block_column_by_column():
     by_column = np.column_stack([_linear_solve(jac, b, cfg) for b in block.T])
     assert np.array_equal(got, by_column)
     assert np.allclose(toy.mat @ got, block, rtol=0.0, atol=1e-9)
+
+
+def test_sg_mean_preconditioner_factorization_failure_is_a_solve_failure():
+    singular = sp.csr_matrix(([1.0, 2.0], ([0, 2], [0, 2])), shape=(3, 3))
+    with pytest.raises(SolveFailure, match="^LU factorization of the SG mean "
+                                           "block failed: "):
+        SGSystem([singular], BASIS).mean_preconditioner()
+
+
+# ---------------------------------------------------------------------------
+# sparse LU: one column order per sparsity pattern
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.fixture(scope="module")
+def factored():
+    """Two matrices of each factored pattern, at two random states: the
+    16x16 Jacobian, its potential block, its SG mean block and the 32x32
+    Jacobian."""
+    rng = np.random.default_rng(21)
+    model16 = config.build_model(config.RunConfig(), sg_basis=BASIS)
+    cfg = config.RunConfig()
+    g = cfg.geometry
+    g.nx_conductor, g.nx_pad, g.nx_slider, g.ny = 16, 4, 12, 32
+    model32 = config.build_model(cfg)
+    psi = np.arange(0, model16.num_dofs, 2)
+    out = {"jacobian16": [], "potential16": [], "sg_mean16": [],
+           "jacobian32": []}
+    for _ in range(2):
+        x = model16.initial_guess() + 0.3 * rng.normal(size=model16.num_dofs)
+        _, jac = model16.jacobian(x)
+        out["jacobian16"].append(jac)
+        out["potential16"].append(jac[psi][:, psi])
+        x_block = np.zeros((BASIS.size, model16.num_dofs))
+        x_block[0] = x
+        x_block[1:] = 0.05 * rng.normal(size=(BASIS.size - 1, model16.num_dofs))
+        _, blocks = model16.sg_jacobian(x_block,
+                                        {"PadSigma0": [35.0, 10.0, 0.0, 0.0]})
+        out["sg_mean16"].append(blocks[0])
+        x = model32.initial_guess() + 0.3 * rng.normal(size=model32.num_dofs)
+        out["jacobian32"].append(model32.jacobian(x)[1])
+    return out
+
+
+def _spy_on_splu(monkeypatch):
+    """Record the ``permc_spec`` of every SuperLU factorization."""
+    calls = []
+    splu = spla.splu
+
+    def spy(matrix, *args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["jacobian16", "potential16", "sg_mean16",
+                                  "jacobian32"])
+def test_sparse_lu_reused_order_is_bitwise_plain_splu(factored, monkeypatch,
+                                                      name):
+    first, second = factored[name]
+    reference = spla.splu(second.tocsc())
+    sparse_lu(first)     # records the pattern's order unless already known
+    calls = _spy_on_splu(monkeypatch)
+    solve = sparse_lu(second)
+    assert calls == ["NATURAL"]
+    rng = np.random.default_rng(23)
+    n = second.shape[0]
+    for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
+        want, got = reference.solve(rhs), solve(rhs)
+        assert got.shape == want.shape
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_sparse_lu_never_reuses_another_patterns_order(monkeypatch):
+    # same shape and row counts (so the same indptr), other columns
+    dense = np.random.default_rng(24).normal(size=(8, 8)) + 8.0 * np.eye(8)
+    first = sp.csr_matrix(np.triu(dense, -1))
+    second = sp.csr_matrix(np.triu(dense, -1)[:, ::-1])
+    assert np.array_equal(first.indptr, second.indptr)
+    sparse_lu(first)
+    sparse_lu(first)
+    calls = _spy_on_splu(monkeypatch)
+    solve = sparse_lu(second)
+    assert calls == [None]       # a fresh COLAMD ordering, not first's order
+    rhs = np.arange(1.0, 9.0)
+    assert np.array_equal(_bits(solve(rhs)),
+                          _bits(spla.splu(second.tocsc()).solve(rhs)))
+
+
+def test_sparse_lu_keeps_a_bounded_number_of_patterns():
+    for n in range(1, analysis._COLUMN_ORDER_LIMIT + 4):
+        sparse_lu(sp.csr_matrix(2.0 * np.eye(n)))
+    assert len(analysis._COLUMN_ORDERS) == analysis._COLUMN_ORDER_LIMIT
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,7 @@ def test_csr_pattern_positions():
     conn = ConnectivityMap(mesh.connectivity, 2)
     system = GlobalSystem(conn)
     # scattering ones through the positions must reproduce dense element sums
-    data = system.new_matrix_data()
+    data = np.zeros(system.nnz)
     np.add.at(data, system.positions.ravel(),
               np.ones(system.positions.size))
     dense = system.matrix_from_data(data).toarray()

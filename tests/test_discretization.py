@@ -170,6 +170,85 @@ def test_integrate_layout_mismatch():
         integrate(acc, np.ones((1, 4, 2)), np.ones((1, 4, 4)))
 
 
+def _bits(x):
+    """Every float of a scalar of any kind, as raw bit patterns."""
+    if isinstance(x, sc.Dual):
+        return _bits(x.val) + _bits(x.dx)
+    if isinstance(x, sc.PCE):
+        return [x.coeffs.view(np.int64)]
+    if isinstance(x, sc.Ensemble):
+        return [x.vals.view(np.int64)]
+    return [np.ascontiguousarray(x).view(np.int64)]
+
+
+def _values(rng, shape):
+    """Random values of mixed magnitude with +-0 and +-inf mixed in."""
+    out = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 7, size=shape)
+    special = rng.random(shape) < 0.2
+    out[special] = rng.choice([0.0, -0.0, np.inf, -np.inf], size=special.sum())
+    return out
+
+
+SG_BASIS = sc.build_basis_data(3)
+WIDTH, SAMPLES = 3, 5
+
+
+def _scalar(rng, kind, shape):
+    if kind == "real":
+        return _values(rng, shape)
+    if kind == "dual":
+        return sc.Dual(_values(rng, shape), _values(rng, shape + (WIDTH,)))
+    if kind == "pce":
+        return sc.PCE(_values(rng, shape + (SG_BASIS.size,)), SG_BASIS)
+    if kind == "nested":
+        return sc.Dual(_scalar(rng, "pce", shape),
+                       _scalar(rng, "pce", shape + (WIDTH,)))
+    return sc.Ensemble(_values(rng, (SAMPLES,) + shape))
+
+
+def _zeroed_field(kind):
+    return Field("r", Layout((6, 4)), make_storage(
+        kind, (6, 4), deriv_width=WIDTH, basis=SG_BASIS, samples=SAMPLES))
+
+
+@pytest.mark.parametrize("weights, integrand", [
+    ("real", "real"), ("real", "dual"), ("real", "pce"), ("real", "nested"),
+    ("real", "ensemble"), ("dual", "real"), ("dual", "dual")])
+def test_integrate_is_bitwise_the_broadcast_and_sum(weights, integrand):
+    # numpy's sum starts from +0.0, so it turns a sum of only -0.0 terms into
+    # +0.0 where the in-order contraction keeps -0.0; zeroed storage does the
+    # same on accumulation, so the fields agree bit for bit
+    rng = np.random.default_rng(7)
+    kind = weights if integrand == "real" else integrand
+    got, want = _zeroed_field(kind), _zeroed_field(kind)
+    with np.errstate(invalid="ignore"):
+        for _ in range(2):   # into zeroed storage, then on top of the first
+            weighted = _scalar(rng, weights, (6, 4, 4))
+            values = _scalar(rng, integrand, (6, 4))
+            integrate(got, values, weighted)
+            want.accumulate((weighted * values[:, None]).sum(axis=2))
+    for a, b in zip(_bits(got.data), _bits(want.data), strict=True):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("kind", ["real", "dual"])
+def test_integrate_vector_integrand_adds_in_row_major_qp_dim_order(kind):
+    rng = np.random.default_rng(8)
+    weighted = _scalar(rng, "real", (6, 4, 4, 2))
+    values = _scalar(rng, kind, (6, 4, 2))
+    got, want = _zeroed_field(kind), _zeroed_field(kind)
+    reference = None
+    with np.errstate(invalid="ignore"):
+        integrate(got, values, weighted)
+        for q in range(4):
+            for d in range(2):
+                term = weighted[:, :, q, d] * values[:, q, d][:, None]
+                reference = term if reference is None else reference + term
+    want.accumulate(reference)
+    for a, b in zip(_bits(got.data), _bits(want.data), strict=True):
+        assert np.array_equal(a, b)
+
+
 def test_patch_test_linear_reproduction_on_distorted_mesh():
     # a distorted but valid quad still reproduces globally linear fields
     b = bilinear_basis(2)

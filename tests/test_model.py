@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from embedfem import assembly, discretization
+from embedfem import assembly, discretization, physics
 from embedfem import graph as gr
 from embedfem import scalars as sc
 from embedfem.analysis import SGSystem, SolveFailure
@@ -79,6 +79,46 @@ def _all_plain_outputs(model, x):
         "ShapeTangent": list(model.shape_tangent(x, x_p)),
         "EnsembleResidual": [model.residuals(states)],
     }
+
+
+def _full_source_expression(self, ctx):
+    u = ctx.field("temp_qp").data
+    ctx.field("source_qp").assign(self.alpha + self.beta * u * u)
+
+
+def _bits(arrays):
+    return [np.ascontiguousarray(a).view(np.int64) for a in arrays]
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_zero_beta_source_gives_the_full_expressions_outputs_bitwise(
+        monkeypatch, alpha):
+    # temperatures of both signs, so the full expression's zero partials
+    # carry both signs
+    model = demo_model(sg_basis=BASIS)
+    model.library.set_value("Alpha", alpha)
+    x = random_state(model)
+    assert np.any(x[1::2] < 0.0)
+    x_block = np.zeros((BASIS.size, model.num_dofs))
+    x_block[0] = x
+    x_block[1:] = 0.05 * np.random.default_rng(4).normal(
+        size=(BASIS.size - 1, model.num_dofs))
+    uncertain = {"PadSigma0": [35.0, 15.0, 0.0, 0.0]}
+
+    def outputs():
+        out = _all_plain_outputs(model, x)
+        f, blocks = model.sg_jacobian(x_block, uncertain)
+        out["SGResidual"] = [model.sg_residual(x_block, uncertain)]
+        out["SGJacobian"] = [f] + [block.data for block in blocks]
+        return out
+
+    short_circuit = outputs()
+    monkeypatch.setattr(physics.QuadraticSourceEvaluator, "evaluate",
+                        _full_source_expression)
+    full = outputs()
+    for tag, arrays in full.items():
+        for a, b in zip(_bits(short_circuit[tag]), _bits(arrays), strict=True):
+            assert np.array_equal(a, b), tag
 
 
 def test_workset_partition_invariance_is_bitwise():
@@ -429,7 +469,7 @@ def test_spectral_assembly_requires_basis():
 
 
 def test_warm_start_factorization_failure_is_a_solve_failure(monkeypatch):
-    def singular(matrix):
+    def singular(matrix, *args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(spla, "splu", singular)

@@ -276,6 +276,21 @@ def test_source_parameter_seeds_under_tangent():
     assert np.allclose(source.dx[..., 1], 9.0, atol=1e-13)
 
 
+def test_beta_tangent_seed_bypasses_the_zero_beta_short_circuit():
+    mesh = build_rect_mesh(1, 1)
+    model = build_model(mesh, uniform_materials(), with_joule=False)
+    model.library.set_value("Alpha", 1.0)
+    x = np.zeros(model.num_dofs)
+    x[1::2] = 3.0
+    model.assemble(gr.TANGENT, x, tangent_params=("Alpha", "Beta"))
+    arena = model.graphs[gr.TANGENT].arena_for(1, deriv_width=2)
+    source = arena.get("source_qp").data
+    # Beta is 0.0 but carries a seed: ds/d(beta) = u^2 = 9
+    assert np.array_equal(source.val, np.ones_like(source.val))
+    assert np.allclose(source.dx[..., 0], 1.0, atol=1e-15)
+    assert np.allclose(source.dx[..., 1], 9.0, atol=1e-13)
+
+
 def test_jacobian_decouples_when_beta_zero():
     mesh = build_rect_mesh(3, 3)
     model = build_model(mesh, uniform_materials(sigma0=4.0, beta=0.0),

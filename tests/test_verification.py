@@ -72,7 +72,7 @@ def test_colored_oracle_is_bitwise_the_column_reference():
 def test_ensemble_grouping_does_not_change_the_oracle(monkeypatch,
                                                       element_samples):
     # 18 calls of one color pair, or four calls of up to five pairs, against
-    # the one call of all 18 that the column reference test checks
+    # the three calls of six that the column reference test checks
     model = strip_model(workset_size=7)
     x = random_state(model, 9)
     whole = fd_jacobian(model, x).data
