@@ -1,0 +1,94 @@
+#!/usr/bin/env python3
+"""Summarize paired benchmark runs of two checkouts into one BENCH_<n>.json.
+
+Each checkout's ``perfbench/out/<workload>-seed<N>-trace0.json`` files are
+read; runs pair up by workload and seed. Per workload the file records, for
+the parent and the change, the median and interquartile range of the four
+end-to-end metrics, the failed share of the ops, how many pairs the change
+won on each metric, and whether round 0 gave the same digest on both sides;
+also the line count of each checkout's ``src/embedfem``.
+
+    python3 scripts/bench_trajectory.py --parent ../parent --change . \\
+        --suite parent 292 37.6 --suite change 313 33.0 --out BENCH_9.json
+
+``--suite SIDE TESTS SECONDS`` records one side's tier-1 test count and time.
+"""
+
+import argparse
+import json
+from pathlib import Path
+
+import numpy as np
+
+METRICS = {"setup_s": "lower", "dofs_per_s": "higher",
+           "small_op_p50_s": "lower", "peak_rss_mb": "lower"}
+
+
+def load(checkout):
+    runs = {}
+    for path in sorted(Path(checkout, "perfbench", "out").glob("*-trace0.json")):
+        record = json.loads(path.read_text())
+        runs[(record["workload"], record["seed"])] = record
+    return runs
+
+
+def src_lines(checkout):
+    return sum(len(p.read_text().splitlines())
+               for p in Path(checkout, "src", "embedfem").glob("*.py"))
+
+
+def spread(values):
+    q1, med, q3 = np.percentile(values, [25, 50, 75])
+    return {"median": float(med), "iqr": float(q3 - q1)}
+
+
+def summarize(parent, change):
+    out = {}
+    for workload in sorted({w for w, _ in parent}):
+        seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
+        if not seeds:
+            continue
+        a = [parent[(workload, s)] for s in seeds]
+        b = [change[(workload, s)] for s in seeds]
+        row = {"seeds": seeds, "metrics": {}}
+        for name, better in METRICS.items():
+            pa = [r["summary"][name] for r in a]
+            pb = [r["summary"][name] for r in b]
+            wins = sum((y < x) if better == "lower" else (y > x)
+                       for x, y in zip(pa, pb))
+            row["metrics"][name] = {"better": better, "parent": spread(pa),
+                                    "change": spread(pb), "change_wins": wins}
+        row["failed_share"] = {
+            side: [r["summary"]["failed"] / r["summary"]["attempted"] for r in rs]
+            for side, rs in (("parent", a), ("change", b))}
+        row["round0_digests_equal"] = all(
+            x["digest_round0"] == y["digest_round0"] for x, y in zip(a, b))
+        row["checks_correct"] = all(r["correct"] for r in a + b)
+        out[workload] = row
+    return out
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--parent", required=True, help="parent checkout")
+    parser.add_argument("--change", required=True, help="changed checkout")
+    parser.add_argument("--suite", nargs=3, action="append", default=[],
+                        metavar=("SIDE", "TESTS", "SECONDS"))
+    parser.add_argument("--note", default="")
+    parser.add_argument("--out", required=True)
+    args = parser.parse_args()
+    record = {
+        "command": "python3 perfbench/run.py --workload W --seed N "
+                   "--seconds 30 --trace 0",
+        "note": args.note,
+        "workloads": summarize(load(args.parent), load(args.change)),
+        "src_embedfem_lines": {"parent": src_lines(args.parent),
+                               "change": src_lines(args.change)},
+        "tier1_suite": {side: {"tests": int(tests), "seconds": float(seconds)}
+                        for side, tests, seconds in args.suite},
+    }
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

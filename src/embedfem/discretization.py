@@ -143,13 +143,17 @@ def integrate(accum_field, integrand, weighted):
 
     The terms are added one quadrature point at a time, ((t0 + t1) + t2) + t3,
     without forming the (e, i, q, ...) product. For four points numpy's
-    ``sum`` over q adds in this order in every storage layout (plain,
-    trailing partials or coefficients, leading samples), starting from +0.0;
-    that start only turns an all -0.0 sum into +0.0, as does accumulating
-    into the field's zeroed storage. So the field ends up bitwise as with
-    the broadcast-and-sum form. Vector integrands are added in row-major
-    (q, d) order; numpy would sum those 8 terms pairwise for plain values
-    but sequentially for partials, so no single order matches it there.
+    ``sum`` over q adds in this order whatever the scalar kind and memory
+    order, starting from +0.0; that start only turns an all -0.0 sum into
+    +0.0, as does accumulating into the field's zeroed storage. So the field
+    ends up bitwise as with the broadcast-and-sum form. Vector integrands are
+    added in row-major (q, d) order; numpy would sum those 8 terms pairwise
+    for plain values but sequentially for partials, so no single order
+    matches it there.
+
+    Kernels contract like this, explicitly and elementwise, and never reduce
+    field data with a numpy reduction: numpy's pairwise summation follows
+    memory order, and the field storage is element-fastest, not C-ordered.
     """
     # np.shape reads the ``shape`` of every scalar kind: value axes only
     w_shape = np.shape(weighted)
@@ -206,8 +210,8 @@ class ElementGeometryEvaluator(Evaluator):
                 ctx.field(spec.name).assign(value)
             return
         self._compute(ctx, coords)
-        self.cache[key] = (coords.view(np.int64).copy(),
-                           [ctx.field(spec.name).data.copy()
+        self.cache[key] = (coords.view(np.int64).copy(order="K"),
+                           [ctx.field(spec.name).data.copy(order="K")
                             for spec in self.evaluates])
 
     def _compute(self, ctx, coords):

@@ -22,7 +22,8 @@ DIMENSION_NAMES = ("elem", "node", "qp", "eq", "dim")
 
 @dataclass(frozen=True)
 class Layout:
-    """Ordered extents of a field, row-major (last index fastest)."""
+    """Ordered extents of a field; ``linear_index`` is row-major, a logical
+    order that need not be the storage's memory order (see make_storage)."""
 
     extents: tuple
 
@@ -127,32 +128,46 @@ class Field:
         return f"Field({self.name!r}, extents={self.layout.extents})"
 
 
+def _zeros(extents, trailing=(), leading=()):
+    """Zeros of shape leading + extents + trailing whose memory order behind
+    the leading axes is the reverse of the logical one (element axis fastest)."""
+    data = np.zeros(leading + (extents + trailing)[::-1])
+    lead = len(leading)
+    return data.transpose(tuple(range(lead)) + tuple(range(data.ndim - 1, lead - 1, -1)))
+
+
 def make_storage(kind, extents, deriv_width=None, basis=None, samples=None):
     """Zero-initialized storage for one of the concrete scalar kinds.
 
     kind is one of "real", "dual", "pce", "nested", "ensemble". Dual kinds
     need the derivative width, spectral kinds the shared basis tables and
     the ensemble kind its sample count.
+
+    Logically the derivative and coefficient axes trail the field's extents
+    and the sample axis leads them. In memory the element axis is fastest and
+    the derivative, coefficient or sample axis slowest: numpy allocates each
+    temporary in its operands' memory order, so every kernel's inner loop
+    runs over the workset's elements.
     """
     if kind == "real":
-        return np.zeros(extents)
+        return _zeros(extents)
     if kind == "ensemble":
         if samples is None:
             raise ValueError("ensemble storage needs a sample count")
-        return sc.Ensemble(np.zeros((samples,) + extents))
+        return sc.Ensemble(_zeros(extents, leading=(samples,)))
     if kind == "dual":
         if deriv_width is None:
             raise ValueError("dual storage needs a derivative width")
-        return sc.Dual(np.zeros(extents), np.zeros(extents + (deriv_width,)))
+        return sc.Dual(_zeros(extents), _zeros(extents, (deriv_width,)))
     if kind == "pce":
         if basis is None:
             raise ValueError("spectral storage needs basis tables")
-        return sc.PCE(np.zeros(extents + (basis.size,)), basis)
+        return sc.PCE(_zeros(extents, (basis.size,)), basis)
     if kind == "nested":
         if deriv_width is None or basis is None:
             raise ValueError("nested storage needs a derivative width and basis tables")
-        return sc.Dual(sc.PCE(np.zeros(extents + (basis.size,)), basis),
-                       sc.PCE(np.zeros(extents + (deriv_width, basis.size)), basis))
+        return sc.Dual(sc.PCE(_zeros(extents, (basis.size,)), basis),
+                       sc.PCE(_zeros(extents, (deriv_width, basis.size)), basis))
     raise ValueError(f"unknown scalar kind {kind!r}")
 
 

@@ -11,9 +11,12 @@ axis and combines them elementwise, so one assembly evaluates S states.
 
 Value storage may be a single number or a numpy array: one object then
 represents a whole batch of scalars, with arithmetic broadcasting over the
-leading (value) axes. The derivative axis of ``Dual.dx`` and the coefficient
-axis of ``PCE.coeffs`` always stay trailing; the sample axis of
-``Ensemble.vals`` always leads.
+leading (value) axes. Logically the derivative axis of ``Dual.dx`` and the
+coefficient axis of ``PCE.coeffs`` always stay trailing; the sample axis of
+``Ensemble.vals`` always leads. Memory order is separate: each result is
+allocated in its operands' memory order (element-fastest for field storage,
+see ``fields.make_storage``), and no result depends on it, since ``sum``
+reduces a C-ordered copy.
 """
 
 from __future__ import annotations
@@ -196,6 +199,14 @@ def _norm_axes(axis, value_ndim):
     return tuple(a % value_ndim for a in axis)
 
 
+def _sum(x, axes):
+    """Sum over ``axes`` of a C-ordered copy: numpy's pairwise summation
+    follows memory order, so this makes the sum independent of the layout."""
+    if isinstance(x, PCE):
+        return x.sum(axes)
+    return np.ascontiguousarray(x).sum(axis=axes)
+
+
 def strip_derivatives(x):
     """Explicitly cast away embedded data: dual value and/or spectral mean.
 
@@ -254,7 +265,7 @@ class PCE:
         return PCE(self.coeffs[_check_index(idx, self.coeffs.ndim - 1)], self.basis)
 
     def sum(self, axis=None):
-        return PCE(self.coeffs.sum(axis=_norm_axes(axis, self.coeffs.ndim - 1)),
+        return PCE(_sum(self.coeffs, _norm_axes(axis, self.coeffs.ndim - 1)),
                    self.basis)
 
     def evaluate(self, xi):
@@ -270,7 +281,7 @@ class PCE:
         """Coefficients of a deterministic operand, broadcast to match."""
         other = np.asarray(other, dtype=float)
         shape = np.broadcast_shapes(self.shape, other.shape)
-        c = np.zeros(shape + (self.basis.size,))
+        c = np.zeros_like(self.coeffs, shape=shape + (self.basis.size,))
         c[..., 0] = other
         return c
 
@@ -371,21 +382,19 @@ def _galerkin_product(a, b, basis):
     the dense einsum's, signed zeros included. Elementwise ufuncs alone make
     every batch row independent of the batch it is computed in.
     """
-    size = basis.size
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    # coefficient-major copies, broadcast in full, so that the pairwise
-    # products a_i b_j and every term below run over contiguous memory
-    at, bt = np.empty((2, size) + shape)
-    np.copyto(np.moveaxis(at, 0, -1), a)
-    np.copyto(np.moveaxis(bt, 0, -1), b)
+    # products follow their operands' memory order: with the coefficient axis
+    # slowest every a_i b_j and every term is one contiguous block. The
+    # result takes a full-shape operand's layout (C in, C out).
+    shape = np.broadcast_shapes(a.shape, b.shape)
+    at = np.moveaxis(np.broadcast_to(a, shape), -1, 0)
+    bt = np.moveaxis(np.broadcast_to(b, shape), -1, 0)
     outer = at[:, None] * bt[None, :]
-    out = np.zeros((size,) + shape)
+    out = np.zeros_like(a if a.shape == shape else b, shape=shape)
     for k, terms in enumerate(basis.products):
-        acc = out[k, ...]  # a view even when the values are 0-d
+        acc = out[..., k]
         for i, j, t in terms:
             acc += outer[i, j] * t
-    # C order, as the einsum returned: later reductions follow memory layout
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+    return out
 
 
 def _spectral_divide(num, den, basis):
@@ -470,7 +479,7 @@ class Dual:
 
     def sum(self, axis=None):
         ax = _norm_axes(axis, self._value_ndim())
-        return Dual(self.val.sum(axis=ax), self.dx.sum(axis=ax))
+        return Dual(_sum(self.val, ax), _sum(self.dx, ax))
 
     def _check(self, other):
         if self.n != other.n:
@@ -596,13 +605,11 @@ def _lead(vals, ndim):
 class Ensemble:
     """S independent samples of one value, combined elementwise.
 
-    ``vals[s]`` is sample s. The sample axis leads, so each sample is a
-    C-ordered block on which numpy runs the loops it runs on a plain array of
-    the value shape, reductions included: numpy sums a contiguous axis of 8
-    or more entries pairwise, and a trailing sample axis would make that sum
-    sequential. Every sample is therefore bitwise what the plain computation
-    gives. Value axes align from the right, as numpy aligns plain arrays.
-    Ensembles do not mix with dual or spectral scalars (TypeError).
+    ``vals[s]`` is sample s. Every operation is elementwise, and ``sum``
+    reduces a C-ordered copy, so every sample is bitwise what the plain
+    computation gives, whatever the memory order of ``vals``. Value axes
+    align from the right, as numpy aligns plain arrays. Ensembles do not mix
+    with dual or spectral scalars (TypeError).
     """
 
     __slots__ = ("vals",)
@@ -623,7 +630,7 @@ class Ensemble:
 
     def sum(self, axis=None):
         axes = _norm_axes(axis, self.vals.ndim - 1)
-        return Ensemble(self.vals.sum(axis=tuple(a + 1 for a in axes)))
+        return Ensemble(_sum(self.vals, tuple(a + 1 for a in axes)))
 
     def _pair(self, other):
         """Sample values of both operands, aligned for one elementwise op."""

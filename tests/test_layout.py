@@ -1,0 +1,142 @@
+"""Element-fastest field storage: every output is bitwise what C-ordered
+storage gives, the layout reaches the kernels' temporaries, and reductions
+do not depend on it."""
+
+import numpy as np
+import pytest
+
+from embedfem import fields
+from embedfem import scalars as sc
+from embedfem.analysis import (NewtonConfig, shape_objective_gradient,
+                               sg_newton_solve)
+from embedfem.fields import make_storage
+from test_model import BASIS, _bitwise, demo_model, random_state
+
+EXTENTS = (64, 4, 3)   # (elem, node, qp)
+WIDTH = 5
+SAMPLES = 6
+
+
+def _c_zeros(extents, trailing=(), leading=()):
+    return np.zeros(leading + extents + trailing)
+
+
+def _every_output(model):
+    x = random_state(model, seed=4)
+    rng = np.random.default_rng(5)
+    x_p = 0.01 * rng.normal(size=(model.mesh.num_nodes, 2, 2))
+    x_block = x + 0.01 * rng.normal(size=(BASIS.size, model.num_dofs))
+    uncertain = {"PadSigma0": [35.0, 8.0, 0.5, 0.0]}
+    newton = NewtonConfig()
+    g, grad, solved = shape_objective_gradient(model, [0.1], newton)
+    sg_f, sg_blocks = model.sg_jacobian(x_block, uncertain)
+    return {
+        "Residual": model.residual(x),
+        "Jacobian": model.jacobian(x),
+        "Tangent": model.tangent(x, ("Alpha", "PadSigma0")),
+        "ShapeTangent": model.shape_tangent(x, x_p),
+        "SGResidual": model.sg_residual(x_block, uncertain),
+        "SGJacobian": (sg_f, *sg_blocks),
+        "residuals": model.residuals(x + 0.01 * rng.normal(size=(3, x.size))),
+        "shape_objective_gradient": (np.array([g]), grad, solved.x),
+        "sg_newton_solve": sg_newton_solve(model, uncertain,
+                                           newton).coefficients,
+    }
+
+
+def test_outputs_are_bitwise_those_of_c_ordered_storage(monkeypatch):
+    shipped_model = demo_model(sg_basis=BASIS)
+    shipped = _every_output(shipped_model)
+    with monkeypatch.context() as patch:
+        patch.setattr(fields, "_zeros", _c_zeros)
+        c_model = demo_model(sg_basis=BASIS)
+        c_ordered = _every_output(c_model)
+    for model, c_contiguous in ((c_model, True), (shipped_model, False)):
+        for graph in model.graphs.values():
+            for arena in graph._arenas.values():
+                for data, elem_axis in _components(arena.get("temp_qp").data):
+                    assert data.flags.c_contiguous == c_contiguous
+                    assert (data.strides[elem_axis] == data.itemsize) \
+                        != c_contiguous
+    for tag, want in c_ordered.items():
+        assert _bitwise(shipped[tag], want), tag
+
+
+def _components(storage):
+    """(array, index of its element axis) for every buffer of a storage."""
+    if isinstance(storage, sc.Dual):
+        return _components(storage.val) + _components(storage.dx)
+    if isinstance(storage, sc.PCE):
+        return [(storage.coeffs, 0)]
+    if isinstance(storage, sc.Ensemble):
+        return [(storage.vals, 1)]
+    return [(storage, 0)]
+
+
+STORAGE_KINDS = {
+    "real": {},
+    "dual": {"deriv_width": WIDTH},
+    "pce": {"basis": BASIS},
+    "nested": {"deriv_width": WIDTH, "basis": BASIS},
+    "ensemble": {"samples": SAMPLES},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STORAGE_KINDS))
+def test_storage_is_element_fastest_with_the_component_axis_slowest(kind):
+    storage = make_storage(kind, EXTENTS, **STORAGE_KINDS[kind])
+    for data, elem_axis in _components(storage):
+        strides = data.strides
+        assert data.shape[elem_axis] == EXTENTS[0]
+        assert strides[elem_axis] == data.itemsize == min(strides)
+        # the derivative, chaos or sample axis, else the last value axis
+        component_axis = 0 if kind == "ensemble" else data.ndim - 1
+        assert strides[component_axis] == max(strides)
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((64, 4), (64, 4)),
+    ((64, 4, 1), (64, 4, WIDTH)),   # value times partials
+    ((64, 4, WIDTH), (64, 4, 1)),
+])
+def test_galerkin_product_keeps_element_fastest_operands_layout(shape_a,
+                                                                  shape_b):
+    rng = np.random.default_rng(2)
+    a = make_storage("pce", shape_a, basis=BASIS)
+    b = make_storage("pce", shape_b, basis=BASIS)
+    a.coeffs[...] = rng.normal(size=a.coeffs.shape)
+    b.coeffs[...] = rng.normal(size=b.coeffs.shape)
+    got = (a * b).coeffs
+    assert got.strides[0] == got.itemsize
+    assert got.strides[-1] == max(got.strides)
+    want = (sc.PCE(np.ascontiguousarray(a.coeffs), BASIS)
+            * sc.PCE(np.ascontiguousarray(b.coeffs), BASIS)).coeffs
+    assert want.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _fill(storage, rng):
+    for data, _ in _components(storage):
+        data[...] = rng.normal(size=data.shape)
+
+
+def _c_ordered(storage):
+    if isinstance(storage, sc.Dual):
+        return sc.Dual(_c_ordered(storage.val), _c_ordered(storage.dx))
+    if isinstance(storage, sc.PCE):
+        return sc.PCE(np.ascontiguousarray(storage.coeffs), storage.basis)
+    if isinstance(storage, sc.Ensemble):
+        return sc.Ensemble(np.ascontiguousarray(storage.vals))
+    return np.ascontiguousarray(storage)
+
+
+@pytest.mark.parametrize("kind", ["dual", "pce", "nested", "ensemble"])
+@pytest.mark.parametrize("axis", [0, (0, 2), None])
+def test_sums_do_not_depend_on_the_storage_layout(kind, axis):
+    storage = make_storage(kind, EXTENTS, **STORAGE_KINDS[kind])
+    _fill(storage, np.random.default_rng(7))
+    got = storage.sum(axis=axis)
+    want = _c_ordered(storage).sum(axis=axis)
+    for (g, _), (w, _) in zip(_components(got), _components(want),
+                              strict=True):
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
