@@ -6,7 +6,9 @@ read; runs pair up by workload and seed. Per workload the file records, for
 the parent and the change, the median and interquartile range of the four
 end-to-end metrics, the failed share of the ops, how many pairs the change
 won on each metric, and whether round 0 gave the same digest on both sides;
-also the line count of each checkout's ``src/embedfem``.
+also the line count of each checkout's ``src/embedfem``. Traced runs
+(``*-trace1.json``) pair up the same way, and each side's median of every
+per-layer metric over its traced runs is recorded per workload.
 
     python3 scripts/bench_trajectory.py --parent ../parent --change . \\
         --suite parent 292 37.6 --suite change 313 33.0 --out BENCH_9.json
@@ -24,9 +26,10 @@ METRICS = {"setup_s": "lower", "dofs_per_s": "higher",
            "small_op_p50_s": "lower", "peak_rss_mb": "lower"}
 
 
-def load(checkout):
+def load(checkout, trace):
     runs = {}
-    for path in sorted(Path(checkout, "perfbench", "out").glob("*-trace0.json")):
+    for path in sorted(Path(checkout, "perfbench", "out").glob(
+            f"*-trace{trace}.json")):
         record = json.loads(path.read_text())
         runs[(record["workload"], record["seed"])] = record
     return runs
@@ -42,12 +45,17 @@ def spread(values):
     return {"median": float(med), "iqr": float(q3 - q1)}
 
 
-def summarize(parent, change):
-    out = {}
+def paired(parent, change):
+    """(workload, seeds) for every workload with runs of a seed on both sides."""
     for workload in sorted({w for w, _ in parent}):
         seeds = sorted(s for w, s in parent if w == workload and (w, s) in change)
-        if not seeds:
-            continue
+        if seeds:
+            yield workload, seeds
+
+
+def summarize(parent, change):
+    out = {}
+    for workload, seeds in paired(parent, change):
         a = [parent[(workload, s)] for s in seeds]
         b = [change[(workload, s)] for s in seeds]
         row = {"seeds": seeds, "metrics": {}}
@@ -68,6 +76,19 @@ def summarize(parent, change):
     return out
 
 
+def layer_medians(parent, change):
+    """Each side's median over its traced runs of every per-layer metric."""
+    out = {}
+    for workload, seeds in paired(parent, change):
+        names = parent[(workload, seeds[0])]["layers"]
+        out[workload] = {"seeds": seeds, "layers": {
+            name: {side: float(np.median([runs[(workload, s)]["layers"][name]
+                                          for s in seeds]))
+                   for side, runs in (("parent", parent), ("change", change))}
+            for name in names}}
+    return out
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True, help="parent checkout")
@@ -81,7 +102,11 @@ def main():
         "command": "python3 perfbench/run.py --workload W --seed N "
                    "--seconds 30 --trace 0",
         "note": args.note,
-        "workloads": summarize(load(args.parent), load(args.change)),
+        "workloads": summarize(load(args.parent, 0), load(args.change, 0)),
+        "traced_command": "python3 perfbench/run.py --workload W --seed N "
+                          "--seconds 30 --trace 1",
+        "traced_layers": layer_medians(load(args.parent, 1),
+                                       load(args.change, 1)),
         "src_embedfem_lines": {"parent": src_lines(args.parent),
                                "change": src_lines(args.change)},
         "tier1_suite": {side: {"tests": int(tests), "seconds": float(seconds)}

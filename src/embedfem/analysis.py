@@ -430,14 +430,16 @@ def sg_newton_solve(model, uncertain, config=None, x0=None):
             for name, value in nominal.items():
                 model.library.set_value(name, value)
 
-    history = []
-    f = model.sg_residual(x_block, uncertain)
+    # the SG Jacobian assembly's residual is bitwise the SG residual, so it
+    # gives ||F(x0)|| as well
+    f, blocks = model.sg_jacobian(x_block, uncertain)
     norm0 = float(np.linalg.norm(f))
-    history.append(norm0)
+    history = [norm0]
     if norm0 <= config.abs_tol:
         return SGResult(x_block, history, 0, True)
     for it in range(1, config.max_iters + 1):
-        f, blocks = model.sg_jacobian(x_block, uncertain)
+        if it > 1:
+            f, blocks = model.sg_jacobian(x_block, uncertain)
         system = SGSystem(blocks, basis)
         update, info = spla.gmres(system.operator(), f.ravel(),
                                   rtol=config.gmres_tol, atol=0.0,

@@ -104,7 +104,7 @@ class BasisData:
     """
 
     __slots__ = ("degree", "norms", "triple", "triple_scaled", "products",
-                 "quad_nodes", "quad_weights")
+                 "pairs", "quad_nodes", "quad_weights")
 
     def __init__(self, degree, norms, triple, quad_nodes, quad_weights):
         self.degree = degree
@@ -121,6 +121,14 @@ class BasisData:
                   for i in range(degree + 1) for j in range(degree + 1)
                   if self.triple_scaled[i, j, k] != 0.0)
             for k in range(degree + 1))
+        # pairs lists (i, j, ((k, t), ...)) in i-major, j-minor order: the
+        # same terms grouped by the product a_i b_j they share.
+        uses = {}
+        for k, terms in enumerate(self.products):
+            for i, j, t in terms:
+                uses.setdefault((i, j), []).append((k, t))
+        self.pairs = tuple((i, j, tuple(kt))
+                           for (i, j), kt in sorted(uses.items()))
         self.quad_nodes = quad_nodes
         self.quad_weights = quad_weights
 
@@ -376,24 +384,25 @@ class PCE:
 def _galerkin_product(a, b, basis):
     """Coefficients c_k = sum_ij a_i b_j E[P_i P_j P_k] / E[P_k^2].
 
-    Only the nonzero triple products are visited. Each c_k adds its terms
-    (a_i b_j) t in the order ``np.einsum("...i,...j,ijk->...k")`` does,
-    starting from the same +0.0, so for finite inputs the result is bitwise
-    the dense einsum's, signed zeros included. Elementwise ufuncs alone make
+    Only the nonzero triple products are visited, pair by pair
+    (``basis.pairs``): each a_i b_j is formed once and each c_k that uses it
+    adds (a_i b_j) t. Pairs run in i-major, j-minor order, so every c_k adds
+    its terms in the order ``np.einsum("...i,...j,ijk->...k")`` does,
+    starting from the same +0.0, and for finite inputs the result is bitwise
+    the dense einsum's, signed zeros included (a term with t = 1 adds a_i b_j
+    itself, which is bitwise (a_i b_j) * 1.0). Elementwise ufuncs alone make
     every batch row independent of the batch it is computed in.
     """
     # products follow their operands' memory order: with the coefficient axis
     # slowest every a_i b_j and every term is one contiguous block. The
     # result takes a full-shape operand's layout (C in, C out).
     shape = np.broadcast_shapes(a.shape, b.shape)
-    at = np.moveaxis(np.broadcast_to(a, shape), -1, 0)
-    bt = np.moveaxis(np.broadcast_to(b, shape), -1, 0)
-    outer = at[:, None] * bt[None, :]
     out = np.zeros_like(a if a.shape == shape else b, shape=shape)
-    for k, terms in enumerate(basis.products):
-        acc = out[..., k]
-        for i, j, t in terms:
-            acc += outer[i, j] * t
+    coeffs = [out[..., k] for k in range(basis.size)]
+    for i, j, uses in basis.pairs:
+        pair = a[..., i] * b[..., j]
+        for k, t in uses:
+            coeffs[k] += pair if t == 1.0 else pair * t
     return out
 
 
@@ -404,19 +413,69 @@ def _spectral_divide(num, den, basis):
     multiply-by-den operator. A divisor with exactly zero higher coefficients
     makes M diagonal, so that case reduces to a plain componentwise division
     (this keeps deterministic data exact through the quotient).
+
+    Otherwise M is factored by Gaussian elimination with partial pivoting,
+    as LAPACK's getrf does it (the largest magnitude wins, the first on a
+    tie), written as elementwise operations across the entries. The
+    factorization runs on the divisor's entry shape, so a divisor broadcast
+    over the partials of a nested dual is factored once; the substitutions
+    run on the quotient's. Elementwise operations alone make every entry
+    independent of its batch and of the memory layout. The quotient takes
+    the numerator's layout.
     """
     if not np.any(den[..., 1:]):
         d0 = den[..., 0]
         if np.any(d0 == 0.0):
             raise ZeroDivisionError("division by zero value")
         return num / d0[..., None]
-    m = np.einsum("...i,ijk->...kj", den, basis.triple_scaled)
-    try:
-        return np.linalg.solve(m, num[..., None])[..., 0]
-    except np.linalg.LinAlgError as err:
-        cond = float(np.max(np.linalg.cond(m)))
-        raise SpectralDivisionError(
-            f"singular spectral divisor (condition estimate {cond:.3e})") from err
+    size = basis.size
+    # lu[j][k] is M_kj (column j, row k), of the divisor's entry shape; the
+    # elimination leaves the unit-lower L below the diagonal, U on and above
+    lu = [[None] * size for _ in range(size)]
+    for k, terms in enumerate(basis.products):
+        for i, j, t in terms:
+            term = den[..., i] if t == 1.0 else den[..., i] * t
+            lu[j][k] = term if lu[j][k] is None else lu[j][k] + term
+    swaps = []
+    for c in range(size):
+        piv = np.argmax(np.abs(lu[c][c:]), axis=0) + c
+        swaps.append(piv if np.any(piv != c) else None)
+        if swaps[c] is not None:
+            _swap_rows(lu, c, piv)
+        if np.any(lu[c][c] == 0.0):
+            m = np.einsum("...i,ijk->...kj", den, basis.triple_scaled)
+            cond = float(np.max(np.linalg.cond(m)))
+            raise SpectralDivisionError(
+                f"singular spectral divisor (condition estimate {cond:.3e})")
+        for r in range(c + 1, size):
+            lu[c][r] = factor = lu[c][r] / lu[c][c]
+            for j in range(c + 1, size):
+                lu[j][r] = lu[j][r] - factor * lu[j][c]
+
+    x = [num[..., k] for k in range(size)]
+    for c, piv in enumerate(swaps):
+        if piv is not None:
+            _swap_rows([x], c, piv)
+    for c in range(size):
+        for r in range(c + 1, size):
+            x[r] = x[r] - lu[c][r] * x[c]
+    shape = np.broadcast_shapes(num.shape, den.shape)
+    out = np.empty_like(num if num.shape == shape else den, shape=shape)
+    for c in reversed(range(size)):
+        x[c] = out[..., c] = x[c] / lu[c][c]
+        for r in range(c):
+            x[r] = x[r] - lu[c][r] * x[c]
+    return out
+
+
+def _swap_rows(columns, c, piv):
+    """Per entry, swap row c with row ``piv`` (>= c) in every column."""
+    for r in range(c + 1, len(columns[0])):
+        swap = piv == r
+        if swap.any():
+            for col in columns:
+                col[c], col[r] = (np.where(swap, col[r], col[c]),
+                                  np.where(swap, col[c], col[r]))
 
 
 def pce_constant(value, basis):

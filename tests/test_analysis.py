@@ -458,6 +458,39 @@ def test_sg_solve_exact_for_linear_parameter_dependence():
     model.library.set_value("Alpha", 1.0)
 
 
+def test_sg_newton_takes_the_initial_norm_from_the_first_sg_jacobian(
+        monkeypatch):
+    model = config.build_model(config.RunConfig(), sg_basis=BASIS)
+    uncertain = {"PadSigma0": [35.0, 15.0, 0.0, 0.0]}
+    states, jacobian_f, residual_calls = [], [], []
+    sg_jacobian, sg_residual = model.sg_jacobian, model.sg_residual
+
+    def counting_jacobian(x_block, unc):
+        states.append(x_block.copy())
+        f, blocks = sg_jacobian(x_block, unc)
+        jacobian_f.append(f.copy())
+        return f, blocks
+
+    def counting_residual(x_block, unc):
+        residual_calls.append(x_block.copy())
+        return sg_residual(x_block, unc)
+
+    monkeypatch.setattr(model, "sg_jacobian", counting_jacobian)
+    monkeypatch.setattr(model, "sg_residual", counting_residual)
+    result = sg_newton_solve(model, uncertain)
+    k = result.iterations
+    assert result.converged and k >= 3
+    # k SG Jacobians and k SG residuals, one after each step: none for ||F(x0)||
+    assert len(states) == len(residual_calls) == k
+    # each SG Jacobian's residual is bitwise the SG residual at its state
+    for x_block, f in zip(states, jacobian_f):
+        assert np.array_equal(_bits(f), _bits(sg_residual(x_block, uncertain)))
+    # so the history is bitwise the one explicit SG residuals give
+    iterates = states + [result.coefficients]
+    want = [float(np.linalg.norm(sg_residual(x, uncertain))) for x in iterates]
+    assert np.array_equal(_bits(np.array(result.history)), _bits(np.array(want)))
+
+
 def test_sg_degenerate_uncertainty_reduces_to_deterministic():
     model = linear_heat_model()
     result = sg_newton_solve(model, {"Alpha": [1.0, 0.0, 0.0, 0.0]})

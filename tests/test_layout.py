@@ -115,6 +115,32 @@ def test_galerkin_product_keeps_element_fastest_operands_layout(shape_a,
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("shape_num, shape_den", [
+    ((64, 4), (64, 4)),
+    ((64, 4, WIDTH), (64, 4, 1)),   # partials over the value
+    ((64, 4, 1), (64, 4, WIDTH)),
+])
+def test_spectral_divide_keeps_element_fastest_layout(shape_num, shape_den):
+    rng = np.random.default_rng(3)
+    num = make_storage("pce", shape_num, basis=BASIS)
+    den = make_storage("pce", shape_den, basis=BASIS)
+    num.coeffs[...] = rng.normal(size=num.coeffs.shape)
+    den.coeffs[...] = rng.uniform(-0.2, 0.2, size=den.coeffs.shape)
+    den.coeffs[..., 0] += 1.0
+    # a dominant P_1 coefficient in every other element exchanges rows
+    den.coeffs[::2, ..., 0] -= 0.7
+    den.coeffs[::2, ..., 1] += 1.8
+    got = (num / den).coeffs
+    # the quotient takes the full-shape operand's layout: the numerator's
+    # when it has the quotient's shape
+    assert got.strides[0] == got.itemsize
+    assert got.strides[-1] == max(got.strides)
+    want = (sc.PCE(np.ascontiguousarray(num.coeffs), BASIS)
+            / sc.PCE(np.ascontiguousarray(den.coeffs), BASIS)).coeffs
+    assert want.flags.c_contiguous
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def _fill(storage, rng):
     for data, _ in _components(storage):
         data[...] = rng.normal(size=data.shape)

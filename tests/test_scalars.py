@@ -249,6 +249,98 @@ def test_pce_singular_divisor_reported():
         pce([1.0, 0.0, 0.0, 0.0]) / pce([0.0, 0.0, 0.0, 0.0])
 
 
+BASIS2 = sc.build_basis_data(2)
+# P_1 alone: its Galerkin multiplication matrix at degree 2 is singular
+SINGULAR_P1 = [0.0, 1.0, 0.0]
+SINGULAR_MESSAGE = r"^singular spectral divisor \(condition estimate "
+
+
+def test_pce_singular_spectral_divisor_raises():
+    num = pce([1.0, 0.5, 0.25], BASIS2)
+    with pytest.raises(sc.SpectralDivisionError, match=SINGULAR_MESSAGE):
+        num / pce(SINGULAR_P1, BASIS2)
+
+
+def test_pce_one_singular_entry_fails_the_whole_batch():
+    den = np.tile([1.0, 0.2, 0.1], (5, 1))
+    den[3] = SINGULAR_P1
+    with pytest.raises(sc.SpectralDivisionError, match=SINGULAR_MESSAGE):
+        pce(np.ones((5, 3)), BASIS2) / pce(den, BASIS2)
+    # the regular entries alone divide
+    den = np.delete(den, 3, axis=0)
+    assert np.all(np.isfinite((pce(np.ones((4, 3)), BASIS2)
+                               / pce(den, BASIS2)).coeffs))
+
+
+def test_nested_dual_singular_spectral_divisor_raises():
+    # value P_1 and partials of the nested dual-over-chaos scalar
+    x = sc.Dual(pce(SINGULAR_P1, BASIS2), pce(np.ones((2, 3)), BASIS2))
+    y = sc.Dual(pce([2.0, 0.1, 0.0], BASIS2), pce(np.ones((2, 3)), BASIS2))
+    for quotient in (lambda: 1.0 / x, lambda: y / x):
+        with pytest.raises(sc.SpectralDivisionError, match=SINGULAR_MESSAGE):
+            quotient()
+
+
+def _divide_cases(degree, seed=0, entries=40):
+    """Divisors with a dominant mean and, in every other entry, a dominant
+    P_1 coefficient over a small mean: the second kind needs row exchanges.
+    All keep the Galerkin matrix well conditioned."""
+    rng = np.random.default_rng([seed, degree])
+    size = degree + 1
+    den = rng.uniform(-0.2, 0.2, size=(entries, size))
+    den[:, 0] = rng.uniform(0.5, 1.0, size=entries)
+    den[::2, 0] = rng.uniform(0.2, 0.4, size=entries // 2)
+    den[::2, 1] = rng.uniform(1.5, 2.0, size=entries // 2)
+    return den, rng.normal(size=(entries, 5, size))
+
+
+def _galerkin_matrix(den, basis):
+    return np.einsum("...i,ijk->...kj", den, basis.triple_scaled)
+
+
+@pytest.mark.parametrize("degree", range(1, 6))
+def test_spectral_divide_matches_lapack_solve(degree):
+    basis = sc.build_basis_data(degree)
+    den, num = _divide_cases(degree)
+    m = _galerkin_matrix(den, basis)
+    # LAPACK's getrf would exchange rows for half of the divisors
+    assert np.sum(np.argmax(np.abs(m[:, :, 0]), axis=-1) != 0) == len(den) // 2
+    assert np.max(np.linalg.cond(m)) < 1e3
+    # a divisor broadcast over the numerator's partials, and the reverse
+    for n, d in ((num, den[:, None]),
+                 (num[:, :1], np.repeat(den[:, None], num.shape[1], axis=1))):
+        got = (sc.PCE(n, basis) / sc.PCE(d, basis)).coeffs
+        want = np.linalg.solve(_galerkin_matrix(d, basis),
+                               np.broadcast_to(n, got.shape)[..., None])[..., 0]
+        assert got.shape == want.shape
+        scale = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("degree", (1, 3, 5))
+def test_spectral_divide_exchanges_rows_for_a_zero_mean_divisor(degree):
+    # M_00 = 0 for P_1 alone, which is invertible at odd degrees: only a row
+    # exchange avoids the zero pivot
+    basis = sc.build_basis_data(degree)
+    den = np.eye(basis.size)[1]
+    num = np.random.default_rng(degree).normal(size=(3, basis.size))
+    got = (sc.PCE(num, basis) / sc.PCE(den, basis)).coeffs
+    want = np.linalg.solve(_galerkin_matrix(den, basis), num.T).T
+    assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_spectral_divide_is_batch_invariant_bitwise():
+    for degree in (2, 3, 5):
+        basis = sc.build_basis_data(degree)
+        den, num = _divide_cases(degree, seed=1)
+        batch = (sc.PCE(num, basis) / sc.PCE(den[:, None], basis)).coeffs
+        for e in range(len(den)):
+            alone = (sc.PCE(num[e], basis) / sc.PCE(den[e], basis)).coeffs
+            assert np.array_equal(alone.view(np.int64), batch[e].view(np.int64))
+            one = (sc.PCE(num[e, 2], basis) / sc.PCE(den[e], basis)).coeffs
+            assert np.array_equal(one.view(np.int64), batch[e, 2].view(np.int64))
+
+
 def test_pce_basis_mismatch():
     other = sc.build_basis_data(3)
     with pytest.raises(sc.BasisMismatchError):
