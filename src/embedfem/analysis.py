@@ -31,13 +31,14 @@ class NewtonConfig:
     rel_tol: float = 1e-12
     max_iters: int = 30
     dense_dof_limit: int = 2000    # sparse LU at or below, ILU(0) + GMRES above
-    gmres_tol: float = 1e-10
-    gmres_restart: int = 80
-    gmres_max_iters: int = 400
 
     def __post_init__(self):
         if self.abs_tol <= 0 or self.rel_tol <= 0:
             raise ValueError("tolerances must be positive")
+
+
+#: GMRES settings of the ILU(0) branch and of the spectral block solve
+_GMRES = dict(rtol=1e-10, atol=0.0, restart=80, maxiter=400)
 
 
 @dataclass
@@ -135,9 +136,7 @@ def _linear_solve(jacobian, rhs, config):
     precond = spla.LinearOperator((n, n), factor.solve)
 
     def gmres(b):
-        sol, info = spla.gmres(jacobian, b, rtol=config.gmres_tol, atol=0.0,
-                               restart=config.gmres_restart,
-                               maxiter=config.gmres_max_iters, M=precond)
+        sol, info = spla.gmres(jacobian, b, M=precond, **_GMRES)
         if info != 0:
             raise SolveFailure(f"GMRES did not converge (info={info})")
         return sol
@@ -222,14 +221,18 @@ class ContinuationStep:
     residual_norm: float
 
 
-def continuation(model, set_parameter, values, config=None, objective=None,
-                 max_bisections=4):
+#: times a failed continuation step is halved before the sweep gives up
+_MAX_BISECTIONS = 4
+
+
+def continuation(model, set_parameter, values, config=None, objective=None):
     """Natural continuation: previous solution predicts, Newton corrects.
 
     ``set_parameter`` applies one parameter value to the model (a library
     value or a shape morph); ``values`` is the uniform sweep. On a failed
-    corrector the step is bisected up to ``max_bisections`` times; if the
-    target value still fails, the partial table is returned inside the error.
+    corrector the step is bisected up to ``_MAX_BISECTIONS`` times; if the
+    target value still fails, the error names it, carries the corrector's
+    message and holds the partial table as its history.
     """
     config = config or NewtonConfig()
     objective = objective or (lambda m, x: m.objective(x).value)
@@ -239,26 +242,22 @@ def continuation(model, set_parameter, values, config=None, objective=None,
     for target in values:
         start = current
         queue = [target]
-        ok = True
         while queue:
             p = queue[0]
             set_parameter(model, p)
             try:
                 result = newton_solve(model, config, x0=x)
-            except SolveFailure:
-                if start is None or len(queue) > max_bisections:
-                    ok = False
-                    break
+            except SolveFailure as err:
+                if start is None or len(queue) > _MAX_BISECTIONS:
+                    raise SolveFailure(
+                        f"continuation failed at parameter {float(target)}: "
+                        f"{err}", history=[s.__dict__ for s in table]) from err
                 queue.insert(0, 0.5 * (start + p))
                 continue
             x = result.x
             current = p
             start = p
             queue.pop(0)
-        if not ok:
-            raise SolveFailure(
-                f"continuation failed at parameter {target!r}",
-                history=[s.__dict__ for s in table])
         table.append(ContinuationStep(float(target), float(objective(model, x)),
                                       result.iterations, result.history[-1]))
     return table, x
@@ -298,8 +297,14 @@ def _project(p, lower, upper):
     return np.minimum(np.maximum(p, lower), upper)
 
 
-def optimize(func, p0, bounds, tol=1e-6, max_iters=50, armijo=1e-4,
-             shrink=0.5, max_backtracks=25):
+#: sufficient-decrease factor, step shrink and backtrack limit of the
+#: optimizer's Armijo line search
+_ARMIJO = 1e-4
+_SHRINK = 0.5
+_MAX_BACKTRACKS = 25
+
+
+def optimize(func, p0, bounds, tol=1e-6, max_iters=50):
     """Projected-gradient BFGS with a backtracking Armijo line search.
 
     ``func(p) -> (g, dg/dp)``; ``bounds`` is (lower, upper) arrays. Stops when
@@ -324,7 +329,7 @@ def optimize(func, p0, bounds, tol=1e-6, max_iters=50, armijo=1e-4,
             direction = -grad
         alpha = 1.0
         accepted = False
-        for _ in range(max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             candidate = _project(p + alpha * direction, lower, upper)
             step = candidate - p
             if np.linalg.norm(step, ord=np.inf) < 1e-8:
@@ -332,12 +337,12 @@ def optimize(func, p0, bounds, tol=1e-6, max_iters=50, armijo=1e-4,
             try:
                 g_new, grad_new = func(candidate)
             except SolveFailure:
-                alpha *= shrink
+                alpha *= _SHRINK
                 continue
-            if g_new <= g + armijo * np.dot(grad, step):
+            if g_new <= g + _ARMIJO * np.dot(grad, step):
                 accepted = True
                 break
-            alpha *= shrink
+            alpha *= _SHRINK
         if not accepted:
             return OptimizeResult(p, g, it, np.linalg.norm(
                 projected, ord=np.inf) <= tol, history)
@@ -442,10 +447,7 @@ def sg_newton_solve(model, uncertain, config=None, x0=None):
             f, blocks = model.sg_jacobian(x_block, uncertain)
         system = SGSystem(blocks, basis)
         update, info = spla.gmres(system.operator(), f.ravel(),
-                                  rtol=config.gmres_tol, atol=0.0,
-                                  restart=config.gmres_restart,
-                                  maxiter=config.gmres_max_iters,
-                                  M=system.mean_preconditioner())
+                                  M=system.mean_preconditioner(), **_GMRES)
         if info != 0:
             raise SolveFailure(f"spectral GMRES did not converge (info={info})",
                                history)

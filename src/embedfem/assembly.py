@@ -198,7 +198,7 @@ class _Specialized(Evaluator):
 
 
 # ---------------------------------------------------------------------------
-# gather evaluators (seed + gather fused)
+# gather evaluators (seed + gather fused; fields arrive zeroed)
 # ---------------------------------------------------------------------------
 
 class GatherCoordinates(_Specialized):
@@ -269,7 +269,6 @@ class GatherSolutionJacobian(GatherSolution):
         for eq, u in enumerate(self.unknowns):
             data = ctx.field(f"{u}_node").data
             data.val[...] = self.state.x[self._dofs(ctx.workset, eq)]
-            data.dx[...] = 0.0
             for n in range(n_nodes):
                 data.dx[:, n, n * n_eq + eq] = 1.0
 
@@ -294,7 +293,6 @@ class GatherSolutionTangent(GatherSolution):
             data = ctx.field(f"{u}_node").data
             dofs = self._dofs(ctx.workset, eq)
             data.val[...] = self.state.x[dofs]
-            data.dx[...] = 0.0
             if self.state.v is not None:
                 data.dx[:, :, 0] = self.state.v[dofs]
 
@@ -338,7 +336,6 @@ class GatherSolutionSGJacobian(GatherSolutionSG):
             data = ctx.field(f"{u}_node").data
             dofs = self._dofs(ctx.workset, eq)
             data.val.coeffs[...] = np.moveaxis(self.state.x[:, dofs], 0, -1)
-            data.dx.coeffs[...] = 0.0
             for n in range(n_nodes):
                 data.dx.coeffs[:, n, n * n_eq + eq, 0] = 1.0
 

@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import NewtonConfig
 from .mesh import GeometryParams, Resolution, build_slider_mesh
 from .model import ThermoElectricModel
-from .physics import MaterialTable, RegionMaterial
+from .physics import default_materials
 from . import scalars as sc
 
 
@@ -63,16 +63,9 @@ class MaterialsSection:
 
 
 @dataclass
-class SolverSection:
+class SolverSection(NewtonConfig):
     """Newton and linear-solver settings plus the workset size (0: whole mesh)."""
 
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-12
-    max_iters: int = 30
-    dense_dof_limit: int = 2000    # sparse LU at or below, ILU(0) + GMRES above
-    gmres_tol: float = 1e-10
-    gmres_restart: int = 80
-    gmres_max_iters: int = 400
     workset_size: int = 0    # elements per workset; blocks span regions
 
 
@@ -285,13 +278,9 @@ def build_mesh(cfg):
 
 def build_materials(cfg):
     m = cfg.materials
-    pad_sigma0 = cfg.parameters.get("PadSigma0", m.sigma0_pad)
-    v0 = (m.v0_x, m.v0_y)
-    return MaterialTable(
-        conductor=RegionMaterial(m.sigma0_conductor, m.kappa, v0, m.beta, m.T0),
-        pad=RegionMaterial(pad_sigma0, m.kappa, (0.0, 0.0), m.beta, m.T0),
-        slider=RegionMaterial(m.sigma0_slider, m.kappa, (0.0, 0.0), m.beta, m.T0),
-    )
+    return default_materials(
+        m.sigma0_conductor, cfg.parameters.get("PadSigma0", m.sigma0_pad),
+        m.sigma0_slider, m.kappa, m.beta, m.T0, (m.v0_x, m.v0_y))
 
 
 def build_dirichlet(cfg, mesh):
@@ -307,12 +296,8 @@ def build_dirichlet(cfg, mesh):
 
 
 def newton_config(cfg):
-    s = cfg.solver
-    return NewtonConfig(abs_tol=s.abs_tol, rel_tol=s.rel_tol,
-                        max_iters=s.max_iters,
-                        dense_dof_limit=s.dense_dof_limit,
-                        gmres_tol=s.gmres_tol, gmres_restart=s.gmres_restart,
-                        gmres_max_iters=s.gmres_max_iters)
+    return NewtonConfig(**{f.name: getattr(cfg.solver, f.name)
+                           for f in fields(NewtonConfig)})
 
 
 def build_model(cfg, sg_basis=None):

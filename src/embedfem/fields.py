@@ -16,9 +16,6 @@ import numpy as np
 
 from . import scalars as sc
 
-#: extent names a layout may be built from
-DIMENSION_NAMES = ("elem", "node", "qp", "eq", "dim")
-
 
 @dataclass(frozen=True)
 class Layout:

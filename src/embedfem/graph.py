@@ -41,7 +41,7 @@ class GraphCycleError(ValueError):
 
 
 class UnsatisfiedDependencyError(KeyError):
-    """A dependent field has no producer and is not an external input."""
+    """A dependent field has no producer."""
 
 
 class DuplicateProducerError(ValueError):
@@ -110,15 +110,13 @@ class Evaluator:
     """One evaluation kernel with declared dependent and evaluated fields.
 
     Subclasses set ``name``, ``depends`` and ``evaluates`` (FieldSpec lists)
-    and implement ``evaluate(ctx)``. A field may appear in both lists only if
-    listed in ``accumulates``, in which case the engine does not zero it
-    before the kernel runs.
+    and implement ``evaluate(ctx)``. No field may appear in both lists: the
+    engine zeroes every evaluated field before the kernel runs.
     """
 
     name = "evaluator"
     depends = ()
     evaluates = ()
-    accumulates = ()
 
     def evaluate(self, ctx):
         raise NotImplementedError
@@ -148,11 +146,9 @@ class WorksetContext:
 class EvaluatorGraph:
     """Scheduled evaluators for one evaluation type plus arena bookkeeping."""
 
-    def __init__(self, ev_type, schedule, producers, external_inputs, dim_sizes):
+    def __init__(self, ev_type, schedule, dim_sizes):
         self.ev_type = ev_type
         self.schedule = schedule
-        self.producers = producers
-        self.external_inputs = frozenset(external_inputs)
         self.dim_sizes = dict(dim_sizes)
         self._arenas = {}
 
@@ -211,39 +207,33 @@ class EvaluatorGraph:
 
     def execute(self, ctx):
         """Run every scheduled kernel once, in dependency order."""
-        for name in self.external_inputs:
-            if name not in ctx.arena:
-                raise UnsatisfiedDependencyError(
-                    f"external input field {name!r} is not bound")
         for ev in self.schedule:
             for spec in ev.evaluates:
-                if spec.name not in ev.accumulates:
-                    ctx.arena.get(spec.name).zero()
+                ctx.arena.get(spec.name).zero()
             try:
                 ev.evaluate(ctx)
             except Exception as err:
                 raise type(err)(f"[evaluator {ev.name!r}] {err}") from err
 
 
-def build_graph(ev_type, evaluators, required_outputs, external_inputs=(),
-                dim_sizes=None):
+def build_graph(ev_type, evaluators, required_outputs, dim_sizes=None):
     """Schedule exactly the evaluators needed for the requested outputs.
 
-    The order is a deterministic topological sort with ties broken by
-    registration order. Errors report cycles (with the evaluators involved),
-    unsatisfied dependencies (field and consumer), and duplicate producers.
+    Every needed field must have a producer among ``evaluators``. The order
+    is a deterministic topological sort with ties broken by registration
+    order. Errors report cycles (with the evaluators involved), unsatisfied
+    dependencies (field and consumer), duplicate producers, and an evaluator
+    that both depends on and evaluates one field.
     """
-    external_inputs = frozenset(external_inputs)
     producers = {}
     for ev in evaluators:
         if not ev.evaluates:
             raise ValueError(f"evaluator {ev.name!r} evaluates no fields")
         for spec in ev.depends:
-            if spec.name in {s.name for s in ev.evaluates} \
-                    and spec.name not in ev.accumulates:
+            if spec.name in {s.name for s in ev.evaluates}:
                 raise ValueError(
                     f"evaluator {ev.name!r} both depends on and evaluates "
-                    f"{spec.name!r} without declaring it an accumulator")
+                    f"{spec.name!r}")
         for spec in ev.evaluates:
             if spec.name in producers:
                 raise DuplicateProducerError(
@@ -267,11 +257,10 @@ def build_graph(ev_type, evaluators, required_outputs, external_inputs=(),
     needed, stack = [], []
     for name in required_outputs:
         ev = producers.get(name)
-        if ev is None and name not in external_inputs:
+        if ev is None:
             raise UnsatisfiedDependencyError(
                 f"requested output {name!r} has no producer")
-        if ev is not None:
-            stack.append(ev)
+        stack.append(ev)
     needed_set = set()
     while stack:
         ev = stack.pop()
@@ -282,12 +271,10 @@ def build_graph(ev_type, evaluators, required_outputs, external_inputs=(),
         for spec in ev.depends:
             dep = producers.get(spec.name)
             if dep is None:
-                if spec.name not in external_inputs:
-                    raise UnsatisfiedDependencyError(
-                        f"field {spec.name!r} needed by {ev.name!r} has no "
-                        f"producer and is not an external input")
-            else:
-                stack.append(dep)
+                raise UnsatisfiedDependencyError(
+                    f"field {spec.name!r} needed by {ev.name!r} has no "
+                    f"producer")
+            stack.append(dep)
     order_index = {id(ev): i for i, ev in enumerate(evaluators)}
     needed.sort(key=lambda ev: order_index[id(ev)])
 
@@ -295,13 +282,9 @@ def build_graph(ev_type, evaluators, required_outputs, external_inputs=(),
     deps_of = {}
     consumers = {}
     for ev in needed:
-        deps = set()
-        for spec in ev.depends:
-            dep = producers.get(spec.name)
-            if dep is not None and id(dep) in needed_set and dep is not ev:
-                deps.add(id(dep))
-                consumers.setdefault(id(dep), set()).add(id(ev))
-        deps_of[id(ev)] = deps
+        deps_of[id(ev)] = {id(producers[spec.name]) for spec in ev.depends}
+        for dep in deps_of[id(ev)]:
+            consumers.setdefault(dep, set()).add(id(ev))
     by_id = {id(ev): ev for ev in needed}
     ready = [ev for ev in needed if not deps_of[id(ev)]]
     schedule = []
@@ -317,12 +300,11 @@ def build_graph(ev_type, evaluators, required_outputs, external_inputs=(),
         stuck = sorted(ev.name for ev in needed if ev not in schedule)
         raise GraphCycleError(f"dependency cycle among evaluators: {stuck}")
 
-    return EvaluatorGraph(ev_type, schedule, producers, external_inputs,
-                          dim_sizes or {})
+    return EvaluatorGraph(ev_type, schedule, dim_sizes or {})
 
 
 def instantiate_for_all_types(registrars, types, required_outputs,
-                              external_inputs=(), dim_sizes=None):
+                              dim_sizes=None):
     """One independent graph per evaluation type from per-type registrars.
 
     Each registrar is called with the evaluation type and returns one
@@ -348,5 +330,5 @@ def instantiate_for_all_types(registrars, types, required_outputs,
             else:
                 evaluators.extend(built)
         graphs[ev_type] = build_graph(ev_type, evaluators, required_outputs,
-                                      external_inputs, dim_sizes)
+                                      dim_sizes)
     return graphs

@@ -1,12 +1,10 @@
-"""Result writers: CSV, legacy-VTK ASCII, MatrixMarket, and the run summary."""
+"""Result writers: CSV, legacy-VTK ASCII, and the run summary."""
 
 from __future__ import annotations
 
 import json
 
 import numpy as np
-import scipy.io
-import scipy.sparse as sp
 
 
 def write_solution_csv(path, mesh, x, n_eq=2):
@@ -39,14 +37,6 @@ def write_vtk(path, mesh, point_fields):
         for name, values in point_fields.items():
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
             fh.write("\n".join(repr(float(v)) for v in values) + "\n")
-
-
-def write_matrix_market(path, obj):
-    """Debug dump of a sparse matrix or a dense vector in coordinate text."""
-    if sp.issparse(obj):
-        scipy.io.mmwrite(str(path), obj)
-    else:
-        scipy.io.mmwrite(str(path), np.atleast_2d(np.asarray(obj)).T)
 
 
 def write_table_csv(path, header, rows):

@@ -57,10 +57,6 @@ class Mesh:
     def num_elems(self):
         return self.connectivity.shape[0]
 
-    def element_coords(self, elems=slice(None)):
-        """Corner coordinates of the selected elements, (n, 4, 2)."""
-        return self.coords[self.connectivity[elems]]
-
     def replace_coords(self, coords):
         """Same topology with new node coordinates (morphing support)."""
         return Mesh(np.asarray(coords, dtype=float), self.connectivity,
@@ -181,52 +177,3 @@ def build_rect_mesh(nx, ny, lx=1.0, ly=1.0):
         [sets["left"], sets["right"], sets["bottom"], sets["top"]]))
     mesh.node_sets = sets
     return mesh
-
-
-# ---------------------------------------------------------------------------
-# plain-text mesh format
-# ---------------------------------------------------------------------------
-
-def write_mesh_text(mesh, path):
-    with open(path, "w") as fh:
-        fh.write(f"{mesh.num_nodes}\n")
-        for x, y in mesh.coords:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-        fh.write(f"{mesh.num_elems}\n")
-        for conn, r in zip(mesh.connectivity, mesh.region_of):
-            fh.write(f"{conn[0]} {conn[1]} {conn[2]} {conn[3]} {REGIONS[r]}\n")
-        fh.write(f"{len(mesh.node_sets)}\n")
-        for name in sorted(mesh.node_sets):
-            ids = mesh.node_sets[name]
-            fh.write(f"{name} {len(ids)}\n")
-            fh.write(" ".join(str(i) for i in ids) + "\n")
-
-
-def read_mesh_text(path):
-    with open(path) as fh:
-        tokens = fh.read().split("\n")
-    pos = 0
-
-    def line():
-        nonlocal pos
-        while tokens[pos].strip() == "":
-            pos += 1
-        out = tokens[pos]
-        pos += 1
-        return out
-
-    n_nodes = int(line())
-    coords = np.array([[float(v) for v in line().split()] for _ in range(n_nodes)])
-    n_elems = int(line())
-    conn = np.empty((n_elems, 4), dtype=np.int64)
-    region_of = np.empty(n_elems, dtype=np.int64)
-    for e in range(n_elems):
-        parts = line().split()
-        conn[e] = [int(v) for v in parts[:4]]
-        region_of[e] = REGIONS.index(parts[4])
-    node_sets = {}
-    for _ in range(int(line())):
-        name, count = line().split()
-        ids = ([int(v) for v in line().split()] if int(count) else [])
-        node_sets[name] = np.asarray(ids, dtype=np.int64)
-    return Mesh(coords, conn, region_of, node_sets)

@@ -314,10 +314,9 @@ class HeatResidualEvaluator(Evaluator):
     name = "heat_residual"
     evaluates = (FieldSpec("temp_residual", ("elem", "node"), "solution"),)
 
-    def __init__(self, materials, with_joule=True, with_source=True):
+    def __init__(self, materials, with_joule=True):
         self.materials = materials
         self.with_joule = with_joule
-        self.with_source = with_source
         depends = [
             FieldSpec("grad_temp_qp", ("elem", "qp", "dim"), "solution"),
             FieldSpec("weighted_bf", ("elem", "node", "qp"), "mesh"),
@@ -325,8 +324,7 @@ class HeatResidualEvaluator(Evaluator):
         ]
         if with_joule:
             depends.append(FieldSpec("joule_qp", ("elem", "qp"), "solution"))
-        if with_source:
-            depends.append(FieldSpec("source_qp", ("elem", "qp"), "solution"))
+        depends.append(FieldSpec("source_qp", ("elem", "qp"), "solution"))
         self.depends = tuple(depends)
 
     def evaluate(self, ctx):
@@ -342,8 +340,7 @@ class HeatResidualEvaluator(Evaluator):
         bulk = -(vx * gt[:, :, 0] + vy * gt[:, :, 1])
         if self.with_joule:
             bulk = bulk - ctx.field("joule_qp").data
-        if self.with_source:
-            bulk = bulk + ctx.field("source_qp").data
+        bulk = bulk + ctx.field("source_qp").data
         integrate(out, bulk, wbf)
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "add_into",
     "build_basis_data",
     "copy_into",
-    "dual_constant",
     "exp",
     "fill_zero",
     "gauss_legendre",
@@ -236,11 +235,35 @@ def _require_nonzero(v):
         raise ZeroDivisionError("division by zero value")
 
 
+class _ComparedByValue:
+    """Comparisons act on the plain value: a dual's value, a chaos mean."""
+
+    __slots__ = ()
+
+    def __lt__(self, other):
+        return strip_derivatives(self) < strip_derivatives(other)
+
+    def __le__(self, other):
+        return strip_derivatives(self) <= strip_derivatives(other)
+
+    def __gt__(self, other):
+        return strip_derivatives(self) > strip_derivatives(other)
+
+    def __ge__(self, other):
+        return strip_derivatives(self) >= strip_derivatives(other)
+
+    def __eq__(self, other):
+        return strip_derivatives(self) == strip_derivatives(other)
+
+    def __ne__(self, other):
+        return strip_derivatives(self) != strip_derivatives(other)
+
+
 # ---------------------------------------------------------------------------
 # Polynomial chaos scalars
 # ---------------------------------------------------------------------------
 
-class PCE:
+class PCE(_ComparedByValue):
     """Legendre chaos expansion: coefficient array plus shared basis tables.
 
     ``coeffs[..., k]`` multiplies P_k(xi); leading axes are value axes.
@@ -356,26 +379,6 @@ class PCE:
 
     def __pos__(self):
         return self
-
-    # -- comparisons act on the mean ----------------------------------------
-
-    def __lt__(self, other):
-        return self.mean < strip_derivatives(other)
-
-    def __le__(self, other):
-        return self.mean <= strip_derivatives(other)
-
-    def __gt__(self, other):
-        return self.mean > strip_derivatives(other)
-
-    def __ge__(self, other):
-        return self.mean >= strip_derivatives(other)
-
-    def __eq__(self, other):
-        return self.mean == strip_derivatives(other)
-
-    def __ne__(self, other):
-        return self.mean != strip_derivatives(other)
 
     def __repr__(self):
         return f"PCE(coeffs={self.coeffs!r})"
@@ -499,7 +502,7 @@ def _dxpand(c):
     return c
 
 
-class Dual:
+class Dual(_ComparedByValue):
     """Value plus fixed-length partial-derivative array (forward-mode AD).
 
     ``dx[..., k]`` is the partial with respect to independent variable k; the
@@ -614,26 +617,6 @@ class Dual:
     def __pos__(self):
         return self
 
-    # -- comparisons act on the value/mean ------------------------------------
-
-    def __lt__(self, other):
-        return strip_derivatives(self) < strip_derivatives(other)
-
-    def __le__(self, other):
-        return strip_derivatives(self) <= strip_derivatives(other)
-
-    def __gt__(self, other):
-        return strip_derivatives(self) > strip_derivatives(other)
-
-    def __ge__(self, other):
-        return strip_derivatives(self) >= strip_derivatives(other)
-
-    def __eq__(self, other):
-        return strip_derivatives(self) == strip_derivatives(other)
-
-    def __ne__(self, other):
-        return strip_derivatives(self) != strip_derivatives(other)
-
     def __repr__(self):
         return f"Dual(val={self.val!r}, dx={self.dx!r})"
 
@@ -642,12 +625,6 @@ class Dual:
 #: plain Dual chain rule executed on the PCE component algebra, so no separate
 #: implementation exists (or is needed).
 NestedDual = Dual
-
-
-def dual_constant(value, n):
-    """Value promoted to a dual with all ``n`` partials exactly zero."""
-    value = np.asarray(value, dtype=float)
-    return Dual(value, np.zeros(value.shape + (n,)))
 
 
 # ---------------------------------------------------------------------------

@@ -414,6 +414,19 @@ def test_continuation_tracks_parameter():
     assert np.allclose(toy.residual(x_last), 0.0, atol=1e-9)
 
 
+def test_continuation_failure_names_the_parameter_and_keeps_the_cause():
+    config = NewtonConfig(max_iters=1, abs_tol=1e-15, rel_tol=1e-16)
+    with pytest.raises(SolveFailure) as info:
+        continuation(CubicToy(), lambda model, value: None,
+                     np.linspace(-0.3, 0.3, 3), config)
+    message = str(info.value)
+    assert message.startswith("continuation failed at parameter -0.3: ")
+    assert "Newton did not converge in 1 iterations" in message
+    assert "np.float64" not in message
+    assert isinstance(info.value.__cause__, SolveFailure)
+    assert info.value.history == []
+
+
 # ---------------------------------------------------------------------------
 # spectral solve and projection oracle
 # ---------------------------------------------------------------------------

@@ -2,13 +2,11 @@
 
 import numpy as np
 import pytest
-import scipy.io
 import scipy.sparse as sp
 
 from embedfem import graph as gr
 from embedfem import scalars as sc
 from embedfem.assembly import ConnectivityMap, GlobalSystem, build_worksets
-from embedfem.io import write_matrix_market
 from embedfem.mesh import GeometryParams, Resolution, build_rect_mesh, build_slider_mesh
 from embedfem.model import ThermoElectricModel
 from embedfem.physics import default_materials
@@ -219,20 +217,3 @@ def test_dirichlet_rows_are_identity_and_offset():
     expected[np.arange(len(d)), d] = 1.0
     assert np.array_equal(dense_rows, expected)
     assert np.array_equal(f[d], x[d] - model.dirichlet.values)
-
-
-# ---------------------------------------------------------------------------
-# matrix market dumps
-# ---------------------------------------------------------------------------
-
-def test_matrix_market_roundtrip(tmp_path):
-    model = demo_model()
-    x = random_state(model)
-    f, jac = model.jacobian(x)
-    write_matrix_market(tmp_path / "jac.mtx", jac)
-    write_matrix_market(tmp_path / "res.mtx", f)
-    jac_back = scipy.io.mmread(tmp_path / "jac.mtx").tocsr()
-    f_back = np.asarray(scipy.io.mmread(tmp_path / "res.mtx")).ravel()
-    assert np.allclose((jac - jac_back).data if (jac - jac_back).nnz else 0.0,
-                       0.0, atol=0.0)
-    assert np.allclose(f_back, f, atol=0.0)

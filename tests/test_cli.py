@@ -1,13 +1,16 @@
 """CLI exit codes, artifacts, determinism, and config parsing."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from embedfem.analysis import NewtonConfig
 from embedfem.cli import main
-from embedfem.config import ConfigError, config_documentation, parse_config
+from embedfem.config import (ConfigError, config_documentation, newton_config,
+                             parse_config)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -74,6 +77,25 @@ def test_removed_threads_key_exit_two(tmp_path, capsys):
     assert "config error" in err and "threads" in err
     with pytest.raises(ConfigError, match="threads"):
         parse_config(tmp_path / "run.ini", ["solver.threads=2"])
+
+
+@pytest.mark.parametrize("key, value", [("gmres_tol", "1e-8"),
+                                        ("gmres_restart", "40"),
+                                        ("gmres_max_iters", "100")])
+def test_removed_gmres_keys_exit_two(tmp_path, capsys, key, value):
+    code, _ = run_cli(tmp_path, LAPLACE, overrides=[f"solver.{key}={value}"])
+    assert code == 2
+    assert f"unknown key {key!r} in section [solver]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("max_iters", 7), ("abs_tol", 1e-9),
+                                        ("rel_tol", 1e-10),
+                                        ("dense_dof_limit", 123)])
+def test_solver_override_reaches_newton_config(tmp_path, key, value):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(LAPLACE)
+    newton = newton_config(parse_config(cfg, [f"solver.{key}={value}"]))
+    assert newton == dataclasses.replace(NewtonConfig(), **{key: value})
 
 
 def test_bad_override_exit_two(tmp_path):

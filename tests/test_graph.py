@@ -81,14 +81,11 @@ def test_unsatisfied_dependency_names_field_and_consumer():
         build([b], ["fb"])
 
 
-def test_external_input_satisfies_dependency():
-    b = Named("B", ["given"], ["fb"])
-    g = build([b], ["fb"], external_inputs=["given"])
-    arena = g.arena_for(1)
-    arena.get("given").fill(2.0)
-    ctx = gr.WorksetContext(None, arena)
-    g.execute(ctx)
-    assert arena.get("fb").data[0] == 3.0
+def test_evaluator_that_depends_on_and_evaluates_a_field_is_rejected():
+    a = Named("A", [], ["fa"])
+    b = Named("B", ["fa", "fb"], ["fb"])
+    with pytest.raises(ValueError, match="'B' both depends on and evaluates 'fb'"):
+        build([a, b], ["fb"])
 
 
 def test_duplicate_producer_rejected():

@@ -1,11 +1,11 @@
-"""Mesh construction, region bookkeeping, node sets, and the text format."""
+"""Mesh construction, region bookkeeping, and node sets."""
 
 import numpy as np
 import pytest
 
 from embedfem.mesh import (GeometryParams, MeshError, Resolution, REGIONS,
                            build_rect_mesh, build_slider_mesh,
-                           corner_jacobians, read_mesh_text, write_mesh_text)
+                           corner_jacobians)
 
 
 def demo_mesh():
@@ -49,7 +49,7 @@ def test_demo_mesh_pad_adjacent_to_slider():
 
 def test_connectivity_is_counterclockwise():
     m = demo_mesh()
-    x = m.element_coords()
+    x = m.coords[m.connectivity]
     area2 = np.zeros(m.num_elems)
     for c in range(4):
         a, b = x[:, c], x[:, (c + 1) % 4]
@@ -83,16 +83,3 @@ def test_rect_mesh_boundary_sets():
     assert len(m.node_sets["left"]) == 4
     assert len(m.node_sets["boundary"]) == 2 * 4 + 2 * 5 - 4
     assert np.allclose(m.coords[m.node_sets["top"], 1], 1.5)
-
-
-def test_mesh_text_roundtrip(tmp_path):
-    m = demo_mesh()
-    path = tmp_path / "demo.mesh"
-    write_mesh_text(m, path)
-    m2 = read_mesh_text(path)
-    assert np.array_equal(m.coords, m2.coords)
-    assert np.array_equal(m.connectivity, m2.connectivity)
-    assert np.array_equal(m.region_of, m2.region_of)
-    assert set(m.node_sets) == set(m2.node_sets)
-    for k in m.node_sets:
-        assert np.array_equal(m.node_sets[k], m2.node_sets[k])

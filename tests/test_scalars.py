@@ -55,12 +55,6 @@ def test_dual_pow():
     assert y.dx[0] == pytest.approx(12.0)
 
 
-def test_dual_constant_promotion_has_zero_partials():
-    c = sc.dual_constant(2.5, 4)
-    assert np.all(c.dx == 0.0)
-    assert c.n == 4
-
-
 def test_dual_dimension_mismatch():
     with pytest.raises(sc.DerivativeDimensionError):
         sc.Dual(1.0, [1.0, 0.0]) + sc.Dual(1.0, [1.0, 0.0, 0.0])
