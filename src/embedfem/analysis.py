@@ -19,10 +19,9 @@ from . import scalars as sc
 
 
 class SolveFailure(RuntimeError):
-    def __init__(self, message, history=None, best=None):
+    def __init__(self, message, history=None):
         super().__init__(message)
         self.history = history or []
-        self.best = best
 
 
 @dataclass
@@ -186,13 +185,13 @@ def newton_solve(model, config=None, x0=None):
             alpha *= 0.5
         else:
             raise SolveFailure("Newton line search failed to find a decrease",
-                               history, x)
+                               history)
         x, norm = candidate, new_norm
         history.append(norm)
         if norm <= config.abs_tol or norm <= config.rel_tol * norm0:
             return NewtonResult(x, history, it, True)
     raise SolveFailure(f"Newton did not converge in {config.max_iters} iterations",
-                       history, x)
+                       history)
 
 
 def convergence_order_estimate(history):
@@ -225,17 +224,17 @@ class ContinuationStep:
 _MAX_BISECTIONS = 4
 
 
-def continuation(model, set_parameter, values, config=None, objective=None):
+def continuation(model, set_parameter, values, config=None):
     """Natural continuation: previous solution predicts, Newton corrects.
 
     ``set_parameter`` applies one parameter value to the model (a library
-    value or a shape morph); ``values`` is the uniform sweep. On a failed
+    value or a shape morph); ``values`` is the uniform sweep, and each step
+    records ``model.objective`` at the corrected state. On a failed
     corrector the step is bisected up to ``_MAX_BISECTIONS`` times; if the
     target value still fails, the error names it, carries the corrector's
     message and holds the partial table as its history.
     """
     config = config or NewtonConfig()
-    objective = objective or (lambda m, x: m.objective(x).value)
     table = []
     x = None
     current = None
@@ -258,7 +257,8 @@ def continuation(model, set_parameter, values, config=None, objective=None):
             current = p
             start = p
             queue.pop(0)
-        table.append(ContinuationStep(float(target), float(objective(model, x)),
+        table.append(ContinuationStep(float(target),
+                                      float(model.objective(x).value),
                                       result.iterations, result.history[-1]))
     return table, x
 

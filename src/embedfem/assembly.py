@@ -103,7 +103,8 @@ class GlobalSystem:
             (np.arange(1, self.nnz + 1), self.indices, self.indptr), shape=(n, n))
         pos = np.asarray(locator[rows, cols]).ravel() - 1
         self.positions = pos.reshape(conn.elem_dofs.shape[0], nd, nd)
-        self._diag = np.asarray(
+        # CSR data position of each row's diagonal entry
+        self.diagonal = np.asarray(
             locator[np.arange(n), np.arange(n)]).ravel() - 1
 
     @property
@@ -121,9 +122,6 @@ class GlobalSystem:
             return np.empty(0, dtype=np.int64)
         return np.concatenate([np.arange(self.indptr[r], self.indptr[r + 1])
                                for r in dofs])
-
-    def diag_indices(self, dofs):
-        return self._diag[dofs]
 
     @cached_property
     def column_colors(self):
@@ -535,7 +533,7 @@ class DirichletRows:
         self.dofs = dofs
         self.values = values
         self.entries = system.row_entry_indices(dofs)
-        self.diag = system.diag_indices(dofs)
+        self.diag = system.diagonal[dofs]
 
 
 def finish(state, dirichlet):

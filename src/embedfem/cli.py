@@ -1,7 +1,8 @@
 """Batch driver: binds config files to analysis modes and writes result files.
 
-Exit codes distinguish configuration problems (2) from numerical failures (1);
-identical configs and overrides produce byte-identical summary files.
+Exit codes distinguish configuration problems (2), among them a geometry or
+shape that gives no valid mesh, from numerical failures (1); identical configs
+and overrides produce byte-identical summary files.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .config import (ConfigError, build_model, config_documentation,
                      newton_config, parse_config, uncertain_expansion)
 from .io import (write_solution_csv, write_summary, write_table_csv,
                  write_vtk)
-from .morphing import morph
+from .mesh import MeshError
+from .morphing import MorphError, morph
 from .physics import NonPhysicalStateError
 from .verification import run_verification, sg_vs_nisp
 
@@ -54,7 +56,7 @@ def main(argv=None):
         return 2
     try:
         return _dispatch(cfg, dump_graph=args.dump_graph)
-    except ConfigError as err:
+    except (ConfigError, MeshError, MorphError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
     except (SolveFailure, NonPhysicalStateError) as err:
@@ -213,11 +215,11 @@ def _run_uq(cfg, model, out_dir):
 
 
 def _run_verify(cfg, model, out_dir):
-    expansion = None
+    expansion = nisp_order = None
     if cfg.uq is not None:
         basis = model.sg_basis or sc.build_basis_data(cfg.uq.degree)
-        expansion = uncertain_expansion(cfg, basis)
-    checks = run_verification(model, expansion, newton_config(cfg))
+        expansion, nisp_order = uncertain_expansion(cfg, basis), cfg.uq.nisp_order
+    checks = run_verification(model, newton_config(cfg), expansion, nisp_order)
     write_table_csv(out_dir / "verify.csv",
                     ["check", "status", "measured", "tolerance", "detail"],
                     [c.row() for c in checks])

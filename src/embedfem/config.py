@@ -16,7 +16,7 @@ import numpy as np
 from .analysis import NewtonConfig
 from .mesh import GeometryParams, Resolution, build_slider_mesh
 from .model import ThermoElectricModel
-from .physics import default_materials
+from .physics import DemoMaterials, default_materials
 from . import scalars as sc
 
 
@@ -33,32 +33,16 @@ class RunSection:
 
 
 @dataclass
-class GeometrySection:
+class GeometrySection(Resolution, GeometryParams):
     """Strip dimensions and mesh resolution (defaults: the 16x16 demo)."""
 
-    conductor_length: float = 2.0
-    pad_length: float = 0.25
-    slider_length: float = 1.0
-    height: float = 1.0
-    nx_conductor: int = 8
-    nx_pad: int = 2
-    nx_slider: int = 6
-    ny: int = 16
     quad_order: int = 2
 
 
 @dataclass
-class MaterialsSection:
-    """Region constants; the pad conductivity doubles as a model parameter."""
+class MaterialsSection(DemoMaterials):
+    """Region constants; the pad conductivity is [parameters] PadSigma0."""
 
-    sigma0_conductor: float = 100.0
-    sigma0_pad: float = 35.0
-    sigma0_slider: float = 100.0
-    kappa: float = 1.0
-    beta: float = 0.2
-    T0: float = 0.0
-    v0_x: float = -10.0
-    v0_y: float = 0.0
     joule: bool = True
 
 
@@ -141,41 +125,31 @@ class RunConfig:
 def _coerce(raw, to_type, where):
     try:
         if to_type is bool:
-            low = raw.strip().lower()
-            if low in ("true", "yes", "on", "1"):
-                return True
-            if low in ("false", "no", "off", "0"):
-                return False
-            raise ValueError(raw)
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         return to_type(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         raise ConfigError(f"cannot parse {where} = {raw!r} as {to_type.__name__}")
 
 
-def _fill_section(cls, items):
-    obj = cls()
-    known = {f.name: f.type for f in fields(cls)}
-    types = {f.name: type(getattr(obj, f.name)) for f in fields(cls)}
+def _build_section(name, cls, items):
+    """The section built by its own constructor, so its checks see the values."""
+    types = {f.name: type(f.default) for f in fields(cls)}
+    values = {}
     for key, raw in items:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r} in section [{_section_name(cls)}]")
-        setattr(obj, key, _coerce(raw, types[key], f"{_section_name(cls)}.{key}"))
-    return obj
-
-
-def _section_name(cls):
-    for name, c in _SECTION_CLASSES.items():
-        if c is cls:
-            return name
-    return cls.__name__
+        if key not in types:
+            raise ConfigError(f"unknown key {key!r} in section [{name}]")
+        values[key] = _coerce(raw, types[key], f"{name}.{key}")
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ConfigError(f"[{name}] {err}") from None
 
 
 def parse_config(path, overrides=()):
     """Parse a config file and apply ``section.key=value`` overrides."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # parameter names are case sensitive
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
 
     data = {name: list(parser.items(name)) for name in parser.sections()}
@@ -194,7 +168,7 @@ def parse_config(path, overrides=()):
     cfg = RunConfig()
     for name, cls in _SECTION_CLASSES.items():
         if name in data:
-            setattr(cfg, name, _fill_section(cls, data[name]))
+            setattr(cfg, name, _build_section(name, cls, data[name]))
     if "boundary" in data:
         cfg.boundary = {k: _coerce(v, float, f"boundary.{k}")
                         for k, v in data["boundary"]}
@@ -216,6 +190,9 @@ def validate_config(cfg):
         parts = key.split(".")
         if len(parts) != 2 or parts[0] not in ("psi", "temp"):
             raise ConfigError(f"boundary key {key!r} is not unknown.node_set")
+    if cfg.continuation is not None and cfg.continuation.steps < 1:
+        raise ConfigError("continuation.steps must be >= 1, got "
+                          f"{cfg.continuation.steps}")
     uq = cfg.uq
     if uq is not None:
         if uq.degree < 0:
@@ -226,10 +203,14 @@ def validate_config(cfg):
     g = cfg.geometry
     if g.quad_order not in (1, 2, 3):
         raise ConfigError(f"geometry.quad_order must be 1, 2, or 3")
+    try:
+        build_materials(cfg)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     m = cfg.materials
     speed = float(np.hypot(m.v0_x, m.v0_y))
     if speed > 0.0 and g.nx_conductor > 0:
-        h = g.conductor_length / max(g.nx_conductor, 1)
+        h = g.conductor_length / g.nx_conductor
         peclet = speed * h / (2.0 * m.kappa)
         if peclet > 2.0:
             warnings.warn(
@@ -269,18 +250,14 @@ def config_documentation():
 # ---------------------------------------------------------------------------
 
 def build_mesh(cfg):
-    g = cfg.geometry
-    return build_slider_mesh(
-        GeometryParams(g.conductor_length, g.pad_length, g.slider_length,
-                       g.height),
-        Resolution(g.nx_conductor, g.nx_pad, g.nx_slider, g.ny))
+    return build_slider_mesh(cfg.geometry, cfg.geometry)
 
 
 def build_materials(cfg):
     m = cfg.materials
     return default_materials(
-        m.sigma0_conductor, cfg.parameters.get("PadSigma0", m.sigma0_pad),
-        m.sigma0_slider, m.kappa, m.beta, m.T0, (m.v0_x, m.v0_y))
+        cfg.parameters["PadSigma0"],
+        **{f.name: getattr(m, f.name) for f in fields(DemoMaterials)})
 
 
 def build_dirichlet(cfg, mesh):

@@ -70,6 +70,16 @@ def bilinear_basis(quad_order=2):
 # generic element geometry
 # ---------------------------------------------------------------------------
 
+def _contract_nodes(nodal, tables):
+    """sum_n nodal[:, n] table_n: (e, n) storage and one (q,) or (e, q)
+    table per node -> (e, q) storage, the nodes added in order."""
+    acc = None
+    for n, table in enumerate(tables):
+        term = nodal[:, n][:, None] * table
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def mapping_jacobian(coords, basis):
     """2x2 mapping Jacobian entries J[a][b] = d x_a / d xi_b, each (e, q).
 
@@ -77,15 +87,8 @@ def mapping_jacobian(coords, basis):
     its kind, so dual-valued coordinates yield dual-valued geometry.
     """
     dphi = basis.ref_gradients
-    jac = [[None, None], [None, None]]
-    for a in range(2):
-        for b in range(2):
-            acc = None
-            for n in range(basis.num_nodes):
-                term = coords[:, n, a][:, None] * dphi[n, :, b]
-                acc = term if acc is None else acc + term
-            jac[a][b] = acc
-    return jac
+    return [[_contract_nodes(coords[:, :, a], dphi[:, :, b]) for b in range(2)]
+            for a in range(2)]
 
 
 def element_geometry(coords, basis):
@@ -118,20 +121,12 @@ def element_geometry(coords, basis):
 
 def interpolate_to_qp(nodal, basis):
     """u(q) = sum_i phi_i(q) u_i; (e, n) storage -> (e, q) storage."""
-    acc = None
-    for n in range(basis.num_nodes):
-        term = nodal[:, n][:, None] * basis.values[n]
-        acc = term if acc is None else acc + term
-    return acc
+    return _contract_nodes(nodal, basis.values)
 
 
 def gradient_component_at_qp(nodal, phys_grad, d):
     """One component of grad u at quadrature points, (e, q) storage."""
-    acc = None
-    for n in range(len(phys_grad)):
-        term = nodal[:, n][:, None] * phys_grad[n][d]
-        acc = term if acc is None else acc + term
-    return acc
+    return _contract_nodes(nodal, [grad[d] for grad in phys_grad])
 
 
 def integrate(accum_field, integrand, weighted):

@@ -200,6 +200,3 @@ class FieldArena:
             return self.fields[name]
         except KeyError:
             raise KeyError(f"field {name!r} is not allocated in this arena") from None
-
-    def __contains__(self, name):
-        return name in self.fields

@@ -254,20 +254,19 @@ def build_graph(ev_type, evaluators, required_outputs, dim_sizes=None):
                     f"{seen[1]!r} but as {spec} by {ev.name!r}")
 
     # prune to the transitive producer closure of the requested outputs
-    needed, stack = [], []
+    stack = []
     for name in required_outputs:
         ev = producers.get(name)
         if ev is None:
             raise UnsatisfiedDependencyError(
                 f"requested output {name!r} has no producer")
         stack.append(ev)
-    needed_set = set()
+    needed = set()
     while stack:
         ev = stack.pop()
-        if id(ev) in needed_set:
+        if id(ev) in needed:
             continue
-        needed_set.add(id(ev))
-        needed.append(ev)
+        needed.add(id(ev))
         for spec in ev.depends:
             dep = producers.get(spec.name)
             if dep is None:
@@ -275,30 +274,20 @@ def build_graph(ev_type, evaluators, required_outputs, dim_sizes=None):
                     f"field {spec.name!r} needed by {ev.name!r} has no "
                     f"producer")
             stack.append(dep)
-    order_index = {id(ev): i for i, ev in enumerate(evaluators)}
-    needed.sort(key=lambda ev: order_index[id(ev)])
+    pending = [ev for ev in evaluators if id(ev) in needed]
 
-    # Kahn's algorithm; the ready heap is keyed by registration order
-    deps_of = {}
-    consumers = {}
-    for ev in needed:
-        deps_of[id(ev)] = {id(producers[spec.name]) for spec in ev.depends}
-        for dep in deps_of[id(ev)]:
-            consumers.setdefault(dep, set()).add(id(ev))
-    by_id = {id(ev): ev for ev in needed}
-    ready = [ev for ev in needed if not deps_of[id(ev)]]
-    schedule = []
-    while ready:
-        ready.sort(key=lambda ev: order_index[id(ev)])
-        ev = ready.pop(0)
+    # each step schedules the first pending evaluator, in registration order,
+    # whose producers are all scheduled
+    schedule, produced = [], set()
+    while pending:
+        ev = next((ev for ev in pending
+                   if all(spec.name in produced for spec in ev.depends)), None)
+        if ev is None:
+            stuck = sorted(e.name for e in pending)
+            raise GraphCycleError(f"dependency cycle among evaluators: {stuck}")
+        pending.remove(ev)
         schedule.append(ev)
-        for cid in sorted(consumers.get(id(ev), ()), key=lambda c: order_index[c]):
-            deps_of[cid].discard(id(ev))
-            if not deps_of[cid]:
-                ready.append(by_id[cid])
-    if len(schedule) != len(needed):
-        stuck = sorted(ev.name for ev in needed if ev not in schedule)
-        raise GraphCycleError(f"dependency cycle among evaluators: {stuck}")
+        produced.update(spec.name for spec in ev.evaluates)
 
     return EvaluatorGraph(ev_type, schedule, dim_sizes or {})
 
@@ -308,8 +297,8 @@ def instantiate_for_all_types(registrars, types, required_outputs,
     """One independent graph per evaluation type from per-type registrars.
 
     Each registrar is called with the evaluation type and returns one
-    evaluator (or a list of them); shared read-only configuration lives inside
-    the registrar closures. A registrar that cannot build for a requested type
+    evaluator; shared read-only configuration lives inside the registrar
+    closures. A registrar that cannot build for a requested type
     raises :class:`MissingSpecializationError` naming itself.
     """
     graphs = {}
@@ -317,7 +306,7 @@ def instantiate_for_all_types(registrars, types, required_outputs,
         evaluators = []
         for registrar in registrars:
             try:
-                built = registrar(ev_type)
+                evaluators.append(registrar(ev_type))
             except MissingSpecializationError:
                 raise
             except KeyError as err:
@@ -325,10 +314,6 @@ def instantiate_for_all_types(registrars, types, required_outputs,
                 raise MissingSpecializationError(
                     f"registrar {name} has no specialization for "
                     f"{ev_type.tag}") from err
-            if isinstance(built, Evaluator):
-                evaluators.append(built)
-            else:
-                evaluators.extend(built)
         graphs[ev_type] = build_graph(ev_type, evaluators, required_outputs,
                                       dim_sizes)
     return graphs

@@ -20,7 +20,7 @@ class MeshError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass
 class GeometryParams:
     """Strip dimensions; the slider length is the meshed half."""
 
@@ -30,7 +30,7 @@ class GeometryParams:
     height: float = 1.0
 
 
-@dataclass(frozen=True)
+@dataclass
 class Resolution:
     """Elements per region along x, and rows along y."""
 

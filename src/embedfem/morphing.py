@@ -89,17 +89,18 @@ def morph(mesh, params):
     return out
 
 
-def mesh_sensitivity(mesh, params, step=None):
+def mesh_sensitivity(mesh, params):
     """Central-difference coordinate sensitivities around the morph.
 
     Returns d(coords)/d(p) with shape (num_nodes, 2, n_params); column k uses
-    the step 1e-6 (1 + |p_k|) unless one is supplied. Non-slider rows are
-    exactly zero because the morph never touches those nodes.
+    the step 1e-6 (1 + |p_k|), the same relative step as the Jacobian's FD
+    oracle. Non-slider rows are exactly zero because the morph never touches
+    those nodes.
     """
     params = np.atleast_1d(np.asarray(params, dtype=float))
     out = np.zeros(mesh.coords.shape + (params.size,))
     for k in range(params.size):
-        h = step if step is not None else 1e-6 * (1.0 + abs(params[k]))
+        h = 1e-6 * (1.0 + abs(params[k]))
         delta = np.zeros_like(params)
         delta[k] = h
         plus = morph(mesh, params + delta).coords

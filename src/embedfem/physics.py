@@ -160,22 +160,40 @@ class ElementMaterials:
                 for a, b in self.pad_runs if a < ws.stop and b > ws.start]
 
 
-def default_materials(sigma0_conductor=100.0, sigma0_pad=35.0,
-                      sigma0_slider=100.0, kappa=1.0, beta=0.2, T0=0.0,
-                      v0=(-10.0, 0.0)):
-    """Documented demo defaults: resistive pads inside conducting beams.
+@dataclass
+class DemoMaterials:
+    """The demo's region constants other than the pad conductivity.
 
-    The convective weak-form term is -(v . grad T) phi, so the beam velocity
-    v0 = (-10, 0) transports heat toward the slider and makes the fixed-
-    temperature set at the far conductor end the true inflow; the opposite
-    sign has no bounded steady solution on this geometry (the exponential
-    boundary-layer mode grows like e^(|v| L / kappa)).
+    The convective weak-form term is -(v . grad T) phi, so the conductor
+    velocity v0 = (-10, 0) transports heat toward the slider and makes the
+    fixed-temperature set at the far conductor end the true inflow; the
+    opposite sign has no bounded steady solution on this geometry (the
+    exponential boundary-layer mode grows like e^(|v| L / kappa)).
     """
-    return MaterialTable(
-        conductor=RegionMaterial(sigma0_conductor, kappa, tuple(v0), beta, T0),
-        pad=RegionMaterial(sigma0_pad, kappa, (0.0, 0.0), beta, T0),
-        slider=RegionMaterial(sigma0_slider, kappa, (0.0, 0.0), beta, T0),
-    )
+
+    sigma0_conductor: float = 100.0
+    sigma0_slider: float = 100.0
+    kappa: float = 1.0
+    beta: float = 0.2
+    T0: float = 0.0
+    v0_x: float = -10.0
+    v0_y: float = 0.0
+
+
+def default_materials(sigma0_pad=35.0, **constants):
+    """The demo's MaterialTable: resistive pads inside conducting beams.
+
+    ``constants`` override fields of :class:`DemoMaterials`, which kappa,
+    beta and T0 give to every region; only the conductor moves. The pad
+    conductivity becomes the default of the registered parameter "PadSigma0".
+    """
+    c = DemoMaterials(**constants)
+
+    def region(sigma0, velocity=(0.0, 0.0)):
+        return RegionMaterial(sigma0, c.kappa, velocity, c.beta, c.T0)
+
+    return MaterialTable(region(c.sigma0_conductor, (c.v0_x, c.v0_y)),
+                         region(sigma0_pad), region(c.sigma0_slider))
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +263,10 @@ class QuadraticSourceEvaluator(Evaluator):
     depends = (FieldSpec("temp_qp", ("elem", "qp"), "solution"),)
     evaluates = (FieldSpec("source_qp", ("elem", "qp"), "solution"),)
 
-    def __init__(self, library, ev_type, alpha=0.0, beta=0.0):
-        self.alpha = alpha
-        self.beta = beta
-        library.register("Alpha", self, ev_type, alpha)
-        library.register("Beta", self, ev_type, beta)
+    def __init__(self, library, ev_type):
+        self.alpha = self.beta = 0.0
+        library.register("Alpha", self, ev_type, 0.0)
+        library.register("Beta", self, ev_type, 0.0)
 
     def set_parameter(self, name, scalar):
         if name == "Alpha":

@@ -47,11 +47,11 @@ _ENSEMBLE_ELEMENT_SAMPLES = 256 * 36
 _ENSEMBLE_MAX_SAMPLES = 12
 
 
-def fd_jacobian(model, x, step_scale=1e-6):
+def fd_jacobian(model, x):
     """Central-difference Jacobian of the assembled residual, as CSR on the
     model's static pattern.
 
-    Column j takes the step h_j = step_scale * (1 + |x_j|). All columns of
+    Column j takes the step h_j = 1e-6 (1 + |x_j|). All columns of
     one color of ``model.system.column_colors`` share no row, and each row's
     residual depends only on the unknowns of its own stencil, so one pair of
     residuals per color gives every entry bitwise the divided difference that
@@ -62,7 +62,7 @@ def fd_jacobian(model, x, step_scale=1e-6):
     system = model.system
     colors = system.column_colors
     n_colors = int(colors.max()) + 1
-    h = step_scale * (1.0 + np.abs(x))
+    h = 1e-6 * (1.0 + np.abs(x))
     rows = np.repeat(np.arange(x.size), np.diff(system.indptr))
     cols = system.indices
     data = np.empty(system.nnz)
@@ -98,14 +98,14 @@ def jacobian_fd_error(model, x):
     return float(np.max(np.abs(emb - fd) / denom))
 
 
-def check_jacobian_fd(model, n_states=1, seed=0, tol=1e-6):
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_states):
-        x = model.initial_guess() + 0.3 * rng.normal(size=model.num_dofs)
-        worst = max(worst, jacobian_fd_error(model, x))
-    return CheckResult("jacobian_vs_fd", worst <= tol, worst, tol,
-                       f"{n_states} random state(s)")
+def check_jacobian_fd(model):
+    """The FD-vs-AD error at one seeded random state, within 1e-6."""
+    tol = 1e-6
+    rng = np.random.default_rng(0)
+    x = model.initial_guess() + 0.3 * rng.normal(size=model.num_dofs)
+    err = jacobian_fd_error(model, x)
+    return CheckResult("jacobian_vs_fd", err <= tol, err, tol,
+                       "1 random state(s)")
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +210,9 @@ def sg_vs_nisp(model, expansion, nisp_order=6, config=None):
     return sg_coeffs, nisp_coeffs, rel, sg
 
 
-def check_sg_vs_nisp(model, expansion, tol=1e-3, nisp_order=6, config=None):
+def check_sg_vs_nisp(model, expansion, nisp_order, config=None):
+    """Passes when every coefficient agrees within 1e-3 (see sg_vs_nisp)."""
+    tol = 1e-3
     sg_coeffs, nisp_coeffs, rel, _ = sg_vs_nisp(model, expansion, nisp_order,
                                                 config)
     detail = ("sg " + ", ".join(f"{c:.4f}" for c in sg_coeffs)
@@ -219,12 +221,10 @@ def check_sg_vs_nisp(model, expansion, tol=1e-3, nisp_order=6, config=None):
                        float(np.max(rel)), tol, detail)
 
 
-def run_verification(model, expansion=None, config=None):
-    """The FD-vs-AD, manufactured-solution, and spectral cross checks."""
-    checks = [
-        check_jacobian_fd(model),
-        check_mms(),
-    ]
+def run_verification(model, config=None, expansion=None, nisp_order=None):
+    """The FD-vs-AD and manufactured-solution checks, and with an uncertain
+    ``expansion`` the spectral cross check at quadrature order ``nisp_order``."""
+    checks = [check_jacobian_fd(model), check_mms()]
     if model.sg_basis is not None and expansion:
-        checks.append(check_sg_vs_nisp(model, expansion, config=config))
+        checks.append(check_sg_vs_nisp(model, expansion, nisp_order, config))
     return checks

@@ -175,7 +175,7 @@ def test_assembly_names_a_missing_input_before_any_evaluator_runs(
 def test_scatter_sums_shared_rows():
     # two elements sharing an edge: shared dofs accumulate both contributions
     mesh = build_rect_mesh(2, 1)
-    materials = default_materials(beta=0.0, v0=(0.0, 0.0))
+    materials = default_materials(beta=0.0, v0_x=0.0)
     bc = [("left", "psi", 0.0), ("right", "psi", 0.5), ("left", "temp", 0.0)]
     model = ThermoElectricModel(mesh, materials, with_joule=False, dirichlet=bc)
     x = random_state(model, seed=3)
@@ -189,7 +189,7 @@ def test_scatter_sums_shared_rows():
 
 def test_jacobian_of_affine_problem_is_its_matrix():
     mesh = build_rect_mesh(3, 2)
-    materials = default_materials(beta=0.0, v0=(-2.0, 0.0))
+    materials = default_materials(beta=0.0, v0_x=-2.0)
     bc = [("left", "psi", 0.0), ("right", "psi", 0.5), ("left", "temp", 0.0)]
     model = ThermoElectricModel(mesh, materials, with_joule=False, dirichlet=bc)
     x = random_state(model, seed=5)
@@ -201,7 +201,7 @@ def test_jacobian_of_affine_problem_is_its_matrix():
 
 def test_zero_local_contributions_leave_globals_zero():
     mesh = build_rect_mesh(2, 2)
-    materials = default_materials(beta=0.0, v0=(0.0, 0.0))
+    materials = default_materials(beta=0.0, v0_x=0.0)
     model = ThermoElectricModel(mesh, materials, with_joule=False, dirichlet=[])
     f = model.residual(np.zeros(model.num_dofs))
     assert np.all(f == 0.0)

@@ -237,3 +237,56 @@ def test_bad_uq_section_exit_two(tmp_path, capsys, override, message):
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("config, overrides", [
+    ("demo.ini", ["geometry.ny=0"]),
+    ("demo.ini", ["geometry.height=-1"]),
+    ("demo.ini", ["geometry.nx_pad=0"]),
+    ("demo.ini", ["materials.kappa=0"]),
+    ("demo.ini", ["solver.abs_tol=0"]),
+    ("demo.ini", ["materials.sigma0_pad=50"]),
+    ("continuation.ini", ["continuation.steps=0"]),
+    ("continuation.ini", ["geometry.nx_slider=0", "geometry.slider_length=0"]),
+    ("optimize.ini", ["optimize.parameters=deflection,deflection_top,"
+                      "deflection_bottom", "optimize.start=0.1,0.1,0.1"]),
+])
+def test_bad_config_value_exits_two_without_traceback(tmp_path, capsys, config,
+                                                       overrides):
+    code, _ = run_cli(tmp_path, (CONFIGS / config).read_text(), overrides)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_verify_runs_spectral_check_at_configured_nisp_order(tmp_path,
+                                                             monkeypatch):
+    from embedfem import verification
+    orders = []
+    sg_vs_nisp = verification.sg_vs_nisp
+
+    def spy(model, expansion, nisp_order, config):
+        orders.append(nisp_order)
+        return sg_vs_nisp(model, expansion, nisp_order, config)
+
+    monkeypatch.setattr(verification, "sg_vs_nisp", spy)
+    cfg_text = """
+[run]
+mode = verify
+
+[geometry]
+nx_conductor = 4
+nx_pad = 1
+nx_slider = 3
+ny = 8
+
+[materials]
+v0_x = -5.0
+
+[uq]
+nisp_order = 3
+"""
+    run_cli(tmp_path, cfg_text)
+    assert orders == [3]
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert "sg_vs_nisp" in [c["name"] for c in summary["checks"]]
