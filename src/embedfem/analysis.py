@@ -36,8 +36,22 @@ class NewtonConfig:
             raise ValueError("tolerances must be positive")
 
 
-#: GMRES settings of the ILU(0) branch and of the spectral block solve
+#: GMRES settings of the ILU(0) branch of ``_linear_solve``
 _GMRES = dict(rtol=1e-10, atol=0.0, restart=80, maxiter=400)
+
+#: The SG Jacobian is exact only in deterministic directions, so SG Newton
+#: converges linearly however fresh its Jacobian is. ``sg_newton_solve`` is
+#: therefore a chord iteration (Shamanskii; Kelley 2003, ch. 5): it keeps one
+#: SG Jacobian and its mean-block factor, and re-assembles them only after a
+#: step that cuts ||F|| by less than this factor.
+_SG_REFRESH = 0.05
+
+#: Forcing terms of the SG GMRES, its relative tolerances (Eisenstat &
+#: Walker 1996, choice 2): eta = gamma (||F_k|| / ||F_k-1||)^alpha, at most
+#: ``_SG_ETA_MAX`` (also the first step's), and never below half the ratio of
+#: the stopping tolerance to ||F_k||, so that no solve is tighter than
+#: convergence needs.
+_SG_GAMMA, _SG_ALPHA, _SG_ETA_MAX = 0.9, 2.0, 1e-3
 
 
 @dataclass
@@ -410,11 +424,15 @@ class SGResult:
 
 
 def sg_newton_solve(model, uncertain, config=None, x0=None):
-    """Block Newton on the spectral residual with a mean-based preconditioner.
+    """Chord Newton on the spectral residual with a mean-based preconditioner.
 
     The mean block starts from the deterministic solve (hot start), which is
     the natural initial expansion and makes the zero-uncertainty case reduce
-    to the deterministic solution immediately.
+    to the deterministic solution immediately. The SG Jacobian, its block
+    operator and the mean-block factor are kept across steps and re-assembled
+    at the current state only when the last step cut ||F|| by less than
+    ``_SG_REFRESH``; each GMRES solve stops at its forcing term. Convergence is judged on the SG residual: ||F|| <=
+    abs_tol or ||F|| <= rel_tol * ||F(x0)||.
     """
     config = config or NewtonConfig()
     basis = model.sg_basis
@@ -438,26 +456,35 @@ def sg_newton_solve(model, uncertain, config=None, x0=None):
     # the SG Jacobian assembly's residual is bitwise the SG residual, so it
     # gives ||F(x0)|| as well
     f, blocks = model.sg_jacobian(x_block, uncertain)
-    norm0 = float(np.linalg.norm(f))
+    norm = norm0 = float(np.linalg.norm(f))
     history = [norm0]
     if norm0 <= config.abs_tol:
         return SGResult(x_block, history, 0, True)
+    stop = max(config.abs_tol, config.rel_tol * norm0)
+    eta, refresh = _SG_ETA_MAX, True
     for it in range(1, config.max_iters + 1):
-        if it > 1:
-            f, blocks = model.sg_jacobian(x_block, uncertain)
-        system = SGSystem(blocks, basis)
-        update, info = spla.gmres(system.operator(), f.ravel(),
-                                  M=system.mean_preconditioner(), **_GMRES)
+        if refresh:
+            system = SGSystem(blocks, basis)
+            operator, precond = system.operator(), system.mean_preconditioner()
+        update, info = spla.gmres(operator, f.ravel(), M=precond, rtol=eta,
+                                  atol=0.0, restart=80, maxiter=400)
         if info != 0:
             raise SolveFailure(f"spectral GMRES did not converge (info={info})",
                                history)
         x_block = x_block - update.reshape(basis.size, n)
-        norm = float(np.linalg.norm(model.sg_residual(x_block, uncertain)))
-        history.append(norm)
-        if not np.isfinite(norm):
+        f = model.sg_residual(x_block, uncertain)
+        new_norm = float(np.linalg.norm(f))
+        history.append(new_norm)
+        if not np.isfinite(new_norm):
             raise SolveFailure("spectral Newton diverged", history)
-        if norm <= config.abs_tol or norm <= config.rel_tol * norm0:
+        if new_norm <= stop:
             return SGResult(x_block, history, it, True)
+        rate, norm = new_norm / norm, new_norm
+        refresh = rate > _SG_REFRESH
+        if refresh:
+            f, blocks = model.sg_jacobian(x_block, uncertain)
+        eta = min(_SG_ETA_MAX, max(_SG_GAMMA * rate ** _SG_ALPHA,
+                                   0.5 * stop / norm))
     raise SolveFailure(
         f"spectral Newton did not converge in {config.max_iters} iterations",
         history)

@@ -229,8 +229,6 @@ def strip_derivatives(x):
 
 
 def _require_nonzero(v):
-    if isinstance(v, PCE):
-        return  # the spectral divide reports singularity itself
     if np.any(np.asarray(v) == 0.0):
         raise ZeroDivisionError("division by zero value")
 
@@ -355,16 +353,13 @@ class PCE(_ComparedByValue):
         if isinstance(other, (Dual, Ensemble)):
             return NotImplemented
         if isinstance(other, PCE):
-            self._check(other)
-            return PCE(_spectral_divide(self.coeffs, other.coeffs, self.basis),
-                       self.basis)
+            return _chaos_divider(other)(self)
         other = np.asarray(other, dtype=float)
         _require_nonzero(other)
         return PCE(self.coeffs / other[..., None], self.basis)
 
     def __rtruediv__(self, other):
-        return PCE(_spectral_divide(self._lift(other), self.coeffs, self.basis),
-                   self.basis)
+        return _chaos_divider(self)(other)
 
     def __pow__(self, p):
         if isinstance(p, (int, np.integer)) and p >= 0:
@@ -409,28 +404,33 @@ def _galerkin_product(a, b, basis):
     return out
 
 
-def _spectral_divide(num, den, basis):
-    """Coefficients of num / den by solving the spectral system M x = num.
+def _spectral_factor(den, basis):
+    """Factor the spectral system of divisor ``den``; returns ``solve``.
 
     M_kj = sum_i den_i E[P_i P_j P_k] / E[P_k^2] is the (truncated)
-    multiply-by-den operator. A divisor with exactly zero higher coefficients
-    makes M diagonal, so that case reduces to a plain componentwise division
-    (this keeps deterministic data exact through the quotient).
+    multiply-by-den operator, and ``solve(num)`` gives the coefficients of
+    num / den, the solution of M x = num. A divisor with exactly zero higher
+    coefficients makes M diagonal, so that case reduces to a plain
+    componentwise division (this keeps deterministic data exact through the
+    quotient).
 
     Otherwise M is factored by Gaussian elimination with partial pivoting,
     as LAPACK's getrf does it (the largest magnitude wins, the first on a
     tie), written as elementwise operations across the entries. The
-    factorization runs on the divisor's entry shape, so a divisor broadcast
-    over the partials of a nested dual is factored once; the substitutions
-    run on the quotient's. Elementwise operations alone make every entry
-    independent of its batch and of the memory layout. The quotient takes
-    the numerator's layout.
+    factorization runs on the divisor's entry shape, and ``solve`` runs the
+    substitutions on the quotient's, so one factor serves any number of
+    numerators: ``solve(num, partials=True)`` divides a dual's partials,
+    whose entries carry one more trailing axis than the divisor's. Each
+    quotient is bitwise what factoring the divisor for it alone gives.
+    Elementwise operations alone make every entry independent of its batch
+    and of the memory layout. The quotient takes the numerator's layout.
     """
     if not np.any(den[..., 1:]):
         d0 = den[..., 0]
         if np.any(d0 == 0.0):
             raise ZeroDivisionError("division by zero value")
-        return num / d0[..., None]
+        return lambda num, partials=False: num / (
+            d0[..., None, None] if partials else d0[..., None])
     size = basis.size
     # lu[j][k] is M_kj (column j, row k), of the divisor's entry shape; the
     # elimination leaves the unit-lower L below the diagonal, U on and above
@@ -455,20 +455,28 @@ def _spectral_divide(num, den, basis):
             for j in range(c + 1, size):
                 lu[j][r] = lu[j][r] - factor * lu[j][c]
 
-    x = [num[..., k] for k in range(size)]
-    for c, piv in enumerate(swaps):
-        if piv is not None:
-            _swap_rows([x], c, piv)
-    for c in range(size):
-        for r in range(c + 1, size):
-            x[r] = x[r] - lu[c][r] * x[c]
-    shape = np.broadcast_shapes(num.shape, den.shape)
-    out = np.empty_like(num if num.shape == shape else den, shape=shape)
-    for c in reversed(range(size)):
-        x[c] = out[..., c] = x[c] / lu[c][c]
-        for r in range(c):
-            x[r] = x[r] - lu[c][r] * x[c]
-    return out
+    def solve(num, partials=False):
+        lu_, swaps_, den_ = lu, swaps, den
+        if partials:
+            lu_ = [[a[..., None] for a in column] for column in lu]
+            swaps_ = [None if piv is None else piv[..., None] for piv in swaps]
+            den_ = den[..., None, :]
+        x = [num[..., k] for k in range(size)]
+        for c, piv in enumerate(swaps_):
+            if piv is not None:
+                _swap_rows([x], c, piv)
+        for c in range(size):
+            for r in range(c + 1, size):
+                x[r] = x[r] - lu_[c][r] * x[c]
+        shape = np.broadcast_shapes(num.shape, den_.shape)
+        out = np.empty_like(num if num.shape == shape else den_, shape=shape)
+        for c in reversed(range(size)):
+            x[c] = out[..., c] = x[c] / lu_[c][c]
+            for r in range(c):
+                x[r] = x[r] - lu_[c][r] * x[c]
+        return out
+
+    return solve
 
 
 def _swap_rows(columns, c, piv):
@@ -487,6 +495,27 @@ def pce_constant(value, basis):
     c = np.zeros(value.shape + (basis.size,))
     c[..., 0] = value
     return PCE(c, basis)
+
+
+def _chaos_divider(den):
+    """``divide(x, partials=False)``: the PCE x / den, factoring den once.
+
+    Every numerator, chaos or plain, goes through one factorization of den's
+    spectral system (``_spectral_factor``); ``partials=True`` divides a
+    dual's partials, which carry one more trailing axis than den.
+    """
+    solve = _spectral_factor(den.coeffs, den.basis)
+
+    def divide(x, partials=False):
+        like = PCE(den.coeffs[..., None, :], den.basis) if partials else den
+        if isinstance(x, PCE):
+            like._check(x)
+            coeffs = x.coeffs
+        else:
+            coeffs = like._lift(x)
+        return PCE(solve(coeffs, partials), den.basis)
+
+    return divide
 
 
 # ---------------------------------------------------------------------------
@@ -582,18 +611,32 @@ class Dual(_ComparedByValue):
 
     __rmul__ = __mul__
 
+    # a chaos divisor's spectral system is factored once for the value and
+    # the partials
     def __truediv__(self, other):
         if isinstance(other, Ensemble):
             return NotImplemented
         if isinstance(other, Dual):
             self._check(other)
+            if isinstance(other.val, PCE):
+                divide = _chaos_divider(other.val)
+                val = divide(self.val)
+                return Dual(val, divide(self.dx - _dxpand(val) * other.dx,
+                                        partials=True))
             _require_nonzero(other.val)
             val = self.val / other.val
             return Dual(val, (self.dx - _dxpand(val) * other.dx) / _dxpand(other.val))
+        if isinstance(other, PCE):
+            divide = _chaos_divider(other)
+            return Dual(divide(self.val), divide(self.dx, partials=True))
         _require_nonzero(other)
         return Dual(self.val / other, self.dx / _dxpand(other))
 
     def __rtruediv__(self, other):
+        if isinstance(self.val, PCE):
+            divide = _chaos_divider(self.val)
+            val = divide(other)
+            return Dual(val, divide(-(_dxpand(val) * self.dx), partials=True))
         _require_nonzero(self.val)
         val = other / self.val
         return Dual(val, -(_dxpand(val) * self.dx) / _dxpand(self.val))

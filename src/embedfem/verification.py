@@ -168,8 +168,8 @@ def mms_convergence(sizes=(8, 16, 32), config=None):
     return errors, order
 
 
-def check_mms(sizes=(8, 16, 32), target=2.0, window=0.15):
-    errors, order = mms_convergence(sizes)
+def check_mms(sizes=(8, 16, 32), target=2.0, window=0.15, config=None):
+    errors, order = mms_convergence(sizes, config)
     passed = abs(order - target) <= window
     detail = "errors " + ", ".join(f"{e:.3e}" for e in errors)
     return CheckResult("mms_convergence_order", passed, order, target, detail)
@@ -224,7 +224,7 @@ def check_sg_vs_nisp(model, expansion, nisp_order, config=None):
 def run_verification(model, config=None, expansion=None, nisp_order=None):
     """The FD-vs-AD and manufactured-solution checks, and with an uncertain
     ``expansion`` the spectral cross check at quadrature order ``nisp_order``."""
-    checks = [check_jacobian_fd(model), check_mms()]
+    checks = [check_jacobian_fd(model), check_mms(config=config)]
     if model.sg_basis is not None and expansion:
         checks.append(check_sg_vs_nisp(model, expansion, nisp_order, config))
     return checks

@@ -471,42 +471,92 @@ def test_sg_solve_exact_for_linear_parameter_dependence():
     model.library.set_value("Alpha", 1.0)
 
 
-def test_sg_newton_takes_the_initial_norm_from_the_first_sg_jacobian(
-        monkeypatch):
+def test_sg_newton_is_a_chord_iteration_on_true_sg_residuals(monkeypatch):
     model = config.build_model(config.RunConfig(), sg_basis=BASIS)
     uncertain = {"PadSigma0": [35.0, 15.0, 0.0, 0.0]}
-    states, jacobian_f, residual_calls = [], [], []
+    jacobian_states, jacobian_f, residual_states, tolerances = [], [], [], []
     sg_jacobian, sg_residual = model.sg_jacobian, model.sg_residual
+    gmres = analysis.spla.gmres
 
     def counting_jacobian(x_block, unc):
-        states.append(x_block.copy())
+        jacobian_states.append(x_block.copy())
         f, blocks = sg_jacobian(x_block, unc)
         jacobian_f.append(f.copy())
         return f, blocks
 
     def counting_residual(x_block, unc):
-        residual_calls.append(x_block.copy())
+        residual_states.append(x_block.copy())
         return sg_residual(x_block, unc)
+
+    def recording_gmres(*args, **kwargs):
+        tolerances.append(kwargs["rtol"])
+        return gmres(*args, **kwargs)
 
     monkeypatch.setattr(model, "sg_jacobian", counting_jacobian)
     monkeypatch.setattr(model, "sg_residual", counting_residual)
+    monkeypatch.setattr(analysis.spla, "gmres", recording_gmres)
     result = sg_newton_solve(model, uncertain)
     k = result.iterations
     assert result.converged and k >= 3
-    # k SG Jacobians and k SG residuals, one after each step: none for ||F(x0)||
-    assert len(states) == len(residual_calls) == k
+    # one SG residual after each step; ||F(x0)|| comes from the first SG
+    # Jacobian, so no assembly is spent on it alone
+    iterates = jacobian_states[:1] + residual_states
+    assert len(residual_states) == len(tolerances) == k
+    # the Jacobian is refreshed only at states the loop reached, after a step
+    # that cut ||F|| by less than _SG_REFRESH, and fewer than k times
+    h = result.history
+    stalled = [j for j in range(1, k) if h[j] > analysis._SG_REFRESH * h[j - 1]]
+    assert len(jacobian_states) == 1 + len(stalled) < k
+    for x_block, j in zip(jacobian_states[1:], stalled):
+        assert np.array_equal(_bits(x_block), _bits(iterates[j]))
     # each SG Jacobian's residual is bitwise the SG residual at its state
-    for x_block, f in zip(states, jacobian_f):
+    for x_block, f in zip(jacobian_states, jacobian_f):
         assert np.array_equal(_bits(f), _bits(sg_residual(x_block, uncertain)))
     # so the history is bitwise the one explicit SG residuals give
-    iterates = states + [result.coefficients]
     want = [float(np.linalg.norm(sg_residual(x, uncertain))) for x in iterates]
-    assert np.array_equal(_bits(np.array(result.history)), _bits(np.array(want)))
+    assert np.array_equal(_bits(np.array(h)), _bits(np.array(want)))
+    # GMRES starts at the forcing cap and never solves more loosely
+    eta_max = analysis._SG_ETA_MAX
+    assert tolerances[0] == eta_max and max(tolerances) <= eta_max
+
+
+def test_sg_jacobian_is_exact_in_mean_only_directions():
+    """Central differences of the SG residual at a 16x16 state off the SG
+    solution. The block operator matches them to rounding in a mean-only
+    direction; in a stochastic one it is off by about 4e-6 at any step,
+    because truncated Galerkin products are not associative."""
+    model = config.build_model(config.RunConfig(), sg_basis=BASIS)
+    uncertain = {"PadSigma0": [35.0, 15.0, 0.0, 0.0]}
+    rng = np.random.default_rng(0)
+    x_block = np.zeros((BASIS.size, model.num_dofs))
+    model.library.set_value("PadSigma0", 35.0)
+    x_block[0] = newton_solve(model).x
+    x_block[0] += 0.01 * np.max(np.abs(x_block[0])) * rng.normal(
+        size=model.num_dofs)
+    x_block[1] = 0.05 * x_block[0]
+    _, blocks = model.sg_jacobian(x_block, uncertain)
+    operator = SGSystem(blocks, BASIS).operator()
+
+    def mismatch(direction, step=1e-6):
+        fd = (model.sg_residual(x_block + step * direction, uncertain)
+              - model.sg_residual(x_block - step * direction, uncertain))
+        fd = fd.ravel() / (2.0 * step)
+        return (np.linalg.norm(operator.matvec(direction.ravel()) - fd)
+                / np.linalg.norm(fd))
+
+    mean_only = np.zeros_like(x_block)
+    mean_only[0] = rng.normal(size=model.num_dofs)
+    stochastic = np.zeros_like(x_block)
+    stochastic[1:] = rng.normal(size=(BASIS.size - 1, model.num_dofs))
+    assert mismatch(mean_only) <= 1e-9
+    assert mismatch(stochastic) <= 1e-4
 
 
 def test_sg_degenerate_uncertainty_reduces_to_deterministic():
     model = linear_heat_model()
     result = sg_newton_solve(model, {"Alpha": [1.0, 0.0, 0.0, 0.0]})
+    # the hot start is the exact solution: no step is taken
+    assert result.iterations == 0 and result.converged
     model.library.set_value("Alpha", 1.0)
     deterministic = newton_solve(model).x
     assert np.max(np.abs(result.coefficients[0] - deterministic)) <= 1e-12

@@ -203,6 +203,21 @@ def test_shipped_configs_parse():
         assert cfg.run.mode in ("solve", "continuation", "optimize", "uq", "verify")
 
 
+@pytest.mark.parametrize("config_text", [(CONFIGS / "demo.ini").read_text(),
+                                         "[run]\nmode = verify\n"],
+                         ids=["demo", "verify"])
+def test_solver_section_reaches_every_newton_solve(tmp_path, capsys,
+                                                   config_text):
+    # verify's manufactured-solution solves take [solver] as solve mode does
+    code, _ = run_cli(tmp_path, config_text,
+                      ["solver.max_iters=1", "solver.abs_tol=1e-300",
+                       "solver.rel_tol=1e-300"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "solver failure: Newton did not converge in 1 iterations" in err
+    assert "Traceback" not in err
+
+
 def test_verify_mode_writes_pass_fail_table(tmp_path):
     cfg_text = """
 [run]

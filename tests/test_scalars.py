@@ -335,6 +335,46 @@ def test_spectral_divide_is_batch_invariant_bitwise():
             assert np.array_equal(one.view(np.int64), batch[e, 2].view(np.int64))
 
 
+
+def _two_factor_quotients(a, b):
+    """Dual division as two PCE divisions, each factoring the divisor."""
+    if isinstance(b, sc.Dual):
+        val = a.val / b.val if isinstance(a, sc.Dual) else a / b.val
+        dx_num = (a.dx - sc._dxpand(val) * b.dx if isinstance(a, sc.Dual)
+                  else -(sc._dxpand(val) * b.dx))
+        return val, dx_num / sc._dxpand(b.val)
+    return a.val / b, a.dx / sc._dxpand(b)
+
+
+@pytest.mark.parametrize("degree", (1, 3, 5))
+def test_dual_division_factors_a_chaos_divisor_once_bitwise(degree,
+                                                            monkeypatch):
+    basis = sc.build_basis_data(degree)
+    den, num = _divide_cases(degree, seed=2)
+    rng = np.random.default_rng(degree)
+    nested = lambda v, d: sc.Dual(sc.PCE(v, basis), sc.PCE(d, basis))
+    top = nested(num[:, 0], num)
+    bottom = nested(den, rng.normal(size=(len(den), 5, basis.size)))
+    flat = np.zeros_like(den)
+    flat[:, 0] = den[:, 0]
+    cases = [(top, bottom), (top, nested(flat, num)),
+             (sc.Dual(num[:, 0, 0], num[:, :, 0]), bottom),
+             (top, sc.PCE(den, basis)), (2.5, bottom),
+             (sc.PCE(num[:, 1], basis), bottom)]
+    want = [_two_factor_quotients(a, b) for a, b in cases]
+    factors = []
+    factor = sc._spectral_factor
+    monkeypatch.setattr(sc, "_spectral_factor",
+                        lambda *args: factors.append(1) or factor(*args))
+    for (a, b), (val, dx) in zip(cases, want):
+        del factors[:]
+        got = a / b
+        assert len(factors) == 1
+        for x, y in ((got.val, val), (got.dx, dx)):
+            assert x.coeffs.shape == y.coeffs.shape
+            assert np.array_equal(x.coeffs.view(np.int64),
+                                  y.coeffs.view(np.int64))
+
 def test_pce_basis_mismatch():
     other = sc.build_basis_data(3)
     with pytest.raises(sc.BasisMismatchError):
