@@ -8,7 +8,6 @@ oracle used to verify it.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +21,11 @@ class SolveFailure(RuntimeError):
     def __init__(self, message, history=None):
         super().__init__(message)
         self.history = history or []
+
+
+class FactorizationFailure(SolveFailure):
+    """SuperLU or ILU(0) broke down on the matrix itself; a smaller step of
+    the parameter that produced the matrix does not cure it."""
 
 
 @dataclass
@@ -60,92 +64,92 @@ class NewtonResult:
     history: list
     iterations: int
     converged: bool
+    jacobian: object    # the Jacobian at x
+
+
+#: SuperLU's diagonal pivot threshold in ``sparse_lu``: the diagonal entry
+#: of a column is its pivot while at least this fraction of the column's
+#: largest entry, otherwise the largest entry is
+_PIVOT_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
-class _ColumnOrder:
-    """SuperLU's column order of one sparsity pattern, ready for reuse.
+class LUOrder:
+    """A symmetric fill-reducing order of a principal block of one sparsity
+    pattern, with the CSC structure of the permuted block.
 
-    ``gather`` takes the pattern's CSR data to the CSC data of the
-    column-permuted matrix A[:, order], whose structure is ``indices`` and
-    ``indptr``.
+    The permuted block is A[dofs][:, dofs] of a CSR matrix A with the
+    pattern; its CSC entry k is ``A.data[gather[k]]``. ``perm[k]`` is the
+    index, in ascending dof order, of the block row at permuted position k.
     """
 
-    order: np.ndarray
+    perm: np.ndarray
     gather: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
 
     @classmethod
-    def of(cls, csr, perm_c):
-        order = np.argsort(perm_c)
-        positions = sp.csr_matrix((np.arange(1, csr.nnz + 1), csr.indices,
-                                   csr.indptr), shape=csr.shape)
-        permuted = positions.tocsc()[:, order]
-        return cls(order, permuted.data - 1, permuted.indices, permuted.indptr)
+    def of(cls, indptr, indices, dofs):
+        """The order ``dofs`` (each block row's dof) of the CSR pattern."""
+        n = len(indptr) - 1
+        positions = sp.csr_matrix((np.arange(1, len(indices) + 1), indices,
+                                   indptr), shape=(n, n))
+        block = positions[dofs][:, dofs].tocsc()
+        return cls(np.argsort(np.argsort(dofs)), block.data - 1,
+                   block.indices, block.indptr)
 
 
-#: column orders of the most recently factored sparsity patterns, keyed by
-#: (shape, indptr, indices); an order depends on the pattern alone, so a hit
-#: gives the factors and solutions that a fresh COLAMD run would give
-_COLUMN_ORDERS = OrderedDict()
-_COLUMN_ORDER_LIMIT = 8
-
-
-def sparse_lu(matrix, label="LU factorization"):
+def sparse_lu(matrix, order=None, label="LU factorization"):
     """Factor a square sparse matrix with SuperLU; returns ``solve(rhs)``.
 
-    The first factorization of a sparsity pattern runs SuperLU's COLAMD
-    ordering (with its elimination-tree postorder) and records the resulting
-    column order. Later factorizations of the same pattern factor the
-    column-permuted matrix in natural order and un-permute the solution, so
-    the ordering is paid once per pattern. L, U, the row pivots and every
-    solution are bitwise those of a plain ``splu``. A factorization that
-    breaks down raises SolveFailure("<label> failed: <SuperLU's message>").
+    With an :class:`LUOrder` of the matrix's pattern, the permuted block is
+    gathered straight from ``matrix.data`` and factored in that order
+    (``permc_spec="NATURAL"``) with threshold pivoting: SuperLU keeps the
+    diagonal pivot unless it is smaller than ``_PIVOT_THRESHOLD`` times the
+    largest entry of its column (``SymmetricMode``). ``solve`` then takes and
+    returns vectors over the block's dofs in ascending order. Without an
+    order the whole matrix is factored by a plain ``splu`` (COLAMD, partial
+    pivoting). A factorization that breaks down raises
+    FactorizationFailure("<label> failed: <SuperLU's message>").
     """
-    csr = matrix.tocsr()
-    key = (csr.shape, csr.indptr.tobytes(), csr.indices.tobytes())
-    column_order = _COLUMN_ORDERS.get(key)
     try:
-        if column_order is None:
-            lu = spla.splu(csr.tocsc())
-            _COLUMN_ORDERS[key] = _ColumnOrder.of(csr, lu.perm_c)
-            if len(_COLUMN_ORDERS) > _COLUMN_ORDER_LIMIT:
-                _COLUMN_ORDERS.popitem(last=False)
-            return lu.solve
-        _COLUMN_ORDERS.move_to_end(key)
-        permuted = sp.csc_matrix((csr.data[column_order.gather],
-                                  column_order.indices, column_order.indptr),
-                                 shape=csr.shape)
-        lu = spla.splu(permuted, permc_spec="NATURAL")
+        if order is None:
+            return spla.splu(matrix.tocsc()).solve
+        n = len(order.perm)
+        permuted = sp.csc_matrix((matrix.data[order.gather], order.indices,
+                                  order.indptr), shape=(n, n))
+        lu = spla.splu(permuted, permc_spec="NATURAL",
+                       diag_pivot_thresh=_PIVOT_THRESHOLD,
+                       options={"SymmetricMode": True})
     except RuntimeError as err:
-        raise SolveFailure(f"{label} failed: {str(err).strip()}") from err
+        raise FactorizationFailure(f"{label} failed: {str(err).strip()}") from err
 
     def solve(rhs):
-        y = lu.solve(rhs)
+        y = lu.solve(rhs[order.perm])
         x = np.empty_like(y)   # keeps the layout of SuperLU's own solution
-        x[column_order.order] = y
+        x[order.perm] = y
         return x
 
     return solve
 
 
-def _linear_solve(jacobian, rhs, config):
+def _linear_solve(jacobian, rhs, config, order=None):
     """Solve ``jacobian @ x = rhs`` for one vector or an (n, k) block.
 
     At or below ``dense_dof_limit`` unknowns one sparse LU factorization
-    (:func:`sparse_lu`) solves every right-hand side; above it,
-    ILU(0)-preconditioned GMRES solves them column by column. A
-    factorization that breaks down raises SolveFailure with SuperLU's
-    message.
+    (:func:`sparse_lu`, in ``order`` if given) solves every right-hand side;
+    above it, ILU(0)-preconditioned GMRES solves them column by column. A
+    factorization that breaks down raises FactorizationFailure with
+    SuperLU's message.
     """
     n = jacobian.shape[0]
     if n <= config.dense_dof_limit:
-        return sparse_lu(jacobian)(rhs)
+        return sparse_lu(jacobian, order)(rhs)
     try:
         factor = spla.spilu(jacobian.tocsc(), drop_tol=0.0, fill_factor=1.0)
     except RuntimeError as err:
-        raise SolveFailure(f"ILU factorization failed: {str(err).strip()}") from err
+        raise FactorizationFailure(
+            f"ILU factorization failed: {str(err).strip()}") from err
     precond = spla.LinearOperator((n, n), factor.solve)
 
     def gmres(b):
@@ -165,8 +169,13 @@ def newton_solve(model, config=None, x0=None):
     Steps are damped by a backtracking line search on ||f||, which guards the
     first iterations from the default (discontinuous) initial guess and from
     leaving the validity range of the constitutive laws; near the root the
-    full step always passes, so terminal convergence stays quadratic.
-    Converges when ||f|| <= abs_tol or ||f|| <= rel_tol * ||f(x0)||.
+    full step always passes, so terminal convergence stays quadratic. The
+    full step's trial assembles the Jacobian, whose residual is bitwise the
+    plain residual, so an accepted full step already holds the next
+    iteration's (f, J); damped trials assemble the residual alone, and the
+    Jacobian follows at the accepted point. Steps are solved in the model's
+    ``lu_order`` when it has one. Converges when ||f|| <= abs_tol or
+    ||f|| <= rel_tol * ||f(x0)||; the result carries the Jacobian at its x.
     """
     from .physics import NonPhysicalStateError
 
@@ -176,22 +185,23 @@ def newton_solve(model, config=None, x0=None):
         x = warm() if warm is not None else model.initial_guess()
     else:
         x = np.asarray(x0, dtype=float).copy()
-    # the Jacobian assembly's residual is bitwise the plain residual, so it
-    # gives ||f(x0)|| as well
+    order = getattr(model, "lu_order", None)
     f, jac = model.jacobian(x)
     norm = norm0 = float(np.linalg.norm(f))
     history = [norm]
     if norm <= config.abs_tol:
-        return NewtonResult(x, history, 0, True)
+        return NewtonResult(x, history, 0, True, jac)
     for it in range(1, config.max_iters + 1):
-        if it > 1:
-            f, jac = model.jacobian(x)
-        step = _linear_solve(jac, f, config)
+        step = _linear_solve(jac, f, config, order)
         alpha = 1.0
         for _ in range(40):
             candidate = x - alpha * step
             try:
-                new_norm = float(np.linalg.norm(model.residual(candidate)))
+                if alpha == 1.0:
+                    trial_f, trial_jac = model.jacobian(candidate)
+                else:
+                    trial_f, trial_jac = model.residual(candidate), None
+                new_norm = float(np.linalg.norm(trial_f))
             except NonPhysicalStateError:
                 new_norm = np.inf
             if np.isfinite(new_norm) and new_norm <= (1.0 - 1e-4 * alpha) * norm:
@@ -202,8 +212,12 @@ def newton_solve(model, config=None, x0=None):
                                history)
         x, norm = candidate, new_norm
         history.append(norm)
+        if trial_jac is None:
+            f, jac = model.jacobian(x)
+        else:
+            f, jac = trial_f, trial_jac
         if norm <= config.abs_tol or norm <= config.rel_tol * norm0:
-            return NewtonResult(x, history, it, True)
+            return NewtonResult(x, history, it, True, jac)
     raise SolveFailure(f"Newton did not converge in {config.max_iters} iterations",
                        history)
 
@@ -244,9 +258,10 @@ def continuation(model, set_parameter, values, config=None):
     ``set_parameter`` applies one parameter value to the model (a library
     value or a shape morph); ``values`` is the uniform sweep, and each step
     records ``model.objective`` at the corrected state. On a failed
-    corrector the step is bisected up to ``_MAX_BISECTIONS`` times; if the
-    target value still fails, the error names it, carries the corrector's
-    message and holds the partial table as its history.
+    corrector the step is bisected up to ``_MAX_BISECTIONS`` times, unless a
+    factorization broke down, which no smaller step cures; if the target
+    value still fails, the error names it, carries the corrector's message
+    and holds the partial table as its history.
     """
     config = config or NewtonConfig()
     table = []
@@ -261,7 +276,8 @@ def continuation(model, set_parameter, values, config=None):
             try:
                 result = newton_solve(model, config, x0=x)
             except SolveFailure as err:
-                if start is None or len(queue) > _MAX_BISECTIONS:
+                if (start is None or len(queue) > _MAX_BISECTIONS
+                        or isinstance(err, FactorizationFailure)):
                     raise SolveFailure(
                         f"continuation failed at parameter {float(target)}: "
                         f"{err}", history=[s.__dict__ for s in table]) from err
@@ -281,20 +297,21 @@ def continuation(model, set_parameter, values, config=None):
 # reduced gradient and optimization
 # ---------------------------------------------------------------------------
 
-def reduced_gradient(jacobian, f_p, objective_gradient, config=None):
+def reduced_gradient(jacobian, f_p, objective_gradient, config=None,
+                     order=None):
     """dg/dp = -(dg/dx)^T J^{-1} f_p via the forward-sensitivity solves.
 
     ``f_p`` holds one column per parameter, ``objective_gradient`` the dense
     dg/dx. One linear solve takes all columns, so the direct branch factors J
-    once however many parameters there are. The explicit dg/dp term is zero
-    for the shape problem (parameters never appear in the objective
-    directly).
+    once (in ``order`` if given) however many parameters there are. The
+    explicit dg/dp term is zero for the shape problem (parameters never
+    appear in the objective directly).
     """
     config = config or NewtonConfig()
     f_p = np.atleast_2d(np.asarray(f_p, dtype=float))
     if f_p.shape[0] != jacobian.shape[0]:
         f_p = f_p.T
-    sens = _linear_solve(jacobian, f_p, config)
+    sens = _linear_solve(jacobian, f_p, config, order)
     return -(np.asarray(objective_gradient) @ sens)
 
 
@@ -383,6 +400,7 @@ class SGSystem:
 
     blocks: list
     basis: object
+    order: LUOrder = None    # of the blocks' pattern, for the mean-block LU
 
     @property
     def num_coeffs(self):
@@ -406,7 +424,8 @@ class SGSystem:
         return spla.LinearOperator((p1 * n, p1 * n), matvec)
 
     def mean_preconditioner(self):
-        solve = sparse_lu(self.blocks[0], "LU factorization of the SG mean block")
+        solve = sparse_lu(self.blocks[0], self.order,
+                          "LU factorization of the SG mean block")
         n, p1 = self.num_dofs, self.num_coeffs
 
         def apply(flat):
@@ -464,7 +483,7 @@ def sg_newton_solve(model, uncertain, config=None, x0=None):
     eta, refresh = _SG_ETA_MAX, True
     for it in range(1, config.max_iters + 1):
         if refresh:
-            system = SGSystem(blocks, basis)
+            system = SGSystem(blocks, basis, model.lu_order)
             operator, precond = system.operator(), system.mean_preconditioner()
         update, info = spla.gmres(operator, f.ravel(), M=precond, rtol=eta,
                                   atol=0.0, restart=80, maxiter=400)
@@ -494,9 +513,10 @@ def shape_objective_gradient(model, params, config=None):
     """Objective and reduced gradient of the shape problem at one design.
 
     Morphs the base mesh, solves, and evaluates dg/dp = -(dg/dx)^T J^{-1} f_p
-    with f_p from the shape-tangent assembly seeded by the finite-difference
-    coordinate sensitivities. The explicit dg/dp term is identically zero
-    (the parameters never appear in the objective).
+    with J the Jacobian that Newton returns at its solution and f_p from the
+    shape-tangent assembly seeded by the finite-difference coordinate
+    sensitivities. The explicit dg/dp term is identically zero (the
+    parameters never appear in the objective).
     """
     from .morphing import mesh_sensitivity, morph
 
@@ -509,9 +529,9 @@ def shape_objective_gradient(model, params, config=None):
     x_p = mesh_sensitivity(base, params)
     _, f_p = model.shape_tangent(result.x, x_p.reshape(len(base.coords),
                                                        2, params.size))
-    _, jacobian = model.jacobian(result.x)
-    grad = reduced_gradient(jacobian, f_p,
-                            objective.dense_gradient(model.num_dofs), config)
+    grad = reduced_gradient(result.jacobian, f_p,
+                            objective.dense_gradient(model.num_dofs), config,
+                            model.lu_order)
     return objective.value, np.atleast_1d(grad), result
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 REGIONS = ("conductor", "pad", "slider")
 
@@ -83,6 +85,84 @@ def validate_element_orientation(mesh):
     bad = np.nonzero(np.any(dets <= 0.0, axis=1))[0]
     if bad.size:
         raise MeshError(f"non-positive mapping determinant in elements {bad[:8].tolist()}")
+
+
+#: parts of at most this many nodes are not cut further by nested dissection
+_ND_LEAF = 8
+
+
+def nested_dissection(mesh):
+    """Fill-reducing order of the mesh nodes by nested dissection.
+
+    George, SIAM J. Numer. Anal. 10 (1973) 345-363, with coordinate cuts: a
+    part of more than ``_ND_LEAF`` nodes is cut at its (upper) median node
+    coordinate along x and along y. A cut's vertex separator is the set of
+    nodes at or below the median that share an element with a node above
+    it; the axis with the smaller separator wins, and the part is ordered as
+    its lower rest, then its upper side (both recursively), then the
+    separator. Smaller parts and separators keep ascending node order. A part
+    that neither cut separates (one side empty, or every lower node on the
+    separator) takes SuperLU's COLAMD order of its node graph. All parts of
+    one level are cut at once. Returns the node indices in elimination order.
+    """
+    n, k = mesh.num_nodes, mesh.connectivity.shape[1]
+    conn = mesh.connectivity
+    graph = sp.csr_matrix((np.ones(conn.size * k),
+                           (np.repeat(conn, k, axis=1).ravel(),
+                            np.tile(conn, (1, k)).ravel())), shape=(n, n))
+    graph.sum_duplicates()
+    counts = np.diff(graph.indptr)
+    rows = np.repeat(np.arange(n), counts)
+    # neighbours of each node, padded with n: a node that is in no part
+    neighbours = np.full((n, counts.max()), n)
+    neighbours[rows, np.arange(graph.nnz) - graph.indptr[rows]] = graph.indices
+    part = np.zeros(n + 1, dtype=np.int64)    # part to cut, -1 once placed
+    part[n] = -1
+    rank = np.arange(n)       # order inside a part placed whole
+    # per level, each node's place in its part: 0 lower rest, 1 upper side,
+    # 2 separator; sorting on the levels' digits, then rank, gives the order
+    levels = []
+    above = np.zeros(n + 1, dtype=bool)
+    while True:
+        active = np.flatnonzero(part[:n] >= 0)
+        small = np.bincount(part[active])[part[active]] <= _ND_LEAF
+        part[active[small]] = -1
+        active = active[~small]
+        if not active.size:
+            return np.lexsort([rank] + levels[::-1])
+        p = np.unique(part[active], return_inverse=True)[1]
+        sizes = np.bincount(p)
+        middle = np.cumsum(sizes) - sizes + sizes // 2
+        nbr = neighbours[active]
+        same_part = part[nbr] == part[active][:, None]
+        cuts = []    # per axis: separator width per part (n: no cut), sides
+        for coord in mesh.coords[active].T:
+            upper = coord > coord[np.lexsort((coord, p))[middle]][p]
+            above[active] = upper
+            separator = ~upper & (above[nbr] & same_part).any(axis=1)
+            above[active] = False
+            width = np.bincount(p[separator], minlength=len(sizes))
+            separates = ((np.bincount(p[upper], minlength=len(sizes)) > 0)
+                         & (width < np.bincount(p[~upper], minlength=len(sizes))))
+            cuts.append((np.where(separates, width, n), upper, separator))
+        x_wins = (cuts[0][0] <= cuts[1][0])[p]
+        upper, separator = (np.where(x_wins, x_side, y_side)
+                            for x_side, y_side in zip(cuts[0][1:], cuts[1][1:]))
+        digit = np.zeros(n, dtype=np.int64)
+        digit[active] = np.where(separator, 2, upper)
+        for q in np.flatnonzero(np.minimum(cuts[0][0], cuts[1][0]) == n):
+            # the part's node graph, made diagonally dominant so that
+            # SuperLU factors it and reports its COLAMD column order
+            nodes = active[p == q]
+            sub = graph[nodes][:, nodes]
+            dominant = sub + sp.diags(np.asarray(sub.sum(axis=1)).ravel())
+            rank[nodes[np.argsort(spla.splu(dominant.tocsc()).perm_c)]] = \
+                np.arange(len(nodes))
+            digit[nodes] = 0
+            part[nodes] = -1
+        levels.append(digit)
+        part[active] = np.where(separator | (part[active] < 0), -1,
+                                2 * p + upper)
 
 
 def build_slider_mesh(geom, res):

@@ -16,9 +16,11 @@ states under the ensemble type.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .analysis import sparse_lu
+from .analysis import LUOrder, sparse_lu
 from .assembly import (AssemblyState, ConnectivityMap, DirichletRows,
                        GlobalSystem, bind, build_worksets, finish,
                        specialization_registrars)
@@ -27,6 +29,7 @@ from .discretization import (ElementGeometryEvaluator, SolutionAtQPEvaluator,
 from .graph import (ENSEMBLE_RESIDUAL, EVALUATION_TYPES, JACOBIAN, RESIDUAL,
                     SG_JACOBIAN, SG_RESIDUAL, SHAPE_TANGENT, TANGENT,
                     WorksetContext, instantiate_for_all_types)
+from .mesh import nested_dissection
 from .physics import (ConductivityEvaluator, ElementMaterials,
                       HeatResidualEvaluator, JouleHeatingEvaluator,
                       ParameterLibrary, PotentialResidualEvaluator,
@@ -115,6 +118,26 @@ class ThermoElectricModel:
     def num_dofs(self):
         return self.system.num_dofs
 
+    # One nested-dissection order of the mesh nodes serves every sparse LU.
+    # Each order is built on first use, so a model that never solves (the
+    # FD oracle's) never pays for it.
+
+    @cached_property
+    def _node_order(self):
+        return nested_dissection(self.mesh)
+
+    @cached_property
+    def lu_order(self):
+        """Order of the Jacobian pattern, the dofs of each node together."""
+        dofs = self._node_order[:, None] * N_EQ + np.arange(N_EQ)
+        return LUOrder.of(self.system.indptr, self.system.indices, dofs.ravel())
+
+    @cached_property
+    def potential_order(self):
+        """Order of the potential (psi) block of the Jacobian pattern."""
+        return LUOrder.of(self.system.indptr, self.system.indices,
+                          self._node_order * N_EQ + UNKNOWNS.index("psi"))
+
     def set_coords(self, coords):
         """Swap node coordinates (mesh morphing); topology stays fixed."""
         self.state.coords = np.asarray(coords, dtype=float)
@@ -139,7 +162,7 @@ class ThermoElectricModel:
         x = self.initial_guess()
         f, jac = self.jacobian(x)
         psi = np.arange(UNKNOWNS.index("psi"), self.num_dofs, N_EQ)
-        solve = sparse_lu(jac[psi][:, psi],
+        solve = sparse_lu(jac, self.potential_order,
                           "LU factorization of the potential block")
         x[psi] -= solve(f[psi])
         return x

@@ -10,16 +10,18 @@ import scipy.sparse.linalg as spla
 
 from embedfem import analysis, config
 from embedfem import scalars as sc
-from embedfem.analysis import (NewtonConfig, SGSystem, SolveFailure,
-                               _linear_solve, continuation,
+from embedfem.analysis import (FactorizationFailure, NewtonConfig,
+                               SGSystem, SolveFailure, _linear_solve,
+                               continuation,
                                convergence_order_estimate, newton_solve,
                                nisp_project, optimize, reduced_gradient,
                                sg_newton_solve, shape_objective_gradient,
                                sparse_lu)
-from embedfem.mesh import build_rect_mesh
+from embedfem.mesh import Mesh, build_rect_mesh, nested_dissection
 from embedfem.morphing import mesh_sensitivity
 from embedfem.model import ThermoElectricModel
-from embedfem.physics import MaterialTable, RegionMaterial
+from embedfem.physics import (MaterialTable, NonPhysicalStateError,
+                              RegionMaterial)
 
 
 class AffineToy:
@@ -107,9 +109,109 @@ def test_newton_takes_the_initial_norm_from_the_first_jacobian():
     result = newton_solve(counting, x0=x0)
     assert result.history[0] == np.linalg.norm(model.residual(x0))
     assert result.iterations == 4
-    # one Jacobian per iteration and, as every step of this solve is a full
-    # step, one line-search residual per iteration: none for ||f(x0)||
-    assert counting.calls == {"residual": 4, "jacobian": 4}
+    # every step of this solve is a full step, whose trial Jacobian is the
+    # next iteration's: one Jacobian at x0 and one per iteration, and no
+    # residual at all
+    assert counting.calls == {"residual": 0, "jacobian": 5}
+
+
+def residual_trial_newton(model, config, x):
+    """Newton with residual-only line-search trials and a fresh Jacobian at
+    every iterate: the reference that ``newton_solve``'s Jacobian trials
+    must reproduce bit for bit. Returns x, the history and the number of
+    damped steps."""
+    f, jac = model.jacobian(x)
+    norm = norm0 = float(np.linalg.norm(f))
+    history = [norm]
+    damped = 0
+    for it in range(1, config.max_iters + 1):
+        if it > 1:
+            f, jac = model.jacobian(x)
+        step = _linear_solve(jac, f, config, model.lu_order)
+        alpha = 1.0
+        for _ in range(40):
+            candidate = x - alpha * step
+            try:
+                new_norm = float(np.linalg.norm(model.residual(candidate)))
+            except NonPhysicalStateError:
+                new_norm = np.inf
+            if np.isfinite(new_norm) and new_norm <= (1.0 - 1e-4 * alpha) * norm:
+                break
+            alpha *= 0.5
+        else:
+            raise AssertionError("reference line search found no decrease")
+        damped += alpha < 1.0
+        x, norm = candidate, new_norm
+        history.append(norm)
+        if norm <= config.abs_tol or norm <= config.rel_tol * norm0:
+            return x, history, damped
+    raise AssertionError("reference Newton did not converge")
+
+
+@pytest.mark.parametrize("psi_scale", [1.0, 4.0])
+def test_newton_jacobian_trials_are_bitwise_residual_trials(psi_scale):
+    # from the warm start every step is a full step; with its potential
+    # scaled by 4 some are damped
+    model = config.build_model(config.RunConfig())
+    x0 = model.warm_start()
+    x0[0::2] *= psi_scale
+    want_x, want_history, damped = residual_trial_newton(model, NewtonConfig(),
+                                                         x0)
+    assert (damped > 0) == (psi_scale != 1.0)
+    result = newton_solve(model, x0=x0)
+    assert np.array_equal(_bits(result.x), _bits(want_x))
+    assert np.array_equal(_bits(np.array(result.history)),
+                          _bits(np.array(want_history)))
+    assert np.array_equal(_bits(result.jacobian.data),
+                          _bits(model.jacobian(result.x)[1].data))
+
+
+class ArctanToy:
+    """f(x) = atan(x) - 0.1 componentwise: Newton's full step overshoots far
+    from the root. Above ``valid_below`` the state is non-physical."""
+
+    num_dofs = 2
+
+    def __init__(self, valid_below=np.inf):
+        self.valid_below = valid_below
+        self.calls = {"residual": 0, "jacobian": 0}
+
+    def residual(self, x):
+        self.calls["residual"] += 1
+        return self._residual(x)
+
+    def _residual(self, x):
+        if np.any(x > self.valid_below):
+            raise NonPhysicalStateError("outside the validity range")
+        return np.arctan(x) - 0.1
+
+    def jacobian(self, x):
+        self.calls["jacobian"] += 1
+        return self._residual(x), sp.csr_matrix(np.diag(1.0 / (1.0 + x ** 2)))
+
+
+def test_newton_rejected_full_step_takes_residual_trials_and_returns_jacobian():
+    toy = ArctanToy()
+    x0 = np.array([1.6, 0.0])
+    result = newton_solve(toy, x0=x0)
+    assert result.converged
+    assert toy.calls["residual"] >= 1     # the full step from x0 failed
+    # the first accepted iterate is the half step, so the Jacobian after it
+    # is assembled at that point
+    step = (np.arctan(x0) - 0.1) * (1.0 + x0 ** 2)
+    assert result.history[1] == np.linalg.norm(toy._residual(x0 - 0.5 * step))
+    assert np.array_equal(result.jacobian.toarray(),
+                          toy.jacobian(result.x)[1].toarray())
+
+
+def test_newton_non_physical_trial_jacobian_counts_as_an_infinite_norm():
+    toy = ArctanToy(valid_below=1.0)
+    x0 = np.array([-1.6, 0.0])
+    step = (np.arctan(x0) - 0.1) * (1.0 + x0 ** 2)
+    assert (x0 - step)[0] > toy.valid_below
+    result = newton_solve(toy, x0=x0)
+    assert result.converged
+    assert result.history[1] == np.linalg.norm(toy._residual(x0 - 0.5 * step))
 
 
 def test_newton_at_an_exact_initial_guess_assembles_one_jacobian():
@@ -153,7 +255,8 @@ def test_linear_solve_matches_dense_lu_on_demo_jacobian(demo):
 def test_linear_solve_singular_matrix_raises_solve_failure(limit, kind):
     # row and column 1 hold no entry at all
     jac = sp.csr_matrix(([1.0, 2.0], ([0, 2], [0, 2])), shape=(3, 3))
-    with pytest.raises(SolveFailure, match=f"^{kind} factorization failed: "):
+    with pytest.raises(FactorizationFailure,
+                       match=f"^{kind} factorization failed: "):
         _linear_solve(jac, np.ones(3), NewtonConfig(dense_dof_limit=limit))
 
 
@@ -176,95 +279,175 @@ def test_sg_mean_preconditioner_factorization_failure_is_a_solve_failure():
 
 
 # ---------------------------------------------------------------------------
-# sparse LU: one column order per sparsity pattern
+# sparse LU in the model's nested-dissection order
 # ---------------------------------------------------------------------------
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-@pytest.fixture(scope="module")
-def factored():
-    """Two matrices of each factored pattern, at two random states: the
-    16x16 Jacobian, its potential block, its SG mean block and the 32x32
-    Jacobian."""
-    rng = np.random.default_rng(21)
-    model16 = config.build_model(config.RunConfig(), sg_basis=BASIS)
+def _strip(n):
+    """The demo strip scaled to n x n elements."""
     cfg = config.RunConfig()
     g = cfg.geometry
-    g.nx_conductor, g.nx_pad, g.nx_slider, g.ny = 16, 4, 12, 32
-    model32 = config.build_model(cfg)
+    g.nx_conductor, g.nx_pad, g.nx_slider, g.ny = n // 2, n // 8, 3 * n // 8, n
+    return cfg
+
+
+def _renumbered(mesh, rng):
+    """The same mesh with its nodes numbered in a random order."""
+    new_of = rng.permutation(mesh.num_nodes)
+    coords = np.empty_like(mesh.coords)
+    coords[new_of] = mesh.coords
+    return Mesh(coords, new_of[mesh.connectivity], mesh.region_of,
+                {name: new_of[nodes] for name, nodes in mesh.node_sets.items()})
+
+
+@pytest.mark.parametrize("mesh", ["strip", "square", "renumbered"])
+def test_mesh_order_is_a_permutation_keeping_node_dofs_together(mesh):
+    strip = config.build_mesh(config.RunConfig())
+    mesh = {"strip": strip, "square": build_rect_mesh(12, 12),
+            "renumbered": _renumbered(strip, np.random.default_rng(0))}[mesh]
+    model = ThermoElectricModel(mesh, config.build_materials(config.RunConfig()))
+    nodes = nested_dissection(mesh)
+    assert np.array_equal(np.sort(nodes), np.arange(mesh.num_nodes))
+    perm = model.lu_order.perm
+    assert np.array_equal(np.sort(perm), np.arange(model.num_dofs))
+    assert np.array_equal(perm[0::2], 2 * nodes)
+    assert np.array_equal(perm[1::2], 2 * nodes + 1)
+    assert np.array_equal(model.potential_order.perm, nodes)
+
+
+def recursive_nested_dissection(mesh, leaf=8):
+    """``nested_dissection`` one part at a time: the reference for the
+    library's version, which cuts all parts of a level at once."""
+    n = mesh.num_nodes
+    graph = sp.csr_matrix((n, n))
+    for a in range(4):
+        for b in range(4):
+            graph += sp.csr_matrix((np.ones(mesh.num_elems),
+                                    (mesh.connectivity[:, a],
+                                     mesh.connectivity[:, b])), shape=(n, n))
+    graph = graph.tocsr()
+    order = []
+
+    def cut(nodes, coord):
+        upper = coord > np.sort(coord)[len(coord) // 2]
+        lower = nodes[~upper]
+        touching = np.asarray(graph[lower][:, nodes[upper]].sum(axis=1)).ravel()
+        return lower, nodes[upper], touching > 0
+
+    def dissect(nodes):
+        if len(nodes) <= leaf:
+            order.extend(nodes)
+            return
+        cuts = [c for c in (cut(nodes, mesh.coords[nodes, 0]),
+                            cut(nodes, mesh.coords[nodes, 1]))
+                if c[1].size and not c[2].all()]
+        if not cuts:
+            sub = graph[nodes][:, nodes]
+            dominant = sub + sp.diags(np.asarray(sub.sum(axis=1)).ravel())
+            order.extend(nodes[np.argsort(spla.splu(dominant.tocsc()).perm_c)])
+            return
+        lower, upper, separator = min(cuts, key=lambda c: c[2].sum())
+        dissect(lower[~separator])
+        dissect(upper)
+        order.extend(lower[separator])
+
+    dissect(np.arange(n))
+    return np.array(order)
+
+
+@pytest.mark.parametrize("mesh", ["strip", "square", "renumbered",
+                                  "half collapsed", "point"])
+def test_nested_dissection_matches_the_recursive_reference(mesh):
+    # collapsing nodes onto one point leaves parts that no cut separates,
+    # which take COLAMD's order: the whole mesh for "point"
+    strip = config.build_mesh(config.RunConfig())
+    square = build_rect_mesh(12, 12)
+    collapsed = square.coords.copy()
+    collapsed[:80] = 0.0
+    mesh = {"strip": strip, "square": square,
+            "renumbered": _renumbered(strip, np.random.default_rng(0)),
+            "half collapsed": square.replace_coords(collapsed),
+            "point": square.replace_coords(np.zeros_like(square.coords)),
+            }[mesh]
+    assert np.array_equal(nested_dissection(mesh),
+                          recursive_nested_dissection(mesh))
+
+
+@pytest.fixture(scope="module")
+def factored():
+    """(matrix, order, factored block) of each block that ``sparse_lu``
+    factors in a model's order, at a state where the library factors it: the
+    16x16 Jacobian at the solution (the reduced gradient's), its potential
+    block at the initial guess (the warm start's), its SG mean block at the
+    hot start and the 32x32 Jacobian at the warm start (Newton's first)."""
+    model16 = config.build_model(config.RunConfig(), sg_basis=BASIS)
+    model32 = config.build_model(_strip(32))
+    solution = newton_solve(model16)
+    _, jac0 = model16.jacobian(model16.initial_guess())
     psi = np.arange(0, model16.num_dofs, 2)
-    out = {"jacobian16": [], "potential16": [], "sg_mean16": [],
-           "jacobian32": []}
-    for _ in range(2):
-        x = model16.initial_guess() + 0.3 * rng.normal(size=model16.num_dofs)
-        _, jac = model16.jacobian(x)
-        out["jacobian16"].append(jac)
-        out["potential16"].append(jac[psi][:, psi])
-        x_block = np.zeros((BASIS.size, model16.num_dofs))
-        x_block[0] = x
-        x_block[1:] = 0.05 * rng.normal(size=(BASIS.size - 1, model16.num_dofs))
-        _, blocks = model16.sg_jacobian(x_block,
-                                        {"PadSigma0": [35.0, 10.0, 0.0, 0.0]})
-        out["sg_mean16"].append(blocks[0])
-        x = model32.initial_guess() + 0.3 * rng.normal(size=model32.num_dofs)
-        out["jacobian32"].append(model32.jacobian(x)[1])
-    return out
-
-
-def _spy_on_splu(monkeypatch):
-    """Record the ``permc_spec`` of every SuperLU factorization."""
-    calls = []
-    splu = spla.splu
-
-    def spy(matrix, *args, **kwargs):
-        calls.append(kwargs.get("permc_spec"))
-        return splu(matrix, *args, **kwargs)
-
-    monkeypatch.setattr(spla, "splu", spy)
-    return calls
+    x_block = np.zeros((BASIS.size, model16.num_dofs))
+    x_block[0] = solution.x
+    _, blocks = model16.sg_jacobian(x_block,
+                                    {"PadSigma0": [35.0, 10.0, 0.0, 0.0]})
+    _, jac32 = model32.jacobian(model32.warm_start())
+    return {"jacobian16": (solution.jacobian, model16.lu_order,
+                           solution.jacobian),
+            "potential16": (jac0, model16.potential_order, jac0[psi][:, psi]),
+            "sg_mean16": (blocks[0], model16.lu_order, blocks[0]),
+            "jacobian32": (jac32, model32.lu_order, jac32)}
 
 
 @pytest.mark.parametrize("name", ["jacobian16", "potential16", "sg_mean16",
                                   "jacobian32"])
-def test_sparse_lu_reused_order_is_bitwise_plain_splu(factored, monkeypatch,
-                                                      name):
-    first, second = factored[name]
-    reference = spla.splu(second.tocsc())
-    sparse_lu(first)     # records the pattern's order unless already known
-    calls = _spy_on_splu(monkeypatch)
-    solve = sparse_lu(second)
-    assert calls == ["NATURAL"]
+def test_sparse_lu_mesh_order_agrees_with_plain_splu(factored, name):
+    matrix, order, block = factored[name]
+    reference = spla.splu(block.tocsc())
+    solve = sparse_lu(matrix, order)
     rng = np.random.default_rng(23)
-    n = second.shape[0]
+    n = block.shape[0]
     for rhs in (rng.normal(size=n), rng.normal(size=(n, 3))):
         want, got = reference.solve(rhs), solve(rhs)
         assert got.shape == want.shape
         assert got.flags.f_contiguous == want.flags.f_contiguous
-        assert np.array_equal(_bits(got), _bits(want))
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
-def test_sparse_lu_never_reuses_another_patterns_order(monkeypatch):
-    # same shape and row counts (so the same indptr), other columns
-    dense = np.random.default_rng(24).normal(size=(8, 8)) + 8.0 * np.eye(8)
-    first = sp.csr_matrix(np.triu(dense, -1))
-    second = sp.csr_matrix(np.triu(dense, -1)[:, ::-1])
-    assert np.array_equal(first.indptr, second.indptr)
-    sparse_lu(first)
-    sparse_lu(first)
-    calls = _spy_on_splu(monkeypatch)
-    solve = sparse_lu(second)
-    assert calls == [None]       # a fresh COLAMD ordering, not first's order
-    rhs = np.arange(1.0, 9.0)
-    assert np.array_equal(_bits(solve(rhs)),
-                          _bits(spla.splu(second.tocsc()).solve(rhs)))
+@pytest.mark.parametrize("n", [16, 32])
+def test_sparse_lu_mesh_order_is_backward_stable_at_random_states(n):
+    # far from a solution the Jacobian is ill conditioned (1-norm condition
+    # up to about 5e7 here), so solutions of two stable factorizations differ
+    # by about cond * eps; threshold pivoting must keep the backward error
+    # at the level of a few eps all the same
+    rng = np.random.default_rng(21)
+    model = config.build_model(_strip(n))
+    x = model.initial_guess() + 0.3 * rng.normal(size=model.num_dofs)
+    _, jac = model.jacobian(x)
+    b = rng.normal(size=model.num_dofs)
+    x = sparse_lu(jac, model.lu_order)(b)
+    scale = abs(jac).sum(axis=1).max() * np.abs(x).max() + np.abs(b).max()
+    assert np.abs(jac @ x - b).max() <= 1e-15 * scale
 
 
-def test_sparse_lu_keeps_a_bounded_number_of_patterns():
-    for n in range(1, analysis._COLUMN_ORDER_LIMIT + 4):
-        sparse_lu(sp.csr_matrix(2.0 * np.eye(n)))
-    assert len(analysis._COLUMN_ORDERS) == analysis._COLUMN_ORDER_LIMIT
+def test_sparse_lu_mesh_order_factors_the_128_strip_jacobian():
+    model = config.build_model(_strip(128))
+    _, jac = model.jacobian(model.warm_start())
+    b = np.random.default_rng(22).normal(size=model.num_dofs)
+    x = sparse_lu(jac, model.lu_order)(b)
+    assert np.linalg.norm(jac @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_sparse_lu_mesh_order_singular_matrix_raises_superlu_message():
+    model = config.build_model(config.RunConfig())
+    _, jac = model.jacobian(model.initial_guess())
+    row = 2 * (model.mesh.num_nodes // 2) + 1    # an interior temperature row
+    jac.data[jac.indptr[row]:jac.indptr[row + 1]] = 0.0
+    with pytest.raises(FactorizationFailure,
+                       match="^LU factorization failed: Factor is exactly "
+                             "singular$"):
+        sparse_lu(jac, model.lu_order)
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +489,18 @@ def test_reduced_gradient_two_shape_parameters_matches_per_column_solves(demo):
         x_p = mesh_sensitivity(base, p)
         _, f_p = model.shape_tangent(state.x, x_p.reshape(len(base.coords),
                                                           2, p.size))
+        # a fresh Jacobian at the solution: the gradient must be bitwise the
+        # one from the Jacobian that Newton returned
         _, jac = model.jacobian(state.x)
         g_x = model.objective(state.x).dense_gradient(model.num_dofs)
     finally:
         model.reset_coords()
-    lu = spla.splu(jac.tocsc())
-    per_column = np.column_stack([lu.solve(f_p[:, k]) for k in range(p.size)])
+    solve = sparse_lu(jac, model.lu_order)
+    per_column = np.column_stack([solve(f_p[:, k]) for k in range(p.size)])
     expected = -(g_x @ per_column)
     assert grad.shape == (2,)
-    assert np.array_equal(reduced_gradient(jac, f_p, g_x), expected)
+    assert np.array_equal(reduced_gradient(jac, f_p, g_x, order=model.lu_order),
+                          expected)
     assert np.array_equal(grad, expected)
 
 
@@ -425,6 +611,53 @@ def test_continuation_failure_names_the_parameter_and_keeps_the_cause():
     assert "np.float64" not in message
     assert isinstance(info.value.__cause__, SolveFailure)
     assert info.value.history == []
+
+
+class SingularAtZeroToy(ParametrizedToy):
+    """Affine toy whose matrix is scaled by the parameter: singular at 0."""
+
+    def residual(self, x):
+        return self.p * (self.mat @ x) - self.rhs
+
+    def jacobian(self, x):
+        return self.residual(x), sp.csr_matrix(self.p * self.mat)
+
+
+def test_continuation_does_not_bisect_a_factorization_failure():
+    # 0.5 would converge, but no smaller step cures a singular matrix at 0
+    attempts = []
+
+    def setter(model, value):
+        attempts.append(value)
+        model.p = value
+
+    with pytest.raises(SolveFailure) as info:
+        continuation(SingularAtZeroToy(), setter, [1.0, 0.0])
+    assert attempts == [1.0, 0.0]
+    assert str(info.value) == ("continuation failed at parameter 0.0: "
+                               "LU factorization failed: Factor is exactly "
+                               "singular")
+    assert isinstance(info.value.__cause__, FactorizationFailure)
+    assert [step["parameter"] for step in info.value.history] == [1.0]
+
+
+def test_continuation_on_the_32_strip_stops_at_the_first_ilu_breakdown():
+    cfg = _strip(32)
+    model = config.build_model(cfg)
+    attempts = []
+
+    def setter(model, value):
+        attempts.append(value)
+        model.library.set_value("PadSigma0", 30.0 + value)
+
+    newton = config.newton_config(cfg)
+    assert model.num_dofs > newton.dense_dof_limit
+    with pytest.raises(SolveFailure) as info:
+        continuation(model, setter, [-0.3, 0.0, 0.3], newton)
+    assert attempts == [-0.3]
+    assert str(info.value) == ("continuation failed at parameter -0.3: ILU "
+                               "factorization failed: Factor is exactly "
+                               "singular")
 
 
 # ---------------------------------------------------------------------------
