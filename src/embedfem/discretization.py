@@ -70,25 +70,21 @@ def bilinear_basis(quad_order=2):
 # generic element geometry
 # ---------------------------------------------------------------------------
 
-def _contract_nodes(nodal, tables):
-    """sum_n nodal[:, n] table_n: (e, n) storage and one (q,) or (e, q)
-    table per node -> (e, q) storage, the nodes added in order."""
-    acc = None
-    for n, table in enumerate(tables):
-        term = nodal[:, n][:, None] * table
-        acc = term if acc is None else acc + term
-    return acc
+def element_tables(table, num_elems):
+    """A reference table (n, q, ...) as (e, n, q, ...), element axis fastest
+    like the arena's: (q,) rows would give C-ordered, q-long inner loops."""
+    return np.asfortranarray(np.broadcast_to(table, (num_elems,) + table.shape))
 
 
-def mapping_jacobian(coords, basis):
+def mapping_jacobian(coords, ref_grad):
     """2x2 mapping Jacobian entries J[a][b] = d x_a / d xi_b, each (e, q).
 
-    ``coords`` is generic storage shaped (e, n, 2); the result scalars share
-    its kind, so dual-valued coordinates yield dual-valued geometry.
+    ``coords`` is generic storage shaped (e, n, 2) and ``ref_grad`` the
+    (e, n, q, 2) ``element_tables`` of the reference gradients; the result
+    shares the coordinates' kind, so dual coordinates give dual geometry.
     """
-    dphi = basis.ref_gradients
-    return [[_contract_nodes(coords[:, :, a], dphi[:, :, b]) for b in range(2)]
-            for a in range(2)]
+    return [[interpolate_to_qp(coords[:, :, a], ref_grad[:, :, :, b])
+             for b in range(2)] for a in range(2)]
 
 
 def element_geometry(coords, basis):
@@ -98,7 +94,8 @@ def element_geometry(coords, basis):
     is a list [n][d] of (e, q) scalars, and det_w = det * w_q. Raises if the
     determinant is non-positive anywhere (ids are workset-local).
     """
-    jac = mapping_jacobian(coords, basis)
+    ref_grad = element_tables(basis.ref_gradients, np.shape(coords)[0])
+    jac = mapping_jacobian(coords, ref_grad)
     det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
     det_values = sc.strip_derivatives(det)
     if np.any(det_values <= 0.0):
@@ -109,24 +106,21 @@ def element_geometry(coords, basis):
     #   d phi / dx = (d phi/d xi) (d xi/dx),  d xi_b / d x_a = adj(J)/det
     inv = [[jac[1][1] / det, -jac[0][1] / det],
            [-jac[1][0] / det, jac[0][0] / det]]
-    dphi = basis.ref_gradients
-    phys_grad = [[None, None] for _ in range(basis.num_nodes)]
-    for n in range(basis.num_nodes):
-        for d in range(2):
-            phys_grad[n][d] = (inv[0][d] * dphi[n, :, 0]
-                               + inv[1][d] * dphi[n, :, 1])
+    phys_grad = [[inv[0][d] * ref_grad[:, n, :, 0]
+                  + inv[1][d] * ref_grad[:, n, :, 1] for d in range(2)]
+                 for n in range(basis.num_nodes)]
     det_w = det * basis.weights
     return det, phys_grad, det_w
 
 
-def interpolate_to_qp(nodal, basis):
-    """u(q) = sum_i phi_i(q) u_i; (e, n) storage -> (e, q) storage."""
-    return _contract_nodes(nodal, basis.values)
-
-
-def gradient_component_at_qp(nodal, phys_grad, d):
-    """One component of grad u at quadrature points, (e, q) storage."""
-    return _contract_nodes(nodal, [grad[d] for grad in phys_grad])
+def interpolate_to_qp(nodal, table):
+    """sum_n nodal[:, n] table[:, n]: (e, n) storage by an (e, n, q) table ->
+    (e, q) storage, u at the qp with ``bf`` and grad u with ``grad_bf``'s
+    components. The nodes are added in order, in place into the first."""
+    acc = nodal[:, 0][:, None] * table[:, 0]
+    for n in range(1, np.shape(table)[1]):
+        sc.add_into(acc, nodal[:, n][:, None] * table[:, n])
+    return acc
 
 
 def integrate(accum_field, integrand, weighted):
@@ -137,14 +131,14 @@ def integrate(accum_field, integrand, weighted):
     residual can be built up term by term.
 
     The terms are added one quadrature point at a time, ((t0 + t1) + t2) + t3,
-    without forming the (e, i, q, ...) product. For four points numpy's
-    ``sum`` over q adds in this order whatever the scalar kind and memory
-    order, starting from +0.0; that start only turns an all -0.0 sum into
-    +0.0, as does accumulating into the field's zeroed storage. So the field
-    ends up bitwise as with the broadcast-and-sum form. Vector integrands are
-    added in row-major (q, d) order; numpy would sum those 8 terms pairwise
-    for plain values but sequentially for partials, so no single order
-    matches it there.
+    each in place into the first, without forming the (e, i, q, ...) product.
+    For four points numpy's ``sum`` over q adds in this order whatever the
+    scalar kind and memory order, starting from +0.0; that start only turns
+    an all -0.0 sum into +0.0, as does accumulating into the field's zeroed
+    storage. So the field ends up bitwise as with the broadcast-and-sum form.
+    Vector integrands are added in row-major (q, d) order; numpy would sum
+    those 8 terms pairwise for plain values but sequentially for partials,
+    so no single order matches it there.
 
     Kernels contract like this, explicitly and elementwise, and never reduce
     field data with a numpy reduction: numpy's pairwise summation follows
@@ -156,11 +150,12 @@ def integrate(accum_field, integrand, weighted):
     if len(w_shape) != i_rank + 1:
         raise ValueError(f"integrand rank {i_rank} does not match weighted "
                          f"basis rank {len(w_shape)}")
-    acc = None
-    for point in np.ndindex(*w_shape[2:]):
-        term = weighted[(slice(None), slice(None)) + point] \
-            * integrand[(slice(None),) + point][:, None]
-        acc = term if acc is None else acc + term
+    terms = (weighted[(slice(None), slice(None)) + point]
+             * integrand[(slice(None),) + point][:, None]
+             for point in np.ndindex(*w_shape[2:]))
+    acc = next(terms)
+    for term in terms:
+        sc.add_into(acc, term)
     accum_field.accumulate(acc)
 
 
@@ -169,7 +164,8 @@ def integrate(accum_field, integrand, weighted):
 # ---------------------------------------------------------------------------
 
 class ElementGeometryEvaluator(Evaluator):
-    """Maps gathered coordinates to weighted basis tables and qp coordinates.
+    """Maps gathered coordinates to weighted basis tables and qp coordinates;
+    ``bf`` holds the basis values as a real field (Albany's BF).
 
     With a ``cache`` dict (plain-valued coordinates only), the outputs are
     kept per workset element range together with the coordinates they came
@@ -184,6 +180,7 @@ class ElementGeometryEvaluator(Evaluator):
         self.cache = cache
         self.depends = (FieldSpec("coords_node", ("elem", "node", "dim"), "mesh"),)
         self.evaluates = (
+            FieldSpec("bf", ("elem", "node", "qp"), "real"),
             FieldSpec("weighted_bf", ("elem", "node", "qp"), "mesh"),
             FieldSpec("grad_bf", ("elem", "node", "qp", "dim"), "mesh"),
             FieldSpec("weighted_grad_bf", ("elem", "node", "qp", "dim"), "mesh"),
@@ -211,30 +208,31 @@ class ElementGeometryEvaluator(Evaluator):
 
     def _compute(self, ctx, coords):
         basis = self.basis
+        bf = ctx.field("bf").data
+        bf[...] = basis.values
         det, phys_grad, det_w = element_geometry(coords, basis)
         ctx.field("det_w").assign(det_w)
-        wbf = ctx.field("weighted_bf")
+        ctx.field("weighted_bf").assign(det_w[:, None] * bf)
         gbf = ctx.field("grad_bf")
         wgbf = ctx.field("weighted_grad_bf")
         for n in range(basis.num_nodes):
-            wbf[:, n] = det_w * basis.values[n]
             for d in range(2):
                 gbf[:, n, :, d] = phys_grad[n][d]
                 wgbf[:, n, :, d] = phys_grad[n][d] * det_w
         xqp = ctx.field("coords_qp")
         for d in range(2):
-            xqp[:, :, d] = interpolate_to_qp(coords[:, :, d], basis)
+            xqp[:, :, d] = interpolate_to_qp(coords[:, :, d], bf)
 
 
 class SolutionAtQPEvaluator(Evaluator):
     """Interpolates one nodal unknown and its gradient to quadrature points."""
 
-    def __init__(self, unknown, basis):
+    def __init__(self, unknown):
         self.unknown = unknown
-        self.basis = basis
         self.name = f"{unknown}_at_qp"
         self.depends = (
             FieldSpec(f"{unknown}_node", ("elem", "node"), "solution"),
+            FieldSpec("bf", ("elem", "node", "qp"), "real"),
             FieldSpec("grad_bf", ("elem", "node", "qp", "dim"), "mesh"),
         )
         self.evaluates = (
@@ -244,10 +242,9 @@ class SolutionAtQPEvaluator(Evaluator):
 
     def evaluate(self, ctx):
         nodal = ctx.field(f"{self.unknown}_node").data
-        ctx.field(f"{self.unknown}_qp").assign(interpolate_to_qp(nodal, self.basis))
+        ctx.field(f"{self.unknown}_qp").assign(
+            interpolate_to_qp(nodal, ctx.field("bf").data))
         gbf = ctx.field("grad_bf").data
-        phys_grad = [[gbf[:, n, :, d] for d in range(2)]
-                     for n in range(self.basis.num_nodes)]
         grad = ctx.field(f"grad_{self.unknown}_qp")
         for d in range(2):
-            grad[:, :, d] = gradient_component_at_qp(nodal, phys_grad, d)
+            grad[:, :, d] = interpolate_to_qp(nodal, gbf[:, :, :, d])

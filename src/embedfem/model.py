@@ -69,8 +69,8 @@ class ThermoElectricModel:
                 self.basis,
                 geometry_cache if ev_type.mesh_kind == "real" else None),
             gather_solution,
-            lambda ev_type: SolutionAtQPEvaluator("psi", self.basis),
-            lambda ev_type: SolutionAtQPEvaluator("temp", self.basis),
+            lambda ev_type: SolutionAtQPEvaluator("psi"),
+            lambda ev_type: SolutionAtQPEvaluator("temp"),
             lambda ev_type: ConductivityEvaluator(mats, lib, ev_type),
         ]
         if with_joule:

@@ -190,9 +190,11 @@ def project_samples(samples, nodes, weights, basis):
 def _check_index(idx, value_ndim):
     if not isinstance(idx, tuple):
         idx = (idx,)
-    consuming = sum(1 for i in idx if i is not None)
-    if any(i is Ellipsis for i in idx):
-        raise IndexError("Ellipsis is not supported; index value axes explicitly")
+    consuming = len(idx)   # by identity: == compares arrays elementwise
+    for i in idx:
+        if i is Ellipsis:
+            raise IndexError("Ellipsis is not supported; index value axes explicitly")
+        consuming -= i is None
     if consuming > value_ndim:
         raise IndexError(f"too many indices for value shape with {value_ndim} axes")
     return idx

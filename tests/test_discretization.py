@@ -5,9 +5,9 @@ import pytest
 
 from embedfem import scalars as sc
 from embedfem.discretization import (REF_NODES, bilinear_basis,
-                                     element_geometry,
-                                     gradient_component_at_qp, integrate,
-                                     interpolate_to_qp, shape_values)
+                                     element_geometry, element_tables,
+                                     integrate, interpolate_to_qp,
+                                     shape_values)
 from embedfem.fields import Field, Layout, make_storage
 from embedfem.mesh import MeshError
 
@@ -16,6 +16,11 @@ def square_coords(h=1.0, n_elems=1):
     """Axis-aligned h x h elements at the origin, shaped (e, 4, 2)."""
     quad = np.array([[0.0, 0.0], [h, 0.0], [h, h], [0.0, h]])
     return np.broadcast_to(quad, (n_elems, 4, 2)).copy()
+
+
+def grad_table(phys_grad):
+    """element_geometry's [n][d] list of (e, q) gradients as (e, n, q, 2)."""
+    return np.stack([np.stack(g, axis=-1) for g in phys_grad], axis=1)
 
 
 def test_basis_is_kronecker_delta_at_nodes():
@@ -85,7 +90,8 @@ def test_non_positive_determinant_reports_element():
 def test_interpolation_partition_of_unity():
     b = bilinear_basis(2)
     nodal = np.full((3, 4), 7.25)
-    assert np.allclose(interpolate_to_qp(nodal, b), 7.25, atol=1e-14)
+    bf = element_tables(b.values, 3)
+    assert np.allclose(interpolate_to_qp(nodal, bf), 7.25, atol=1e-14)
 
 
 def test_interpolation_reproduces_linear_fields():
@@ -93,8 +99,8 @@ def test_interpolation_reproduces_linear_fields():
     coords = square_coords(2.0)
     nodal = coords[:, :, 0]  # u = x
     _, phys_grad, _ = element_geometry(coords, b)
-    gx = gradient_component_at_qp(nodal, phys_grad, 0)
-    gy = gradient_component_at_qp(nodal, phys_grad, 1)
+    gx = interpolate_to_qp(nodal, grad_table(phys_grad)[..., 0])
+    gy = interpolate_to_qp(nodal, grad_table(phys_grad)[..., 1])
     assert np.allclose(gx, 1.0, atol=1e-14)
     assert np.allclose(gy, 0.0, atol=1e-14)
 
@@ -102,7 +108,7 @@ def test_interpolation_reproduces_linear_fields():
 def test_interpolation_is_linear_in_dual_seeds():
     b = bilinear_basis(2)
     nodal = sc.Dual(np.zeros((1, 4)), np.eye(4)[None])
-    u = interpolate_to_qp(nodal, b)
+    u = interpolate_to_qp(nodal, element_tables(b.values, 1))
     # du(q)/du_i = phi_i(q)
     assert np.allclose(u.dx[0], b.values.T, atol=1e-15)
 
@@ -256,9 +262,11 @@ def test_patch_test_linear_reproduction_on_distorted_mesh():
     a0, ax, ay = 0.7, -1.3, 2.1
     nodal = a0 + ax * coords[:, :, 0] + ay * coords[:, :, 1]
     det, phys_grad, _ = element_geometry(coords, b)
-    u = interpolate_to_qp(nodal, b)
-    x_qp = interpolate_to_qp(coords[:, :, 0], b)
-    y_qp = interpolate_to_qp(coords[:, :, 1], b)
+    bf = element_tables(b.values, 1)
+    u = interpolate_to_qp(nodal, bf)
+    x_qp = interpolate_to_qp(coords[:, :, 0], bf)
+    y_qp = interpolate_to_qp(coords[:, :, 1], bf)
     assert np.allclose(u, a0 + ax * x_qp + ay * y_qp, atol=1e-13)
-    assert np.allclose(gradient_component_at_qp(nodal, phys_grad, 0), ax, atol=1e-13)
-    assert np.allclose(gradient_component_at_qp(nodal, phys_grad, 1), ay, atol=1e-13)
+    grad_bf = grad_table(phys_grad)
+    assert np.allclose(interpolate_to_qp(nodal, grad_bf[..., 0]), ax, atol=1e-13)
+    assert np.allclose(interpolate_to_qp(nodal, grad_bf[..., 1]), ay, atol=1e-13)

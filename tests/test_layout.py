@@ -1,6 +1,8 @@
 """Element-fastest field storage: every output is bitwise what C-ordered
 storage gives, the layout reaches the kernels' temporaries, and reductions
-do not depend on it."""
+do not depend on it; the node and quadrature contractions, on element-fastest
+basis tables and summed in place, are bitwise their out-of-place form on
+(q,) basis rows."""
 
 import numpy as np
 import pytest
@@ -9,7 +11,12 @@ from embedfem import fields
 from embedfem import scalars as sc
 from embedfem.analysis import (NewtonConfig, shape_objective_gradient,
                                sg_newton_solve)
+from embedfem.assembly import build_worksets
+from embedfem.discretization import (bilinear_basis, element_tables,
+                                     integrate, interpolate_to_qp,
+                                     mapping_jacobian)
 from embedfem.fields import make_storage
+from embedfem.mesh import GeometryParams, Resolution, build_slider_mesh
 from test_model import BASIS, _bitwise, demo_model, random_state
 
 EXTENTS = (64, 4, 3)   # (elem, node, qp)
@@ -166,3 +173,115 @@ def test_sums_do_not_depend_on_the_storage_layout(kind, axis):
     for (g, _), (w, _) in zip(_components(got), _components(want),
                               strict=True):
         assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# node and quadrature contractions against (q,) basis rows
+# ---------------------------------------------------------------------------
+
+QUAD = bilinear_basis(2)
+
+
+def _workset_sizes():
+    """Element counts of the demo mesh's worksets of 7: full ones and the
+    short last one (256 = 36 * 7 + 4)."""
+    mesh = build_slider_mesh(GeometryParams(), Resolution())
+    sizes = sorted({ws.stop - ws.start for ws in build_worksets(mesh, 7)})
+    assert sizes == [4, 7]
+    return sizes
+
+
+def _row_contraction(nodal, rows):
+    """sum_n nodal[:, n] rows[n] with one new sum per node: the form on
+    (q,) basis rows that the element-fastest tables replace."""
+    acc = None
+    for n, row in enumerate(rows):
+        term = nodal[:, n][:, None] * row
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _row_integrate(integrand, weighted):
+    """integrate's contraction with one new sum per quadrature point."""
+    acc = None
+    for q in range(np.shape(weighted)[2]):
+        term = weighted[:, :, q] * integrand[:, q][:, None]
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def _same_bits(got, want):
+    return all(np.array_equal(g.view(np.int64), w.view(np.int64))
+               for (g, _), (w, _) in zip(_components(got), _components(want),
+                                         strict=True))
+
+
+def _storage(kind, extents, rng):
+    storage = make_storage(kind, extents, **STORAGE_KINDS[kind])
+    _fill(storage, rng)
+    for data, _ in _components(storage):
+        data[::3] = -0.0
+    return storage
+
+
+@pytest.mark.parametrize("kind", sorted(STORAGE_KINDS))
+def test_contractions_are_bitwise_the_row_form_and_element_fastest(kind):
+    rng = np.random.default_rng(11)
+    for size in _workset_sizes():
+        nodal = _storage(kind, (size, QUAD.num_nodes), rng)
+        coords = _storage(kind, (size, QUAD.num_nodes, 2), rng)
+        integrand = _storage(kind, (size, QUAD.num_qp), rng)
+        grad = _storage("real", (size, QUAD.num_nodes, QUAD.num_qp, 2), rng)
+        weighted = _storage("real", (size, QUAD.num_nodes, QUAD.num_qp), rng)
+        bf = element_tables(QUAD.values, size)
+        ref_grad = element_tables(QUAD.ref_gradients, size)
+        inputs = (nodal, coords, integrand, grad, weighted, bf, ref_grad)
+        before = [data.copy() for storage in inputs
+                  for data, _ in _components(storage)]
+
+        got = {"interpolate": interpolate_to_qp(nodal, bf),
+               "gradient": interpolate_to_qp(nodal, grad[:, :, :, 1])}
+        # the physical gradients vary by element: their own (e, q) slices
+        want = {"interpolate": _row_contraction(nodal, QUAD.values),
+                "gradient": _row_contraction(nodal, [grad[:, n, :, 1] for n
+                                                     in range(QUAD.num_nodes)])}
+        jac = mapping_jacobian(coords, ref_grad)
+        for a in range(2):
+            for b in range(2):
+                got[f"jacobian{a}{b}"] = jac[a][b]
+                want[f"jacobian{a}{b}"] = _row_contraction(
+                    coords[:, :, a], QUAD.ref_gradients[:, :, b])
+        for name, value in got.items():
+            assert _same_bits(value, want[name]), (name, size)
+            for data, elem_axis in _components(value):
+                assert data.strides[elem_axis] == data.itemsize, (name, size)
+
+        field = fields.Field("r", fields.Layout((size, QUAD.num_nodes)),
+                             make_storage(kind, (size, QUAD.num_nodes),
+                                          **STORAGE_KINDS[kind]))
+        reference = make_storage(kind, (size, QUAD.num_nodes),
+                                 **STORAGE_KINDS[kind])
+        for _ in range(2):   # into zeroed storage, then on top of the first
+            integrate(field, integrand, weighted)
+            sc.add_into(reference, _row_integrate(integrand, weighted))
+        assert _same_bits(field.data, reference), ("integrate", size)
+
+        after = [data for storage in inputs for data, _ in _components(storage)]
+        for old, new in zip(before, after, strict=True):
+            assert np.array_equal(old.view(np.int64), new.view(np.int64))
+
+
+def test_assembly_reads_basis_values_from_an_element_fastest_field():
+    # worksets of 7 leave a short last one of 4 elements with its own arena
+    model = demo_model(sg_basis=BASIS, workset_size=7)
+    _every_output(model)
+    arenas = [arena for graph in model.graphs.values()
+              for arena in graph._arenas.values()]
+    assert {arena.dim_sizes["elem"] for arena in arenas} == set(_workset_sizes())
+    for arena in arenas:
+        bf = arena.get("bf").data
+        assert bf.strides[0] == bf.itemsize
+        assert np.array_equal(bf, np.broadcast_to(model.basis.values, bf.shape))
+        temp = arena.get("temp_node").data
+        assert _same_bits(arena.get("temp_qp").data,
+                          _row_contraction(temp, model.basis.values))

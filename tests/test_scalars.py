@@ -544,6 +544,27 @@ def test_indexing_preserves_trailing_axes():
         a[..., 0]
 
 
+@pytest.mark.parametrize("kind", ["dual", "pce"])
+def test_index_errors_of_dual_and_pce(kind):
+    rng = np.random.default_rng(5)
+    if kind == "dual":
+        a = sc.Dual(rng.normal(size=(2, 3)), rng.normal(size=(2, 3, 4)))
+    else:
+        a = pce(rng.normal(size=(2, 3, BASIS3.size)))
+    ellipsis = "Ellipsis is not supported; index value axes explicitly"
+    too_many = "too many indices for value shape with 2 axes"
+    for idx, message in (((..., 0), ellipsis), ((0, ...), ellipsis),
+                         ((None, 0, ..., 0, 1), ellipsis),
+                         ((0, 1, 0), too_many), ((0, None, 1, 0), too_many)):
+        with pytest.raises(IndexError) as err:
+            a[idx]
+        assert str(err.value) == message
+    # None adds an axis without consuming one, and an array index is
+    # never compared elementwise
+    assert a[None, 1, None, 2].shape == (1, 1)
+    assert a[np.array([1, 0]), None].shape == (2, 1, 3)
+
+
 def test_sum_over_value_axes():
     rng = np.random.default_rng(4)
     a = sc.Dual(rng.normal(size=(2, 3)), rng.normal(size=(2, 3, 4)))
