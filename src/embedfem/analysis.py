@@ -30,14 +30,18 @@ class FactorizationFailure(SolveFailure):
 
 @dataclass
 class NewtonConfig:
+    """Newton and linear-solver settings."""
+
     abs_tol: float = 1e-11
     rel_tol: float = 1e-12
     max_iters: int = 30
     dense_dof_limit: int = 2000    # sparse LU at or below, ILU(0) + GMRES above
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
+        if not (self.abs_tol > 0 and self.rel_tol > 0):   # NaN fails too
             raise ValueError("tolerances must be positive")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
 #: GMRES settings of the ILU(0) branch of ``_linear_solve``

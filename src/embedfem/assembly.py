@@ -2,15 +2,16 @@
 
 ``_SPECIALIZATIONS`` holds one row per evaluation type: a coordinate gather,
 a solution gather and a scatter. The solution gather's ``bind`` checks the
-type's inputs and returns the arena keys; its ``evaluate`` pulls global
-vectors into element-local fields and seeds the embedded scalar data
-(identity seeds for stiffness rows, parameter or direction seeds for
-sensitivities, coordinate seeds for shape derivatives, coefficients for
-spectral unknowns, one state per sample for ensembles). The scatter's
-``targets`` name the global objects it fills, and its ``evaluate`` adds each
-workset's rows straight into them. Worksets run in element order, so every
-entry sums its terms in element order, bitwise independent of the workset
-partition. ``finish`` replaces the Dirichlet rows of whatever was filled.
+type's inputs and returns the arena keys. Each gather's ``_value`` pulls
+global vectors into one element-local scalar with seeded embedded data
+(identity seeds for stiffness rows, direction seeds for sensitivities,
+coordinate seeds for shape derivatives, coefficients for spectral
+unknowns, one state per sample for ensembles), and its ``evaluate`` assigns
+that scalar to the whole field. The scatter's ``targets`` name the global
+objects it fills, and its ``evaluate`` adds each workset's rows straight
+into them. Worksets run in element order, so every entry sums its terms in
+element order, bitwise independent of the workset partition. ``finish``
+replaces the Dirichlet rows of whatever was filled.
 
 A new evaluation type needs a storage kind in ``fields.make_storage``, an
 ``EvaluationType`` constant and one row here; the assembly loop is unchanged.
@@ -23,6 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+from . import scalars as sc
 from .graph import (ENSEMBLE_RESIDUAL, Evaluator, FieldSpec, JACOBIAN,
                     RESIDUAL, SG_JACOBIAN, SG_RESIDUAL, SHAPE_TANGENT, TANGENT)
 
@@ -196,7 +198,7 @@ class _Specialized(Evaluator):
 
 
 # ---------------------------------------------------------------------------
-# gather evaluators (seed + gather fused; fields arrive zeroed)
+# gather evaluators (seed + gather fused; each writes its whole fields)
 # ---------------------------------------------------------------------------
 
 class GatherCoordinates(_Specialized):
@@ -205,11 +207,11 @@ class GatherCoordinates(_Specialized):
     name = "gather_coordinates"
     evaluates = (FieldSpec("coords_node", ("elem", "node", "dim"), "mesh"),)
 
-    def _values(self, ws):
+    def _value(self, ws):
         return self.state.coords[self.conn.node_conn[ws.elements]]
 
     def evaluate(self, ctx):
-        ctx.field("coords_node").assign(self._values(ctx.workset))
+        ctx.field("coords_node").assign(self._value(ctx.workset))
 
 
 class GatherCoordinatesShape(GatherCoordinates):
@@ -219,14 +221,18 @@ class GatherCoordinatesShape(GatherCoordinates):
     downstream geometry quantities carry d(.)/dp automatically.
     """
 
-    def evaluate(self, ctx):
-        field = ctx.field("coords_node")
-        field.data.val[...] = self._values(ctx.workset)
-        field.data.dx[...] = self.state.Xp[self.conn.node_conn[ctx.workset.elements]]
+    def _value(self, ws):
+        return sc.Dual(super()._value(ws),
+                       self.state.Xp[self.conn.node_conn[ws.elements]])
 
 
 class GatherSolution(_Specialized):
-    """Plain copy of the solution vector into the workset fields."""
+    """Plain copy of the solution vector into the workset fields.
+
+    Each specialization only overrides ``_value``, the element-local scalar
+    of one unknown. ``evaluate`` assigns it to the whole field, and plain
+    values assigned to dual storage get zero partials.
+    """
 
     name = "gather_solution"
 
@@ -247,10 +253,16 @@ class GatherSolution(_Specialized):
     def _dofs(self, ws, eq):
         return self.conn.dof[ws.elements, :, eq]
 
+    def _identity(self, eq):
+        """Seeds of unknown eq, (nodes, dofs): row n is e_(n * n_eq + eq)."""
+        return np.eye(self.conn.dofs_per_element)[eq::len(self.unknowns)]
+
+    def _value(self, ws, eq):
+        return self.state.x[self._dofs(ws, eq)]
+
     def evaluate(self, ctx):
         for eq, u in enumerate(self.unknowns):
-            ctx.field(f"{u}_node").assign(
-                self.state.x[self._dofs(ctx.workset, eq)])
+            ctx.field(f"{u}_node").assign(self._value(ctx.workset, eq))
 
 
 class GatherSolutionJacobian(GatherSolution):
@@ -261,19 +273,14 @@ class GatherSolutionJacobian(GatherSolution):
         GatherSolution.bind(state, x)
         return {"deriv_width": state.system.conn.dofs_per_element}, {}
 
-    def evaluate(self, ctx):
-        n_eq = len(self.unknowns)
-        n_nodes = self.conn.node_conn.shape[1]
-        for eq, u in enumerate(self.unknowns):
-            data = ctx.field(f"{u}_node").data
-            data.val[...] = self.state.x[self._dofs(ctx.workset, eq)]
-            for n in range(n_nodes):
-                data.dx[:, n, n * n_eq + eq] = 1.0
+    def _value(self, ws, eq):
+        # the seeds broadcast over the workset's elements
+        return sc.Dual(super()._value(ws, eq), self._identity(eq))
 
 
 class GatherSolutionTangent(GatherSolution):
-    """Solution partials stay zero (parameters seed themselves), or carry the
-    direction v for directional-derivative assemblies."""
+    """Zero solution partials (parameters seed themselves), or the direction
+    v for directional-derivative assemblies."""
 
     @staticmethod
     def bind(state, x=None, tangent_params=(), v=None):
@@ -286,13 +293,11 @@ class GatherSolutionTangent(GatherSolution):
         return ({"deriv_width": len(tangent_params)},
                 {"tangent_params": tuple(tangent_params)})
 
-    def evaluate(self, ctx):
-        for eq, u in enumerate(self.unknowns):
-            data = ctx.field(f"{u}_node").data
-            dofs = self._dofs(ctx.workset, eq)
-            data.val[...] = self.state.x[dofs]
-            if self.state.v is not None:
-                data.dx[:, :, 0] = self.state.v[dofs]
+    def _value(self, ws, eq):
+        x = super()._value(ws, eq)
+        if self.state.v is None:
+            return x
+        return sc.Dual(x, self.state.v[self._dofs(ws, eq)][:, :, None])
 
 
 class GatherSolutionShapeTangent(GatherSolutionTangent):
@@ -314,11 +319,9 @@ class GatherSolutionSG(GatherSolution):
         return ({"basis": state.sg_basis},
                 {"uncertain": uncertain, "basis": state.sg_basis})
 
-    def evaluate(self, ctx):
-        for eq, u in enumerate(self.unknowns):
-            data = ctx.field(f"{u}_node").data
-            dofs = self._dofs(ctx.workset, eq)
-            data.coeffs[...] = np.moveaxis(self.state.x[:, dofs], 0, -1)
+    def _value(self, ws, eq):
+        return sc.PCE(np.moveaxis(self.state.x[:, self._dofs(ws, eq)], 0, -1),
+                      self.state.sg_basis)
 
 
 class GatherSolutionSGJacobian(GatherSolutionSG):
@@ -327,15 +330,11 @@ class GatherSolutionSGJacobian(GatherSolutionSG):
         keys, seeds = GatherSolutionSG.bind(state, x_block, uncertain)
         return dict(keys, deriv_width=state.system.conn.dofs_per_element), seeds
 
-    def evaluate(self, ctx):
-        n_eq = len(self.unknowns)
-        n_nodes = self.conn.node_conn.shape[1]
-        for eq, u in enumerate(self.unknowns):
-            data = ctx.field(f"{u}_node").data
-            dofs = self._dofs(ctx.workset, eq)
-            data.val.coeffs[...] = np.moveaxis(self.state.x[:, dofs], 0, -1)
-            for n in range(n_nodes):
-                data.dx.coeffs[:, n, n * n_eq + eq, 0] = 1.0
+    def _value(self, ws, eq):
+        basis = self.state.sg_basis
+        mean = np.arange(basis.size) == 0   # deterministic seeds
+        return sc.Dual(super()._value(ws, eq),
+                       sc.PCE(self._identity(eq)[:, :, None] * mean, basis))
 
 
 class GatherSolutionEnsemble(GatherSolution):
@@ -344,10 +343,8 @@ class GatherSolutionEnsemble(GatherSolution):
         state.x = _required(x_block, "the block unknowns x_block")
         return {"samples": state.x.shape[0]}, {}
 
-    def evaluate(self, ctx):
-        for eq, u in enumerate(self.unknowns):
-            ctx.field(f"{u}_node").data.vals[...] = \
-                self.state.x[:, self._dofs(ctx.workset, eq)]
+    def _value(self, ws, eq):
+        return sc.Ensemble(self.state.x[:, self._dofs(ws, eq)])
 
 
 # ---------------------------------------------------------------------------

@@ -47,13 +47,6 @@ class MaterialsSection(DemoMaterials):
 
 
 @dataclass
-class SolverSection(NewtonConfig):
-    """Newton and linear-solver settings plus the workset size (0: whole mesh)."""
-
-    workset_size: int = 0    # elements per workset; blocks span regions
-
-
-@dataclass
 class ContinuationSection:
     """Uniform parameter sweep with Newton correction at each step."""
 
@@ -74,6 +67,16 @@ class OptimizeSection:
     tol: float = 1e-6
     max_iters: int = 40
 
+    def __post_init__(self):
+        # the float comparisons are written so that NaN fails them
+        if not self.lower < self.upper:
+            raise ValueError(f"lower ({self.lower}) must be below upper "
+                             f"({self.upper})")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not self.tol > 0:
+            raise ValueError(f"tol must be positive, got {self.tol}")
+
 
 @dataclass
 class UqSection:
@@ -89,7 +92,7 @@ _SECTION_CLASSES = {
     "run": RunSection,
     "geometry": GeometrySection,
     "materials": MaterialsSection,
-    "solver": SolverSection,
+    "solver": NewtonConfig,
     "continuation": ContinuationSection,
     "optimize": OptimizeSection,
     "uq": UqSection,
@@ -114,7 +117,7 @@ class RunConfig:
     run: RunSection = field(default_factory=RunSection)
     geometry: GeometrySection = field(default_factory=GeometrySection)
     materials: MaterialsSection = field(default_factory=MaterialsSection)
-    solver: SolverSection = field(default_factory=SolverSection)
+    solver: NewtonConfig = field(default_factory=NewtonConfig)
     continuation: ContinuationSection = None
     optimize: OptimizeSection = None
     uq: UqSection = None
@@ -129,6 +132,13 @@ def _coerce(raw, to_type, where):
         return to_type(raw)
     except (KeyError, ValueError):
         raise ConfigError(f"cannot parse {where} = {raw!r} as {to_type.__name__}")
+
+
+def _finite(raw, section, key):
+    value = _coerce(raw, float, f"{section}.{key}")
+    if not np.isfinite(value):
+        raise ConfigError(f"[{section}] {key} must be finite, got {raw!r}")
+    return value
 
 
 def _build_section(name, cls, items):
@@ -170,11 +180,11 @@ def parse_config(path, overrides=()):
         if name in data:
             setattr(cfg, name, _build_section(name, cls, data[name]))
     if "boundary" in data:
-        cfg.boundary = {k: _coerce(v, float, f"boundary.{k}")
+        cfg.boundary = {k: _finite(v, "boundary", k)
                         for k, v in data["boundary"]}
     if "parameters" in data:
         for k, v in data["parameters"]:
-            cfg.parameters[k] = _coerce(v, float, f"parameters.{k}")
+            cfg.parameters[k] = _finite(v, "parameters", k)
 
     validate_config(cfg)
     return cfg
@@ -273,8 +283,8 @@ def build_dirichlet(cfg, mesh):
 
 
 def newton_config(cfg):
-    return NewtonConfig(**{f.name: getattr(cfg.solver, f.name)
-                           for f in fields(NewtonConfig)})
+    """The [solver] section, which is the library's NewtonConfig."""
+    return cfg.solver
 
 
 def build_model(cfg, sg_basis=None):
@@ -283,8 +293,8 @@ def build_model(cfg, sg_basis=None):
     mesh = build_mesh(cfg)
     model = ThermoElectricModel(
         mesh, build_materials(cfg), quad_order=cfg.geometry.quad_order,
-        workset_size=cfg.solver.workset_size, sg_basis=sg_basis,
-        with_joule=cfg.materials.joule, dirichlet=build_dirichlet(cfg, mesh))
+        sg_basis=sg_basis, with_joule=cfg.materials.joule,
+        dirichlet=build_dirichlet(cfg, mesh))
     for name, value in cfg.parameters.items():
         try:
             model.library.set_value(name, value)

@@ -123,19 +123,20 @@ def interpolate_to_qp(nodal, table):
     return acc
 
 
-def integrate(accum_field, integrand, weighted):
-    """accum(e, i) += sum_q integrand(e, q, .) * weighted(e, i, q, .).
+def integrate(integrand, weighted):
+    """sum_q integrand(e, q, .) * weighted(e, i, q, .) as (e, i) storage.
 
     Scalar integrands contract with the weighted basis values, vector
-    integrands with the weighted basis gradients; the call accumulates so a
-    residual can be built up term by term.
+    integrands with the weighted basis gradients; a residual kernel adds up
+    the contractions of its terms.
 
     The terms are added one quadrature point at a time, ((t0 + t1) + t2) + t3,
     each in place into the first, without forming the (e, i, q, ...) product.
     For four points numpy's ``sum`` over q adds in this order whatever the
-    scalar kind and memory order, starting from +0.0; that start only turns
-    an all -0.0 sum into +0.0, as does accumulating into the field's zeroed
-    storage. So the field ends up bitwise as with the broadcast-and-sum form.
+    scalar kind and memory order, but from +0.0: it gives ``0.0 + x`` where
+    this gives ``x``, which differ only in the sign of a zero (an all -0.0
+    sum). The scatter adds every residual into zeroed globals, which erases
+    that sign, so the assembled outputs are bitwise the broadcast-and-sum's.
     Vector integrands are added in row-major (q, d) order; numpy would sum
     those 8 terms pairwise for plain values but sequentially for partials,
     so no single order matches it there.
@@ -156,7 +157,7 @@ def integrate(accum_field, integrand, weighted):
     acc = next(terms)
     for term in terms:
         sc.add_into(acc, term)
-    accum_field.accumulate(acc)
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +168,18 @@ class ElementGeometryEvaluator(Evaluator):
     """Maps gathered coordinates to weighted basis tables and qp coordinates;
     ``bf`` holds the basis values as a real field (Albany's BF).
 
-    With a ``cache`` dict (plain-valued coordinates only), the outputs are
-    kept per workset element range together with the coordinates they came
-    from, and reused while the gathered coordinates stay bit for bit the
-    same. Only the latest coordinates of each workset are kept.
+    Plain coordinates are memoized per arena by the workset start and the
+    coordinate bits last mapped into it (bits, so -0.0 and NaN never hit):
+    on a match the arena's fields still hold that geometry, and the call
+    returns without touching them. Worksets of equal size share one arena.
+    Dual coordinates (shape tangents) are mapped on every call.
     """
 
     name = "element_geometry"
 
-    def __init__(self, basis, cache=None):
+    def __init__(self, basis):
         self.basis = basis
-        self.cache = cache
+        self._memo = {}   # arena -> (workset start, coordinate bits)
         self.depends = (FieldSpec("coords_node", ("elem", "node", "dim"), "mesh"),)
         self.evaluates = (
             FieldSpec("bf", ("elem", "node", "qp"), "real"),
@@ -190,21 +192,17 @@ class ElementGeometryEvaluator(Evaluator):
 
     def evaluate(self, ctx):
         coords = ctx.field("coords_node").data
-        if self.cache is None:
+        if not isinstance(coords, np.ndarray):
             self._compute(ctx, coords)
             return
-        # worksets of equal size share one arena, so the key is the element
-        # range; bit patterns are compared so that -0.0 and NaN never hit
-        key = (ctx.workset.start, ctx.workset.stop)
-        hit = self.cache.get(key)
-        if hit is not None and np.array_equal(hit[0], coords.view(np.int64)):
-            for spec, value in zip(self.evaluates, hit[1]):
-                ctx.field(spec.name).assign(value)
+        bits = coords.view(np.int64)
+        last = self._memo.get(ctx.arena)
+        if (last is not None and last[0] == ctx.workset.start
+                and np.array_equal(last[1], bits)):
             return
+        self._memo[ctx.arena] = None   # a failed computation leaves no memo
         self._compute(ctx, coords)
-        self.cache[key] = (coords.view(np.int64).copy(order="K"),
-                           [ctx.field(spec.name).data.copy(order="K")
-                            for spec in self.evaluates])
+        self._memo[ctx.arena] = (ctx.workset.start, bits.copy(order="K"))
 
     def _compute(self, ctx, coords):
         basis = self.basis

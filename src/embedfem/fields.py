@@ -62,8 +62,8 @@ class Field:
     """A named array of generic scalars with a fixed layout.
 
     ``data`` is the storage object; its value shape equals ``layout.extents``.
-    ``assign``/``accumulate`` copy results into the preallocated storage so the
-    buffers survive graph re-execution.
+    ``assign`` copies a result into the preallocated storage so the buffers
+    survive graph re-execution.
     """
 
     __slots__ = ("name", "layout", "data")
@@ -81,12 +81,6 @@ class Field:
 
     def assign(self, value):
         sc.copy_into(self.data, value)
-
-    def accumulate(self, value):
-        sc.add_into(self.data, value)
-
-    def zero(self):
-        sc.fill_zero(self.data)
 
     def __getitem__(self, idx):
         if __debug__:

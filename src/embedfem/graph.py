@@ -92,8 +92,7 @@ SG_JACOBIAN = EvaluationType("SGJacobian", "nested", "real")
 EVALUATION_TYPES = (RESIDUAL, JACOBIAN, TANGENT, SHAPE_TANGENT,
                     SG_RESIDUAL, SG_JACOBIAN)
 
-#: S plain residuals in one assembly; its mesh kind is real, so it shares the
-#: plain types' geometry cache
+#: S plain residuals in one assembly
 ENSEMBLE_RESIDUAL = EvaluationType("EnsembleResidual", "ensemble", "real")
 
 
@@ -110,8 +109,9 @@ class Evaluator:
     """One evaluation kernel with declared dependent and evaluated fields.
 
     Subclasses set ``name``, ``depends`` and ``evaluates`` (FieldSpec lists)
-    and implement ``evaluate(ctx)``. No field may appear in both lists: the
-    engine zeroes every evaluated field before the kernel runs.
+    and implement ``evaluate(ctx)``. No field may appear in both lists. Each
+    call writes every entry of its evaluated fields, which the engine never
+    zeroes or copies (a scatter's tag field only orders the graph).
     """
 
     name = "evaluator"
@@ -208,8 +208,6 @@ class EvaluatorGraph:
     def execute(self, ctx):
         """Run every scheduled kernel once, in dependency order."""
         for ev in self.schedule:
-            for spec in ev.evaluates:
-                ctx.arena.get(spec.name).zero()
             try:
                 ev.evaluate(ctx)
             except Exception as err:

@@ -59,15 +59,11 @@ class ThermoElectricModel:
 
         lib = self.library
         mats = ElementMaterials(materials, mesh.region_of)
-        # one geometry cache for every type whose coordinates are plain values
-        geometry_cache = {}
         gather_coordinates, gather_solution, scatter = \
             specialization_registrars(self.state, UNKNOWNS)
         registrars = [
             gather_coordinates,
-            lambda ev_type: ElementGeometryEvaluator(
-                self.basis,
-                geometry_cache if ev_type.mesh_kind == "real" else None),
+            lambda ev_type: ElementGeometryEvaluator(self.basis),
             gather_solution,
             lambda ev_type: SolutionAtQPEvaluator("psi"),
             lambda ev_type: SolutionAtQPEvaluator("temp"),

@@ -280,8 +280,10 @@ class QuadraticSourceEvaluator(Evaluator):
         source = ctx.field("source_qp")
         if isinstance(self.beta, float) and self.beta == 0.0:
             # for finite u a plain zero beta adds only signed zeros: the full
-            # expression may leave -0.0 where alpha alone leaves +0.0, and
-            # both sum to the same residual in its zeroed storage
+            # expression may leave -0.0 where alpha alone leaves +0.0; the
+            # residual carries that only as the sign of a zero, like x
+            # against 0.0 + x, and the scatter's add into zeroed globals
+            # erases it
             source.assign(self.alpha)
             return
         u = ctx.field("temp_qp").data
@@ -304,7 +306,7 @@ class TabulatedSourceEvaluator(Evaluator):
 
 
 class PotentialResidualEvaluator(Evaluator):
-    """R_psi(e, i) += sum_q sigma grad psi . grad phi_i |j| w_q."""
+    """R_psi(e, i) = sum_q sigma grad psi . grad phi_i |j| w_q."""
 
     name = "potential_residual"
     depends = (FieldSpec("sigma_qp", ("elem", "qp"), "solution"),
@@ -316,16 +318,16 @@ class PotentialResidualEvaluator(Evaluator):
         sigma = ctx.field("sigma_qp").data
         g = ctx.field("grad_psi_qp").data
         wgbf = ctx.field("weighted_grad_bf").data
-        out = ctx.field("psi_residual")
-        for d in range(2):
-            integrate(out, sigma * g[:, :, d], wgbf[:, :, :, d])
+        residual = integrate(sigma * g[:, :, 0], wgbf[:, :, :, 0])
+        sc.add_into(residual, integrate(sigma * g[:, :, 1], wgbf[:, :, :, 1]))
+        ctx.field("psi_residual").assign(residual)
 
 
 class HeatResidualEvaluator(Evaluator):
     """Diffusive, convective, Joule, and source contributions to R_T.
 
-    R_T(e, i) += sum_q [kappa grad T . grad phi_i
-                        + (-v . grad T - joule + source) phi_i] |j| w_q
+    R_T(e, i) = sum_q [kappa grad T . grad phi_i
+                       + (-v . grad T - joule + source) phi_i] |j| w_q
     """
 
     name = "heat_residual"
@@ -351,14 +353,14 @@ class HeatResidualEvaluator(Evaluator):
         gt = ctx.field("grad_temp_qp").data
         wbf = ctx.field("weighted_bf").data
         wgbf = ctx.field("weighted_grad_bf").data
-        out = ctx.field("temp_residual")
-        for d in range(2):
-            integrate(out, kappa * gt[:, :, d], wgbf[:, :, :, d])
+        residual = integrate(kappa * gt[:, :, 0], wgbf[:, :, :, 0])
+        sc.add_into(residual, integrate(kappa * gt[:, :, 1], wgbf[:, :, :, 1]))
         bulk = -(vx * gt[:, :, 0] + vy * gt[:, :, 1])
         if self.with_joule:
             bulk = bulk - ctx.field("joule_qp").data
         bulk = bulk + ctx.field("source_qp").data
-        integrate(out, bulk, wbf)
+        sc.add_into(residual, integrate(bulk, wbf))
+        ctx.field("temp_residual").assign(residual)
 
 
 # ---------------------------------------------------------------------------

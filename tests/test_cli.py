@@ -79,6 +79,15 @@ def test_removed_threads_key_exit_two(tmp_path, capsys):
         parse_config(tmp_path / "run.ini", ["solver.threads=2"])
 
 
+def test_removed_workset_size_key_exit_two(tmp_path, capsys):
+    # the partition never changes an output, so [solver] has no workset key
+    code, _ = run_cli(tmp_path, (CONFIGS / "demo.ini").read_text(),
+                      ["solver.workset_size=-5"])
+    assert code == 2
+    assert ("unknown key 'workset_size' in section [solver]"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("key, value", [("gmres_tol", "1e-8"),
                                         ("gmres_restart", "40"),
                                         ("gmres_max_iters", "100")])
@@ -165,16 +174,16 @@ def test_help_lists_config_keys(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     out = capsys.readouterr().out
-    for key in ("conductor_length", "abs_tol", "workset_size",
+    for key in ("conductor_length", "abs_tol",
                 "psi.left_conductor_end", "PadSigma0"):
         assert key in out
 
 
 def test_docs_defaults_match_dataclasses():
-    from embedfem.config import GeometrySection, SolverSection
+    from embedfem.config import GeometrySection
     doc = config_documentation()
     assert f"nx_conductor = {GeometrySection().nx_conductor}" in doc
-    assert f"abs_tol = {SolverSection().abs_tol}" in doc
+    assert f"abs_tol = {NewtonConfig().abs_tol}" in doc
 
 
 def test_parse_config_rejects_missing_file(tmp_path):
@@ -305,3 +314,38 @@ nisp_order = 3
     assert orders == [3]
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     assert "sg_vs_nisp" in [c["name"] for c in summary["checks"]]
+
+
+@pytest.mark.parametrize("config, overrides, message", [
+    ("demo.ini", ["solver.max_iters=0"], "[solver] max_iters must be >= 1"),
+    ("demo.ini", ["solver.max_iters=-1"], "[solver] max_iters must be >= 1"),
+    ("optimize.ini", ["optimize.lower=0.3", "optimize.upper=-0.3"],
+     "[optimize] lower (0.3) must be below upper (-0.3)"),
+    ("optimize.ini", ["optimize.max_iters=0"],
+     "[optimize] max_iters must be >= 1"),
+    ("optimize.ini", ["optimize.tol=0"], "[optimize] tol must be positive"),
+    ("optimize.ini", ["optimize.upper=nan"], "[optimize] lower (-0.3) must "
+     "be below upper (nan)"),
+    ("demo.ini", ["solver.abs_tol=nan"], "[solver] tolerances must be "
+     "positive"),
+], ids=["solver-max-iters", "solver-negative-iters", "optimize-bounds",
+        "optimize-max-iters", "optimize-tol", "optimize-nan-bound",
+        "solver-nan-tol"])
+def test_settings_that_cannot_run_exit_two(tmp_path, capsys, config,
+                                           overrides, message):
+    code, _ = run_cli(tmp_path, (CONFIGS / config).read_text(), overrides)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config error: {message}" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["parameters.PadSigma0",
+                                 "boundary.psi.left_conductor_end"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_values_exit_two(tmp_path, capsys, key, value):
+    code, _ = run_cli(tmp_path, (CONFIGS / "demo.ini").read_text(),
+                      [f"{key}={value}"])
+    assert code == 2
+    section, name = key.split(".", 1)
+    assert (f"config error: [{section}] {name} must be finite, got {value!r}"
+            in capsys.readouterr().err)

@@ -128,31 +128,24 @@ def test_shape_dual_determinant_matches_finite_differences():
     assert np.allclose(det.dx[..., 0], fd, rtol=1e-6, atol=1e-12)
 
 
-def accum_field(n_elems=1):
-    return Field("r", Layout((n_elems, 4)), make_storage("real", (n_elems, 4)))
-
-
 def test_integrate_constant_scalar_on_square():
     b = bilinear_basis(2)
     h = 0.5
     det, _, det_w = element_geometry(square_coords(h), b)
     wbf = np.stack([b.values[n] * det_w[0] for n in range(4)])[None]  # (1,4,q)
-    acc = accum_field()
-    integrate(acc, np.ones((1, b.num_qp)), wbf)
-    assert np.allclose(acc.data, h * h / 4.0, atol=1e-15)
-    before = acc.data.copy()
-    integrate(acc, np.zeros((1, b.num_qp)), wbf)
-    assert np.array_equal(acc.data, before)
+    acc = integrate(np.ones((1, b.num_qp)), wbf)
+    assert np.allclose(acc, h * h / 4.0, atol=1e-15)
+    assert np.array_equal(acc + integrate(np.zeros((1, b.num_qp)), wbf), acc)
 
 
 def test_integrate_accumulates():
+    # a residual adds up the contractions of its terms
     b = bilinear_basis(2)
     det, _, det_w = element_geometry(square_coords(1.0), b)
     wbf = np.stack([b.values[n] * det_w[0] for n in range(4)])[None]
-    acc = accum_field()
-    integrate(acc, np.ones((1, b.num_qp)), wbf)
-    integrate(acc, np.ones((1, b.num_qp)), wbf)
-    assert np.allclose(acc.data, 2.0 * 0.25, atol=1e-15)
+    acc = integrate(np.ones((1, b.num_qp)), wbf)
+    sc.add_into(acc, integrate(np.ones((1, b.num_qp)), wbf))
+    assert np.allclose(acc, 2.0 * 0.25, atol=1e-15)
 
 
 def test_integrate_constant_vector_with_gradients_sums_to_zero():
@@ -165,15 +158,13 @@ def test_integrate_constant_vector_with_gradients_sums_to_zero():
             wgbf[0, n, :, d] = phys_grad[n][d][0] * det_w[0]
     integrand = np.zeros((1, b.num_qp, 2))
     integrand[:, :, 0] = 1.0
-    acc = accum_field()
-    integrate(acc, integrand, wgbf)
-    assert abs(acc.data.sum()) < 1e-14
+    acc = integrate(integrand, wgbf)
+    assert abs(acc.sum()) < 1e-14
 
 
 def test_integrate_layout_mismatch():
-    acc = accum_field()
     with pytest.raises(ValueError):
-        integrate(acc, np.ones((1, 4, 2)), np.ones((1, 4, 4)))
+        integrate(np.ones((1, 4, 2)), np.ones((1, 4, 4)))
 
 
 def _bits(x):
@@ -222,8 +213,9 @@ def _zeroed_field(kind):
     ("real", "ensemble"), ("dual", "real"), ("dual", "dual")])
 def test_integrate_is_bitwise_the_broadcast_and_sum(weights, integrand):
     # numpy's sum starts from +0.0, so it turns a sum of only -0.0 terms into
-    # +0.0 where the in-order contraction keeps -0.0; zeroed storage does the
-    # same on accumulation, so the fields agree bit for bit
+    # +0.0 where the in-order contraction keeps -0.0; adding into zeroed
+    # storage, as the scatter does, erases that, so the fields agree bit for
+    # bit
     rng = np.random.default_rng(7)
     kind = weights if integrand == "real" else integrand
     got, want = _zeroed_field(kind), _zeroed_field(kind)
@@ -231,8 +223,8 @@ def test_integrate_is_bitwise_the_broadcast_and_sum(weights, integrand):
         for _ in range(2):   # into zeroed storage, then on top of the first
             weighted = _scalar(rng, weights, (6, 4, 4))
             values = _scalar(rng, integrand, (6, 4))
-            integrate(got, values, weighted)
-            want.accumulate((weighted * values[:, None]).sum(axis=2))
+            sc.add_into(got.data, integrate(values, weighted))
+            sc.add_into(want.data, (weighted * values[:, None]).sum(axis=2))
     for a, b in zip(_bits(got.data), _bits(want.data), strict=True):
         assert np.array_equal(a, b)
 
@@ -245,12 +237,12 @@ def test_integrate_vector_integrand_adds_in_row_major_qp_dim_order(kind):
     got, want = _zeroed_field(kind), _zeroed_field(kind)
     reference = None
     with np.errstate(invalid="ignore"):
-        integrate(got, values, weighted)
+        sc.add_into(got.data, integrate(values, weighted))
         for q in range(4):
             for d in range(2):
                 term = weighted[:, :, q, d] * values[:, q, d][:, None]
                 reference = term if reference is None else reference + term
-    want.accumulate(reference)
+    sc.add_into(want.data, reference)
     for a, b in zip(_bits(got.data), _bits(want.data), strict=True):
         assert np.array_equal(a, b)
 

@@ -262,7 +262,7 @@ def test_contractions_are_bitwise_the_row_form_and_element_fastest(kind):
         reference = make_storage(kind, (size, QUAD.num_nodes),
                                  **STORAGE_KINDS[kind])
         for _ in range(2):   # into zeroed storage, then on top of the first
-            integrate(field, integrand, weighted)
+            sc.add_into(field.data, integrate(integrand, weighted))
             sc.add_into(reference, _row_integrate(integrand, weighted))
         assert _same_bits(field.data, reference), ("integrate", size)
 

@@ -193,7 +193,7 @@ def _bitwise(got, want):
         return (np.array_equal(got.indptr, want.indptr)
                 and np.array_equal(got.indices, want.indices)
                 and _bitwise(got.data, want.data))
-    if isinstance(want, tuple):
+    if isinstance(want, (tuple, list)):
         return all(_bitwise(g, w) for g, w in zip(got, want, strict=True))
     return np.array_equal(np.asarray(got).view(np.int64),
                           np.asarray(want).view(np.int64))
@@ -324,10 +324,32 @@ def test_geometry_cache_follows_every_coordinate_change():
     assert not np.array_equal(model.residual(x), before[0])
 
 
+def _assemblies(model, x):
+    """One call per evaluation type, the directional and the ensemble
+    residual included, each on an arena of its own."""
+    rng = np.random.default_rng(12)
+    v = rng.normal(size=model.num_dofs)
+    x_p = 0.01 * rng.normal(size=(model.mesh.num_nodes, 2, 2))
+    states = x + 0.01 * rng.normal(size=(3, model.num_dofs))
+    x_block = x + 0.01 * rng.normal(size=(BASIS.size, model.num_dofs))
+    uncertain = {"PadSigma0": [35.0, 8.0, 0.5, 0.0]}
+    return {
+        "Residual": lambda: model.residual(x),
+        "Jacobian": lambda: model.jacobian(x),
+        "Tangent": lambda: model.tangent(x, ("Alpha", "PadSigma0")),
+        "Directional": lambda: model.directional(x, v),
+        "ShapeTangent": lambda: model.shape_tangent(x, x_p),
+        "SGResidual": lambda: model.sg_residual(x_block, uncertain),
+        "SGJacobian": lambda: model.sg_jacobian(x_block, uncertain),
+        "EnsembleResidual": lambda: model.residuals(states),
+    }
+
+
 def test_geometry_cache_skips_recomputation_at_fixed_coordinates(monkeypatch):
-    model = demo_model(workset_size=7)
-    x = random_state(model, seed=9)
-    model.residual(x)
+    # each type memoizes its own geometry per arena: its first assembly maps
+    # every workset; a second one at fixed coordinates maps none, or all but
+    # the short last workset when the full ones share an arena; shape
+    # tangents (dual coordinates) map every workset every time
     calls = []
     original = discretization.element_geometry
 
@@ -336,13 +358,65 @@ def test_geometry_cache_skips_recomputation_at_fixed_coordinates(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(discretization, "element_geometry", counted)
-    model.residual(x)
-    model.jacobian(x)
-    model.tangent(x, ("Alpha",))
-    assert not calls
-    x_p = np.zeros((model.mesh.num_nodes, 2, 1))
-    model.shape_tangent(x, x_p)
-    assert len(calls) == len(model.worksets)
+    for workset_size in (0, 7):
+        model = demo_model(sg_basis=BASIS, workset_size=workset_size)
+        n = len(model.worksets)
+        x = random_state(model, seed=9)
+        for tag, assemble in _assemblies(model, x).items():
+            counts = []
+            for _ in range(2):
+                calls.clear()
+                assemble()
+                counts.append(len(calls))
+            if tag == "ShapeTangent":
+                again = n
+            else:
+                again = 0 if workset_size == 0 else n - 1
+            assert counts == [n, again], (workset_size, tag)
+
+
+def _poison(storage):
+    if isinstance(storage, sc.Dual):
+        _poison(storage.val)
+        _poison(storage.dx)
+    elif isinstance(storage, sc.PCE):
+        storage.coeffs[...] = np.nan
+    elif isinstance(storage, sc.Ensemble):
+        storage.vals[...] = np.nan
+    else:
+        storage[...] = np.nan
+
+
+@pytest.mark.parametrize("workset_size", [0, 7])
+def test_every_kernel_writes_its_whole_outputs(workset_size):
+    # the engine zeroes nothing: with every arena field but the geometry
+    # memo's outputs set to NaN, the next assembly of each type still gives
+    # a fresh model's outputs bit for bit
+    model = demo_model(sg_basis=BASIS, workset_size=workset_size)
+    x = random_state(model, seed=11)
+    for assemble in _assemblies(model, x).values():
+        assemble()
+    for graph in model.graphs.values():
+        geometry = {spec.name for ev in graph.schedule
+                    if ev.name == "element_geometry" for spec in ev.evaluates}
+        for arena in graph._arenas.values():
+            for name, field in arena.fields.items():
+                if name not in geometry:
+                    _poison(field.data)
+    fresh = demo_model(sg_basis=BASIS, workset_size=workset_size)
+    want = {tag: assemble() for tag, assemble in _assemblies(fresh, x).items()}
+    for tag, assemble in _assemblies(model, x).items():
+        assert _bitwise(assemble(), want[tag]), tag
+
+
+def test_tangent_after_a_directional_is_a_fresh_models_tangent():
+    # a direction and a one-parameter tangent share one width-1 arena, so
+    # the tangent gather must clear the direction's partials
+    model = demo_model()
+    x = random_state(model, seed=13)
+    model.directional(x, np.random.default_rng(13).normal(size=model.num_dofs))
+    assert _bitwise(model.tangent(x, ("PadSigma0",)),
+                    demo_model().tangent(x, ("PadSigma0",)))
 
 
 def test_geometry_cache_still_rejects_inverted_elements():

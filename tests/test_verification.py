@@ -60,8 +60,9 @@ def test_colored_oracle_is_bitwise_the_column_reference():
         reference = column_fd_jacobian(model, x)
         assert np.array_equal(fd_jacobian(model, x).toarray(), reference)
         assert jacobian_fd_error(model, x) == column_fd_error(model, x, reference)
-    # seven-element worksets share arenas but not geometry-cache entries; the
-    # partition must not change a single bit of the oracle either
+    # seven-element worksets share arenas, so their geometry is mapped on
+    # every assembly; the partition must not change a single bit of the
+    # oracle either
     partitioned = strip_model(workset_size=7)
     assert np.array_equal(fd_jacobian(partitioned, x).toarray(), reference)
     assert jacobian_fd_error(partitioned, x) == column_fd_error(model, x, reference)
