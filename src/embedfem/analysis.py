@@ -256,12 +256,12 @@ class ContinuationStep:
 _MAX_BISECTIONS = 4
 
 
-def continuation(model, set_parameter, values, config=None):
+def continuation(model, setter, values, config=None):
     """Natural continuation: previous solution predicts, Newton corrects.
 
-    ``set_parameter`` applies one parameter value to the model (a library
-    value or a shape morph); ``values`` is the uniform sweep, and each step
-    records ``model.objective`` at the corrected state. On a failed
+    ``setter(model, p)`` applies one parameter value p to the model (a
+    library value or a shape morph); ``values`` is the uniform sweep, and
+    each step records ``model.objective`` at the corrected state. On a failed
     corrector the step is bisected up to ``_MAX_BISECTIONS`` times, unless a
     factorization broke down, which no smaller step cures; if the target
     value still fails, the error names it, carries the corrector's message
@@ -276,7 +276,7 @@ def continuation(model, set_parameter, values, config=None):
         queue = [target]
         while queue:
             p = queue[0]
-            set_parameter(model, p)
+            setter(model, p)
             try:
                 result = newton_solve(model, config, x0=x)
             except SolveFailure as err:

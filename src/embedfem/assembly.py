@@ -246,7 +246,8 @@ class GatherSolution(_Specialized):
     def bind(state, x=None):
         """Check this type's inputs and store them in ``state``. Returns the
         arena keys (``deriv_width``, ``basis``, ``samples``) and the seeds
-        for ``ParameterLibrary.push`` (``tangent_params``, ``uncertain``)."""
+        (``tangent_params``, ``uncertain``, ``basis``) from which
+        ``ParameterLibrary.push`` promotes the parameters once per assembly."""
         state.x = _required(x, "the solution vector x")
         return {}, {}
 

@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from . import scalars as sc
 from .analysis import (SolveFailure, continuation, convergence_order_estimate,
                        newton_solve, optimize, shape_objective_gradient)
 from .config import (ConfigError, build_model, config_documentation,
@@ -191,12 +190,11 @@ def _run_optimize(cfg, model, out_dir):
 
 
 def _run_uq(cfg, model, out_dir):
-    basis = model.sg_basis or sc.build_basis_data(cfg.uq.degree)
-    expansion = uncertain_expansion(cfg, basis)
+    expansion = uncertain_expansion(cfg, model.sg_basis)
     sg_coeffs, nisp_coeffs, rel, sg = sg_vs_nisp(
         model, expansion, cfg.uq.nisp_order, newton_config(cfg))
     rows = [(k, sg_coeffs[k], nisp_coeffs[k], rel[k])
-            for k in range(basis.size)]
+            for k in range(model.sg_basis.size)]
     write_table_csv(out_dir / "uq_coefficients.csv",
                     ["degree", "sg", "nisp", "relative_difference"], rows)
     _write_state(out_dir, model, sg.coefficients[0])
@@ -217,8 +215,8 @@ def _run_uq(cfg, model, out_dir):
 def _run_verify(cfg, model, out_dir):
     expansion = nisp_order = None
     if cfg.uq is not None:
-        basis = model.sg_basis or sc.build_basis_data(cfg.uq.degree)
-        expansion, nisp_order = uncertain_expansion(cfg, basis), cfg.uq.nisp_order
+        expansion = uncertain_expansion(cfg, model.sg_basis)
+        nisp_order = cfg.uq.nisp_order
     checks = run_verification(model, newton_config(cfg), expansion, nisp_order)
     write_table_csv(out_dir / "verify.csv",
                     ["check", "status", "measured", "tolerance", "detail"],

@@ -12,11 +12,12 @@ import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+from numpy.polynomial import Legendre
 
 from .analysis import NewtonConfig
 from .mesh import GeometryParams, Resolution, build_slider_mesh
 from .model import ThermoElectricModel
-from .physics import DemoMaterials, default_materials
+from .physics import DemoMaterials, ParameterError, default_materials
 from . import scalars as sc
 
 
@@ -209,7 +210,10 @@ def validate_config(cfg):
             raise ConfigError(f"uq.degree must be >= 0, got {uq.degree}")
         if uq.nisp_order < 1:
             raise ConfigError(f"uq.nisp_order must be >= 1, got {uq.nisp_order}")
-        _expansion_coefficients(uq)
+        low = _minimum_on_unit_interval(_expansion_coefficients(uq))
+        if uq.parameter == "PadSigma0" and not low > 0.0:
+            raise ConfigError(f"uq.expansion of PadSigma0 reaches {low:g} on "
+                              "[-1, 1]; a conductivity must be positive")
     g = cfg.geometry
     if g.quad_order not in (1, 2, 3):
         raise ConfigError(f"geometry.quad_order must be 1, 2, or 3")
@@ -234,6 +238,16 @@ def _expansion_coefficients(uq):
     except ValueError:
         raise ConfigError(f"cannot parse uq.expansion = {uq.expansion!r} "
                           "as a list of floats") from None
+
+
+def _minimum_on_unit_interval(coeffs):
+    """Minimum over [-1, 1] of the Legendre series with P_k(1) = 1 (the chaos
+    basis' convention): at an endpoint or a real root of the derivative."""
+    series = Legendre(coeffs or [0.0])
+    roots = series.deriv().roots()
+    xi = np.concatenate(([-1.0, 1.0],
+                         np.clip(roots[np.isreal(roots)].real, -1.0, 1.0)))
+    return float(np.min(series(xi)))
 
 
 def config_documentation():
@@ -298,7 +312,7 @@ def build_model(cfg, sg_basis=None):
     for name, value in cfg.parameters.items():
         try:
             model.library.set_value(name, value)
-        except Exception:
+        except ParameterError:
             raise ConfigError(f"parameter {name!r} is not registered by the model")
     if cfg.uq is not None and cfg.uq.parameter not in model.library.names():
         raise ConfigError(f"uq.parameter {cfg.uq.parameter!r} is not registered "

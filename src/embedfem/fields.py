@@ -73,12 +73,6 @@ class Field:
         self.layout = layout
         self.data = data
 
-    def fill(self, c):
-        """Set every entry to the scalar promotion of the real constant c."""
-        sc.fill_zero(self.data)
-        if c != 0.0:
-            sc.add_into(self.data, c)
-
     def assign(self, value):
         sc.copy_into(self.data, value)
 

@@ -2,11 +2,12 @@
 
 ``ThermoElectricModel.assemble`` realizes one loop for every evaluation type
 
-    bind inputs, allocate globals; push parameters;
+    bind inputs, allocate globals; promote parameters;
     for each workset in element order: gather -> kernels -> scatter; finish
 
 without testing which type it runs: the type's gather specialization checks
-and binds its inputs, its scatter adds each workset's rows straight into the
+and binds its inputs and names the seeds from which the library promotes the
+parameters once, its scatter adds each workset's rows straight into the
 global objects, and ``assembly.finish`` applies Dirichlet conditions by row
 replacement (row <- e_i, f <- x - g), which keeps the sparse pattern static
 and is transparent to every embedded derivative.
@@ -67,14 +68,14 @@ class ThermoElectricModel:
             gather_solution,
             lambda ev_type: SolutionAtQPEvaluator("psi"),
             lambda ev_type: SolutionAtQPEvaluator("temp"),
-            lambda ev_type: ConductivityEvaluator(mats, lib, ev_type),
+            lambda ev_type: ConductivityEvaluator(mats, lib),
         ]
         if with_joule:
             registrars.append(lambda ev_type: JouleHeatingEvaluator())
         if mms_forcing is not None:
             registrars.append(lambda ev_type: TabulatedSourceEvaluator(mms_forcing))
         else:
-            registrars.append(lambda ev_type: QuadraticSourceEvaluator(lib, ev_type))
+            registrars.append(lambda ev_type: QuadraticSourceEvaluator(lib))
         registrars.append(lambda ev_type: PotentialResidualEvaluator())
         registrars.append(lambda ev_type: HeatResidualEvaluator(
             mats, with_joule=with_joule))
@@ -85,7 +86,6 @@ class ThermoElectricModel:
             ["residual_scattered"],
             dim_sizes={"node": self.basis.num_nodes, "qp": self.basis.num_qp,
                        "dim": 2, "eq": N_EQ})
-        self.library.freeze()
 
         self.dirichlet = DirichletRows(self.system,
                                        *self._build_dirichlet(dirichlet))
@@ -181,10 +181,10 @@ class ThermoElectricModel:
         return self._assemble(ev_type, x, **inputs)
 
     def _assemble(self, ev_type, x=None, **inputs):
-        """Bind the inputs through the type's gather, push the parameters,
-        run the graph on every workset in element order and finish."""
+        """Bind the inputs through the type's gather, promote the parameters
+        once, run the graph on every workset in element order and finish."""
         keys, seeds = bind(ev_type, self.state, x, **inputs)
-        self.library.push(ev_type, **seeds)
+        self.library.push(**seeds)
         graph = self.graphs[ev_type]
         for ws in self.worksets:
             graph.execute(WorksetContext(ws, graph.arena_for(ws.size, **keys)))

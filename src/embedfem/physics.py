@@ -8,7 +8,8 @@ The model couples a potential equation with a heat balance,
 with conductivity sigma(T) = sigma0 / (1 + beta (T - T0)) per material region
 and an optional volumetric source s = alpha + beta_s T^2. Every kernel below
 is written once against generic scalar storage; the evaluation type decides
-what flows through it.
+what flows through it, and a kernel reads each parameter as the library
+promoted it once for the running assembly.
 """
 
 from __future__ import annotations
@@ -32,44 +33,30 @@ class ParameterError(KeyError):
 
 
 # ---------------------------------------------------------------------------
-# parameter library (push semantics)
+# parameter library: one promotion per assembly
 # ---------------------------------------------------------------------------
 
 class ParameterLibrary:
-    """Registry of named model parameters with push-style updates.
+    """Named model parameters, promoted once per assembly for the kernels.
 
-    Evaluators register parameters during construction; after the library is
-    frozen, analysis code changes values through :meth:`set_value` and the
-    library pushes the promoted scalar into every per-type evaluator instance.
-    The seeds come from the assembly's inputs, not from its type: a name in
-    ``tangent_params`` carries its unit seed, a name in ``uncertain`` its
-    chaos expansion.
+    An evaluator registers each parameter it reads; analysis code changes
+    values through :meth:`set_value`. Before an assembly runs its graph,
+    :meth:`push` promotes every parameter from that assembly's seeds, not its
+    type: a name in ``tangent_params`` becomes a dual with its unit seed, a
+    name in ``uncertain`` a chaos expansion, any other name its plain value.
+    Kernels read the promoted scalars through :meth:`scalar`.
     """
 
     def __init__(self):
-        self._values = {}
-        self._accessors = {}   # name -> {ev_type tag -> accessor}
-        self._order = []
-        self._frozen = False
+        self._values = {}      # insertion order is registration order
+        self._scalars = {}
 
-    def register(self, name, accessor, ev_type, default):
-        if self._frozen:
-            raise ParameterError(
-                f"registration of {name!r} after the library was frozen")
-        per_type = self._accessors.setdefault(name, {})
-        if ev_type.tag in per_type:
-            raise ParameterError(
-                f"duplicate registration of {name!r} for {ev_type.tag}")
-        per_type[ev_type.tag] = accessor
-        if name not in self._values:
-            self._values[name] = float(default)
-            self._order.append(name)
-
-    def freeze(self):
-        self._frozen = True
+    def register(self, name, default):
+        """Register ``name`` with its default value; repeats are no-ops."""
+        self._values.setdefault(name, float(default))
 
     def names(self):
-        return list(self._order)
+        return list(self._values)
 
     def value(self, name):
         try:
@@ -82,27 +69,25 @@ class ParameterLibrary:
             raise ParameterError(f"unknown parameter {name!r}")
         self._values[name] = float(value)
 
-    def push(self, ev_type, *, tangent_params=(), uncertain=None, basis=None):
-        """Push promoted parameter scalars into one evaluation type's kernels.
+    def push(self, *, tangent_params=(), uncertain=None, basis=None):
+        """Promote every parameter from one assembly's seeds.
 
-        The type's gather decides which seeds an assembly passes here.
+        A seeded name that is not registered raises :class:`ParameterError`
+        and promotes nothing, so a misspelt seed cannot go unseen.
         """
-        uncertain = uncertain or {}
-        for name, per_type in self._accessors.items():
-            accessor = per_type.get(ev_type.tag)
-            if accessor is None:
-                continue
-            value = self._values[name]
-            if name in tangent_params:
-                seed = np.zeros(len(tangent_params))
-                seed[list(tangent_params).index(name)] = 1.0
-                scalar = sc.Dual(value, seed)
-            elif name in uncertain:
-                coeffs = np.asarray(uncertain[name], dtype=float)
-                scalar = sc.PCE(coeffs, basis)
-            else:
-                scalar = value
-            accessor.set_parameter(name, scalar)
+        scalars = dict(self._values)
+        for name, coeffs in (uncertain or {}).items():
+            self.value(name)
+            scalars[name] = sc.PCE(np.asarray(coeffs, dtype=float), basis)
+        for name in tangent_params:
+            seed = np.zeros(len(tangent_params))
+            seed[tangent_params.index(name)] = 1.0
+            scalars[name] = sc.Dual(self.value(name), seed)
+        self._scalars = scalars
+
+    def scalar(self, name):
+        """The promoted scalar of ``name`` for the running assembly."""
+        return self._scalars[name]
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +197,10 @@ class ConductivityEvaluator(Evaluator):
     depends = (FieldSpec("temp_qp", ("elem", "qp"), "solution"),)
     evaluates = (FieldSpec("sigma_qp", ("elem", "qp"), "solution"),)
 
-    def __init__(self, materials, library, ev_type):
+    def __init__(self, materials, library):
         self.materials = materials
-        self.pad_sigma0 = materials.pad_sigma0
-        library.register("PadSigma0", self, ev_type, materials.pad_sigma0)
-
-    def set_parameter(self, name, scalar):
-        if name != "PadSigma0":
-            raise ParameterError(f"{type(self).__name__} does not own {name!r}")
-        self.pad_sigma0 = scalar
+        self.library = library
+        library.register("PadSigma0", materials.pad_sigma0)
 
     def evaluate(self, ctx):
         ws, mats = ctx.workset, self.materials
@@ -237,8 +217,9 @@ class ConductivityEvaluator(Evaluator):
         sigma = ctx.field("sigma_qp")
         sigma.assign(mats.sigma0[e] / denom)
         # slices write into the field; a boolean mask would write into a copy
+        pad_sigma0 = self.library.scalar("PadSigma0")
         for run in mats.pad_slices(ws):
-            sigma[run] = self.pad_sigma0 / denom[run]
+            sigma[run] = pad_sigma0 / denom[run]
 
 
 class JouleHeatingEvaluator(Evaluator):
@@ -263,31 +244,25 @@ class QuadraticSourceEvaluator(Evaluator):
     depends = (FieldSpec("temp_qp", ("elem", "qp"), "solution"),)
     evaluates = (FieldSpec("source_qp", ("elem", "qp"), "solution"),)
 
-    def __init__(self, library, ev_type):
-        self.alpha = self.beta = 0.0
-        library.register("Alpha", self, ev_type, 0.0)
-        library.register("Beta", self, ev_type, 0.0)
-
-    def set_parameter(self, name, scalar):
-        if name == "Alpha":
-            self.alpha = scalar
-        elif name == "Beta":
-            self.beta = scalar
-        else:
-            raise ParameterError(f"{type(self).__name__} does not own {name!r}")
+    def __init__(self, library):
+        self.library = library
+        library.register("Alpha", 0.0)
+        library.register("Beta", 0.0)
 
     def evaluate(self, ctx):
         source = ctx.field("source_qp")
-        if isinstance(self.beta, float) and self.beta == 0.0:
+        alpha = self.library.scalar("Alpha")
+        beta = self.library.scalar("Beta")
+        if isinstance(beta, float) and beta == 0.0:
             # for finite u a plain zero beta adds only signed zeros: the full
             # expression may leave -0.0 where alpha alone leaves +0.0; the
             # residual carries that only as the sign of a zero, like x
             # against 0.0 + x, and the scatter's add into zeroed globals
             # erases it
-            source.assign(self.alpha)
+            source.assign(alpha)
             return
         u = ctx.field("temp_qp").data
-        source.assign(self.alpha + self.beta * u * u)
+        source.assign(alpha + beta * u * u)
 
 
 class TabulatedSourceEvaluator(Evaluator):

@@ -38,7 +38,6 @@ __all__ = [
     "build_basis_data",
     "copy_into",
     "exp",
-    "fill_zero",
     "gauss_legendre",
     "legendre_values",
     "log",
@@ -805,18 +804,6 @@ def sqrt(x):
 # structure-aware storage operations (used by field buffers)
 # ---------------------------------------------------------------------------
 
-def fill_zero(dst):
-    if isinstance(dst, Dual):
-        fill_zero(dst.val)
-        fill_zero(dst.dx)
-    elif isinstance(dst, PCE):
-        dst.coeffs[...] = 0.0
-    elif isinstance(dst, Ensemble):
-        dst.vals[...] = 0.0
-    else:
-        dst[...] = 0.0
-
-
 def copy_into(dst, src):
     """Copy ``src`` into preallocated storage ``dst`` of equal or richer kind.
 
@@ -833,7 +820,7 @@ def copy_into(dst, src):
             copy_into(dst.dx, src.dx)
         else:
             copy_into(dst.val, src)
-            fill_zero(dst.dx)
+            copy_into(dst.dx, 0.0)
     elif isinstance(dst, PCE):
         if isinstance(src, Dual):
             raise TypeError("use strip_derivatives(...) to discard derivative data")

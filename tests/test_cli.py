@@ -263,6 +263,17 @@ def test_bad_uq_section_exit_two(tmp_path, capsys, override, message):
     assert "config error" in err and message in err
 
 
+@pytest.mark.parametrize("config", ["uq.ini", "verify.ini"])
+def test_uncertain_conductivity_must_stay_positive(tmp_path, capsys, config):
+    # 35 + 40 xi is -5 at xi = -1; 35 + 15 xi stays positive on [-1, 1]
+    parse_config(CONFIGS / config, ["uq.expansion=35.0, 15.0"])
+    code, _ = run_cli(tmp_path, (CONFIGS / config).read_text(),
+                      ["uq.expansion=35.0, 40.0"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "PadSigma0" in err
+
+
 @pytest.mark.parametrize("config, overrides", [
     ("demo.ini", ["geometry.ny=0"]),
     ("demo.ini", ["geometry.height=-1"]),

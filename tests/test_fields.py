@@ -44,24 +44,37 @@ def test_out_of_bounds_index_reported():
         layout.linear_index((0, 0, 0))
 
 
-def test_fill_constant_real():
+def test_assign_constant_real():
     f = Field("u", Layout((4,)), make_storage("real", (4,)))
-    f.fill(0.0)
+    f.assign(0.0)
     assert f.data.sum() == 0.0
-    f.fill(1.0)
+    f.assign(1.0)
     assert f.data.sum() == 4.0
 
 
-def test_fill_constant_dual_zeroes_partials():
+def test_assign_constant_dual_zeroes_partials():
     f = Field("u", Layout((3,)), make_storage("dual", (3,), deriv_width=2))
-    f.fill(2.5)
+    f.data.dx[...] = 7.0
+    f.assign(2.5)
     assert np.all(f.data.val == 2.5)
     assert np.all(f.data.dx == 0.0)
 
 
-def test_fill_constant_pce_mean_only():
+def test_assign_constant_nested_zeroes_chaos_partials():
+    f = Field("u", Layout((3,)),
+              make_storage("nested", (3,), deriv_width=2, basis=BASIS))
+    f.data.val.coeffs[...] = 7.0
+    f.data.dx.coeffs[...] = 7.0
+    f.assign(2.5)
+    assert np.all(f.data.val.mean == 2.5)
+    assert np.all(f.data.val.coeffs[..., 1:] == 0.0)
+    assert np.all(f.data.dx.coeffs == 0.0)
+
+
+def test_assign_constant_pce_mean_only():
     f = Field("u", Layout((3,)), make_storage("pce", (3,), basis=BASIS))
-    f.fill(2.5)
+    f.data.coeffs[...] = 7.0
+    f.assign(2.5)
     assert np.all(f.data.mean == 2.5)
     assert np.all(f.data.coeffs[..., 1:] == 0.0)
 
@@ -103,8 +116,8 @@ def test_same_name_coexists_across_arenas_without_aliasing():
     dims = {"elem": 2, "node": 4}
     real = FieldArena(dims).ensure("coords", ("elem", "node"), "real")
     dual = FieldArena(dims, deriv_width=2).ensure("coords", ("elem", "node"), "dual")
-    real.fill(1.0)
-    dual.fill(2.0)
+    real.assign(1.0)
+    dual.assign(2.0)
     assert np.all(real.data == 1.0)
     assert np.all(dual.data.val == 2.0)
 
@@ -113,7 +126,7 @@ def test_ensemble_storage_holds_one_copy_per_sample():
     with pytest.raises(ValueError, match="sample count"):
         make_storage("ensemble", (3,))
     f = Field("u", Layout((3,)), make_storage("ensemble", (3,), samples=2))
-    f.fill(1.5)
+    f.assign(1.5)
     f[1] = 2.0
     assert np.array_equal(f.data.vals, [[1.5, 2.0, 1.5], [1.5, 2.0, 1.5]])
     with pytest.raises(TypeError):

@@ -83,7 +83,8 @@ def _all_plain_outputs(model, x):
 
 def _full_source_expression(self, ctx):
     u = ctx.field("temp_qp").data
-    ctx.field("source_qp").assign(self.alpha + self.beta * u * u)
+    alpha, beta = self.library.scalar("Alpha"), self.library.scalar("Beta")
+    ctx.field("source_qp").assign(alpha + beta * u * u)
 
 
 def _bits(arrays):
@@ -417,6 +418,18 @@ def test_tangent_after_a_directional_is_a_fresh_models_tangent():
     model.directional(x, np.random.default_rng(13).normal(size=model.num_dofs))
     assert _bitwise(model.tangent(x, ("PadSigma0",)),
                     demo_model().tangent(x, ("PadSigma0",)))
+
+
+def test_promoted_parameters_do_not_outlive_their_assembly():
+    # each assembly promotes the parameters once from its own seeds: a
+    # tangent's duals and a spectral assembly's chaos expansion must not
+    # reach the assemblies after it
+    model = demo_model(sg_basis=BASIS)
+    x = random_state(model, seed=18)
+    calls = _assemblies(model, x)
+    for tag in ("Tangent", "SGJacobian", "Jacobian", "Residual"):
+        fresh = _assemblies(demo_model(sg_basis=BASIS), x)[tag]
+        assert _bitwise(calls[tag](), fresh()), tag
 
 
 def test_geometry_cache_still_rejects_inverted_elements():

@@ -327,60 +327,60 @@ def test_parameter_push_reaches_assembly():
 
 def test_parameter_errors():
     lib = ParameterLibrary()
-
-    class Accessor:
-        def set_parameter(self, name, value):
-            self.value = value
-
-    acc = Accessor()
-    lib.register("A", acc, gr.RESIDUAL, 1.0)
-    with pytest.raises(ParameterError, match="duplicate"):
-        lib.register("A", acc, gr.RESIDUAL, 1.0)
-    lib.register("A", acc, gr.JACOBIAN, 1.0)
-    lib.freeze()
-    with pytest.raises(ParameterError, match="frozen"):
-        lib.register("B", acc, gr.RESIDUAL, 0.0)
+    lib.register("A", 1.0)
+    lib.register("A", 5.0)    # a second reader of "A" keeps its default
+    assert lib.names() == ["A"]
     with pytest.raises(ParameterError, match="unknown"):
         lib.set_value("missing", 1.0)
     with pytest.raises(ParameterError, match="unknown"):
         lib.value("missing")
     lib.set_value("A", 3.0)
     assert lib.value("A") == 3.0
-    lib.push(gr.TANGENT, tangent_params=("A",))  # no Tangent accessor: no-op
-    lib.push(gr.RESIDUAL)
-    assert acc.value == 3.0
+    lib.push()
+    assert lib.scalar("A") == 3.0
+    with pytest.raises(ParameterError, match="unknown parameter 'B'"):
+        lib.push(tangent_params=("A", "B"))
+    with pytest.raises(ParameterError, match="unknown parameter 'B'"):
+        lib.push(uncertain={"B": [1.0, 0.5]}, basis=sc.build_basis_data(1))
+    assert lib.scalar("A") == 3.0   # a refused push promotes nothing
 
 
 def test_tangent_push_carries_unit_seed():
     lib = ParameterLibrary()
-
-    class Accessor:
-        def set_parameter(self, name, value):
-            self.value = value
-
-    acc = Accessor()
-    lib.register("A", acc, gr.TANGENT, 2.0)
-    lib.freeze()
-    lib.push(gr.TANGENT, tangent_params=("Other", "A"))
-    assert isinstance(acc.value, sc.Dual)
-    assert acc.value.val == 2.0
-    assert np.array_equal(acc.value.dx, [0.0, 1.0])
+    lib.register("Other", 1.0)
+    lib.register("A", 2.0)
+    lib.push(tangent_params=("Other", "A"))
+    value = lib.scalar("A")
+    assert isinstance(value, sc.Dual)
+    assert value.val == 2.0
+    assert np.array_equal(value.dx, [0.0, 1.0])
 
 
 def test_sg_push_carries_expansion():
     basis = sc.build_basis_data(3)
     lib = ParameterLibrary()
+    lib.register("A", 35.0)
+    lib.push(uncertain={"A": [35.0, 15.0, 0.0, 0.0]}, basis=basis)
+    value = lib.scalar("A")
+    assert isinstance(value, sc.PCE)
+    assert value.evaluate(1.0) == 50.0
 
-    class Accessor:
-        def set_parameter(self, name, value):
-            self.value = value
 
-    acc = Accessor()
-    lib.register("A", acc, gr.SG_RESIDUAL, 35.0)
-    lib.freeze()
-    lib.push(gr.SG_RESIDUAL, uncertain={"A": [35.0, 15.0, 0.0, 0.0]}, basis=basis)
-    assert isinstance(acc.value, sc.PCE)
-    assert acc.value.evaluate(1.0) == 50.0
+def test_misspelt_tangent_parameter_is_refused():
+    mesh = build_rect_mesh(2, 2)
+    model = build_model(mesh, uniform_materials())
+    x = np.zeros(model.num_dofs)
+    with pytest.raises(ParameterError, match="PadSigma0x"):
+        model.tangent(x, ["PadSigma0x"])
+
+
+def test_misspelt_uncertain_parameter_is_refused():
+    basis = sc.build_basis_data(3)
+    mesh = build_rect_mesh(2, 2)
+    model = build_model(mesh, uniform_materials(), sg_basis=basis)
+    x_block = np.zeros((basis.size, model.num_dofs))
+    with pytest.raises(ParameterError, match="PadSigmaO"):
+        model.sg_residual(x_block, {"PadSigmaO": [35.0, 15.0, 0.0, 0.0]})
 
 
 # ---------------------------------------------------------------------------

@@ -694,5 +694,5 @@ def test_ensemble_storage_promotes_plain_values_to_every_sample():
     assert np.array_equal(ens.vals, [[2.0, 3.0, 4.0], [3.0, 4.0, 5.0]])
     assert np.array_equal(sc.strip_derivatives(ens), ens.vals)
     assert ens.shape == (3,)
-    sc.fill_zero(ens)
+    sc.copy_into(ens, 0.0)
     assert not np.any(ens.vals)
