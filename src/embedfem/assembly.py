@@ -1,13 +1,13 @@
 """Gather/seed and extract/scatter specializations plus global linear-algebra objects.
 
 ``_SPECIALIZATIONS`` holds one row per evaluation type: a coordinate gather,
-a solution gather and a scatter. The solution gather's ``bind`` checks the
-type's inputs and returns the arena keys. Each gather's ``_value`` pulls
-global vectors into one element-local scalar with seeded embedded data
-(identity seeds for stiffness rows, direction seeds for sensitivities,
-coordinate seeds for shape derivatives, coefficients for spectral
-unknowns, one state per sample for ensembles), and its ``evaluate`` assigns
-that scalar to the whole field. The scatter's ``targets`` name the global
+a solution gather and a scatter, the only evaluators that differ between the
+types' graphs. The solution gather's ``bind`` checks the type's inputs and
+returns the arena keys. Each gather's ``_value`` pulls global vectors into
+one element-local scalar with seeded embedded data (identity seeds for
+stiffness rows, direction seeds for sensitivities, coordinate seeds for shape
+derivatives, coefficients for spectral unknowns, one state per sample for
+ensembles), and its ``evaluate`` copies that scalar into the whole field. The scatter's ``targets`` name the global
 objects it fills, and its ``evaluate`` adds each workset's rows straight
 into them. Worksets run in element order, so every entry sums its terms in
 element order, bitwise independent of the workset partition. ``finish``
@@ -211,7 +211,7 @@ class GatherCoordinates(_Specialized):
         return self.state.coords[self.conn.node_conn[ws.elements]]
 
     def evaluate(self, ctx):
-        ctx.field("coords_node").assign(self._value(ctx.workset))
+        sc.copy_into(ctx.field("coords_node"), self._value(ctx.workset))
 
 
 class GatherCoordinatesShape(GatherCoordinates):
@@ -263,7 +263,7 @@ class GatherSolution(_Specialized):
 
     def evaluate(self, ctx):
         for eq, u in enumerate(self.unknowns):
-            ctx.field(f"{u}_node").assign(self._value(ctx.workset, eq))
+            sc.copy_into(ctx.field(f"{u}_node"), self._value(ctx.workset, eq))
 
 
 class GatherSolutionJacobian(GatherSolution):
@@ -372,7 +372,7 @@ class ScatterResidual(_Specialized):
         n_ws, n_nodes = ctx.workset.size, self.conn.node_conn.shape[1]
         out = np.empty((n_ws, n_nodes, len(self.unknowns)) + trailing)
         for eq, u in enumerate(self.unknowns):
-            out[:, :, eq] = part(ctx.field(f"{u}_residual").data)
+            out[:, :, eq] = part(ctx.field(f"{u}_residual"))
         return out
 
     def _add_at_dofs(self, ctx, name, local):
@@ -445,14 +445,14 @@ class ScatterEnsembleResidual(ScatterResidual):
         vals = np.empty((f.shape[0], ws.size, self.conn.node_conn.shape[1],
                          len(self.unknowns)))
         for eq, u in enumerate(self.unknowns):
-            vals[..., eq] = ctx.field(f"{u}_residual").data.vals
+            vals[..., eq] = ctx.field(f"{u}_residual").vals
         offsets = np.arange(f.shape[0])[:, None] * f.shape[1]
         _add_rows(f.reshape(-1),
                   (offsets + self.conn.dof[ws.elements].ravel()).ravel(), vals)
 
 
 #: one row per evaluation type: its coordinate gather, solution gather and
-#: scatter; a registrar from ``specialization_registrars`` builds one column
+#: scatter
 _SPECIALIZATIONS = {
     RESIDUAL.tag: (GatherCoordinates, GatherSolution, ScatterResidual),
     JACOBIAN.tag: (GatherCoordinates, GatherSolutionJacobian, ScatterJacobian),
@@ -467,19 +467,10 @@ _SPECIALIZATIONS = {
 }
 
 
-def specialization_registrars(state, unknowns):
-    """The gather-coordinates, gather-solution and scatter registrars.
-
-    A type without a row raises ``KeyError``, which
-    ``graph.instantiate_for_all_types`` reports with the registrar's name.
-    """
-    def column(index, name):
-        def registrar(ev_type):
-            return _SPECIALIZATIONS[ev_type.tag][index](state, unknowns)
-        registrar.__name__ = name
-        return registrar
-    return [column(i, name) for i, name in enumerate(
-        ("gather_coordinates", "gather_solution", "scatter_residual"))]
+def specializations(ev_type, state, unknowns):
+    """The coordinate gather, solution gather and scatter of ``ev_type``'s
+    row; a type without a row raises ``KeyError`` with its tag."""
+    return [cls(state, unknowns) for cls in _SPECIALIZATIONS[ev_type.tag]]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from . import __version__
 from .analysis import (SolveFailure, continuation, convergence_order_estimate,
                        newton_solve, optimize, shape_objective_gradient)
 from .config import (ConfigError, build_model, config_documentation,
-                     newton_config, parse_config, uncertain_expansion)
+                     parse_config, uncertain_expansion)
 from .io import (write_solution_csv, write_summary, write_table_csv,
                  write_vtk)
 from .mesh import MeshError
@@ -99,7 +99,7 @@ def _base_summary(cfg, model):
 
 
 def _run_solve(cfg, model, out_dir):
-    result = newton_solve(model, newton_config(cfg))
+    result = newton_solve(model, cfg.solver)
     _write_state(out_dir, model, result.x)
     write_table_csv(out_dir / "newton_history.csv",
                     ["iteration", "residual_norm"],
@@ -136,7 +136,7 @@ def _run_continuation(cfg, model, out_dir):
     c = cfg.continuation
     values = np.linspace(c.start, c.stop, c.steps)
     table, x_last = continuation(model, _set_sweep_parameter(cfg, model),
-                                 values, newton_config(cfg))
+                                 values, cfg.solver)
     rows = [(s.parameter, s.objective, s.iterations, s.residual_norm)
             for s in table]
     write_table_csv(out_dir / "continuation.csv",
@@ -163,10 +163,9 @@ def _run_optimize(cfg, model, out_dir):
     if len(p0) != len(names):
         raise ConfigError("optimize.start length does not match optimize.parameters")
     shape_mode = all(n in SHAPE_PARAMETERS for n in names)
-    cfg_newton = newton_config(cfg)
     if shape_mode:
         def func(p):
-            g, dg, _ = shape_objective_gradient(model, p, cfg_newton)
+            g, dg, _ = shape_objective_gradient(model, p, cfg.solver)
             return g, dg
     else:
         raise ConfigError("optimize currently drives the shape parameters only")
@@ -175,7 +174,7 @@ def _run_optimize(cfg, model, out_dir):
     rows = [(i, *p, g) for i, (p, g) in enumerate(result.history)]
     write_table_csv(out_dir / "optimize.csv",
                     ["iteration", *names, "objective"], rows)
-    g_final, _, state = shape_objective_gradient(model, result.p, cfg_newton)
+    g_final, _, state = shape_objective_gradient(model, result.p, cfg.solver)
     _write_state(out_dir, model, state.x)
     summary = _base_summary(cfg, model)
     summary.update({
@@ -192,7 +191,7 @@ def _run_optimize(cfg, model, out_dir):
 def _run_uq(cfg, model, out_dir):
     expansion = uncertain_expansion(cfg, model.sg_basis)
     sg_coeffs, nisp_coeffs, rel, sg = sg_vs_nisp(
-        model, expansion, cfg.uq.nisp_order, newton_config(cfg))
+        model, expansion, cfg.uq.nisp_order, cfg.solver)
     rows = [(k, sg_coeffs[k], nisp_coeffs[k], rel[k])
             for k in range(model.sg_basis.size)]
     write_table_csv(out_dir / "uq_coefficients.csv",
@@ -217,7 +216,7 @@ def _run_verify(cfg, model, out_dir):
     if cfg.uq is not None:
         expansion = uncertain_expansion(cfg, model.sg_basis)
         nisp_order = cfg.uq.nisp_order
-    checks = run_verification(model, newton_config(cfg), expansion, nisp_order)
+    checks = run_verification(model, cfg.solver, expansion, nisp_order)
     write_table_csv(out_dir / "verify.csv",
                     ["check", "status", "measured", "tolerance", "detail"],
                     [c.row() for c in checks])

@@ -210,13 +210,19 @@ def validate_config(cfg):
             raise ConfigError(f"uq.degree must be >= 0, got {uq.degree}")
         if uq.nisp_order < 1:
             raise ConfigError(f"uq.nisp_order must be >= 1, got {uq.nisp_order}")
-        low = _minimum_on_unit_interval(_expansion_coefficients(uq))
+        coeffs = _expansion_coefficients(uq)
+        if len(coeffs) > uq.degree + 1:
+            raise ConfigError(f"uq.expansion has {len(coeffs)} coefficients, more "
+                              f"than the {uq.degree + 1} of a degree-{uq.degree} "
+                              "basis")
+        low = _minimum_on_unit_interval(coeffs)
         if uq.parameter == "PadSigma0" and not low > 0.0:
             raise ConfigError(f"uq.expansion of PadSigma0 reaches {low:g} on "
                               "[-1, 1]; a conductivity must be positive")
     g = cfg.geometry
     if g.quad_order not in (1, 2, 3):
-        raise ConfigError(f"geometry.quad_order must be 1, 2, or 3")
+        raise ConfigError(f"geometry.quad_order must be 1, 2, or 3, got "
+                          f"{g.quad_order}")
     try:
         build_materials(cfg)
     except ValueError as err:
@@ -234,10 +240,13 @@ def validate_config(cfg):
 
 def _expansion_coefficients(uq):
     try:
-        return [float(t) for t in uq.expansion.replace(",", " ").split()]
+        coeffs = [float(t) for t in uq.expansion.replace(",", " ").split()]
     except ValueError:
         raise ConfigError(f"cannot parse uq.expansion = {uq.expansion!r} "
                           "as a list of floats") from None
+    if not np.all(np.isfinite(coeffs)):
+        raise ConfigError(f"uq.expansion must be finite, got {uq.expansion!r}")
+    return coeffs
 
 
 def _minimum_on_unit_interval(coeffs):
@@ -297,7 +306,8 @@ def build_dirichlet(cfg, mesh):
 
 
 def newton_config(cfg):
-    """The [solver] section, which is the library's NewtonConfig."""
+    """The [solver] section, which is the library's NewtonConfig. The CLI reads
+    ``cfg.solver``; this name stays because perfbench/workloads.py calls it."""
     return cfg.solver
 
 
@@ -322,8 +332,6 @@ def build_model(cfg, sg_basis=None):
 
 def uncertain_expansion(cfg, basis):
     coeffs = _expansion_coefficients(cfg.uq)
-    if len(coeffs) > basis.size:
-        raise ConfigError("uncertain expansion longer than the basis")
     out = np.zeros(basis.size)
     out[:len(coeffs)] = coeffs
     return {cfg.uq.parameter: out}

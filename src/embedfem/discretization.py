@@ -191,7 +191,7 @@ class ElementGeometryEvaluator(Evaluator):
         )
 
     def evaluate(self, ctx):
-        coords = ctx.field("coords_node").data
+        coords = ctx.field("coords_node")
         if not isinstance(coords, np.ndarray):
             self._compute(ctx, coords)
             return
@@ -206,20 +206,20 @@ class ElementGeometryEvaluator(Evaluator):
 
     def _compute(self, ctx, coords):
         basis = self.basis
-        bf = ctx.field("bf").data
+        bf = ctx.field("bf")
         bf[...] = basis.values
         det, phys_grad, det_w = element_geometry(coords, basis)
-        ctx.field("det_w").assign(det_w)
-        ctx.field("weighted_bf").assign(det_w[:, None] * bf)
+        sc.copy_into(ctx.field("det_w"), det_w)
+        sc.copy_into(ctx.field("weighted_bf"), det_w[:, None] * bf)
         gbf = ctx.field("grad_bf")
         wgbf = ctx.field("weighted_grad_bf")
         for n in range(basis.num_nodes):
             for d in range(2):
-                gbf[:, n, :, d] = phys_grad[n][d]
-                wgbf[:, n, :, d] = phys_grad[n][d] * det_w
+                sc.copy_into(gbf[:, n, :, d], phys_grad[n][d])
+                sc.copy_into(wgbf[:, n, :, d], phys_grad[n][d] * det_w)
         xqp = ctx.field("coords_qp")
         for d in range(2):
-            xqp[:, :, d] = interpolate_to_qp(coords[:, :, d], bf)
+            sc.copy_into(xqp[:, :, d], interpolate_to_qp(coords[:, :, d], bf))
 
 
 class SolutionAtQPEvaluator(Evaluator):
@@ -239,10 +239,10 @@ class SolutionAtQPEvaluator(Evaluator):
         )
 
     def evaluate(self, ctx):
-        nodal = ctx.field(f"{self.unknown}_node").data
-        ctx.field(f"{self.unknown}_qp").assign(
-            interpolate_to_qp(nodal, ctx.field("bf").data))
-        gbf = ctx.field("grad_bf").data
+        nodal = ctx.field(f"{self.unknown}_node")
+        sc.copy_into(ctx.field(f"{self.unknown}_qp"),
+                     interpolate_to_qp(nodal, ctx.field("bf")))
+        gbf = ctx.field("grad_bf")
         grad = ctx.field(f"grad_{self.unknown}_qp")
         for d in range(2):
-            grad[:, :, d] = interpolate_to_qp(nodal, gbf[:, :, :, d])
+            sc.copy_into(grad[:, :, d], interpolate_to_qp(nodal, gbf[:, :, :, d]))

@@ -1,11 +1,11 @@
-"""Named multidimensional arrays over a generic scalar, workset-local storage.
+"""Workset-local field storage over a generic scalar.
 
-A ``Field`` owns one storage object (ndarray, ``Dual``, ``PCE`` or
-``Ensemble``) whose value axes follow the field layout; kernels read and write
-whole fields at once so the per-element work stays vectorized. A
-``FieldArena`` allocates the buffers for one evaluator graph once per workset
-size and hands out handles, keeping the assembly hot loop free of repeated
-structural allocation.
+A field is one storage object (ndarray, ``Dual``, ``PCE`` or ``Ensemble``)
+whose value axes follow the field's ``Layout``; kernels read it directly and
+write it with ``scalars.copy_into``, whole fields at once so the per-element
+work stays vectorized. A ``FieldArena`` allocates the storage for one
+evaluator graph once per workset size and hands it out by name, keeping the
+assembly hot loop free of repeated structural allocation.
 """
 
 from __future__ import annotations
@@ -58,61 +58,6 @@ def resolve_layout(dims, dim_sizes):
     return Layout(tuple(extents))
 
 
-class Field:
-    """A named array of generic scalars with a fixed layout.
-
-    ``data`` is the storage object; its value shape equals ``layout.extents``.
-    ``assign`` copies a result into the preallocated storage so the buffers
-    survive graph re-execution.
-    """
-
-    __slots__ = ("name", "layout", "data")
-
-    def __init__(self, name, layout, data):
-        self.name = name
-        self.layout = layout
-        self.data = data
-
-    def assign(self, value):
-        sc.copy_into(self.data, value)
-
-    def __getitem__(self, idx):
-        if __debug__:
-            self._check_bounds(idx)
-        return self.data[idx]
-
-    def __setitem__(self, idx, value):
-        if __debug__:
-            self._check_bounds(idx)
-        entry = self.data[idx]
-        if isinstance(entry, (sc.Dual, sc.PCE, sc.Ensemble)):
-            sc.copy_into(entry, value)
-        else:
-            if isinstance(value, (sc.Dual, sc.PCE, sc.Ensemble)):
-                raise TypeError(
-                    "assigning embedded scalars into plain storage requires "
-                    "strip_derivatives(...)")
-            self.data[idx] = value
-
-    def _check_bounds(self, idx):
-        if not isinstance(idx, tuple):
-            idx = (idx,)
-        pos = 0
-        for i in idx:
-            if i is None or isinstance(i, slice):
-                pos += i is not None
-                continue
-            if isinstance(i, (int, np.integer)):
-                if not -self.layout.extents[pos] <= i < self.layout.extents[pos]:
-                    raise IndexError(
-                        f"index {i} out of bounds for extent "
-                        f"{self.layout.extents[pos]} of field {self.name!r}")
-            pos += 1
-
-    def __repr__(self):
-        return f"Field({self.name!r}, extents={self.layout.extents})"
-
-
 def _zeros(extents, trailing=(), leading=()):
     """Zeros of shape leading + extents + trailing whose memory order behind
     the leading axes is the reverse of the logical one (element axis fastest)."""
@@ -157,10 +102,10 @@ def make_storage(kind, extents, deriv_width=None, basis=None, samples=None):
 
 
 class FieldArena:
-    """Owns the field buffers for one graph instance at one workset size.
+    """Owns the field storage for one graph instance at one workset size.
 
     Allocation happens on first request per field; later executions reuse the
-    same buffers. ``allocations`` counts buffer creations so reuse is testable.
+    same storage. ``allocations`` counts creations so reuse is testable.
     """
 
     def __init__(self, dim_sizes, deriv_width=None, basis=None, samples=None):
@@ -172,16 +117,13 @@ class FieldArena:
         self.allocations = 0
 
     def ensure(self, name, dims, kind):
-        field = self.fields.get(name)
-        if field is not None:
-            return field
-        layout = resolve_layout(dims, self.dim_sizes)
-        data = make_storage(kind, layout.extents, self.deriv_width, self.basis,
-                            self.samples)
-        field = Field(name, layout, data)
-        self.fields[name] = field
-        self.allocations += 1
-        return field
+        storage = self.fields.get(name)
+        if storage is None:
+            storage = make_storage(kind, resolve_layout(dims, self.dim_sizes).extents,
+                                   self.deriv_width, self.basis, self.samples)
+            self.fields[name] = storage
+            self.allocations += 1
+        return storage
 
     def get(self, name):
         try:

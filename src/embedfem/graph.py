@@ -2,9 +2,10 @@
 
 Each evaluator names the fields it depends on and the fields it evaluates;
 ``build_graph`` topologically orders the evaluators transitively required for
-the requested outputs. One graph is instantiated per evaluation type, so the
-same compute kernels run over plain, dual, spectral or ensemble storage
-depending only on which type the graph was built for.
+the requested outputs. One graph is built per evaluation type, and the
+type-blind kernels are the same objects in every graph: they run over plain,
+dual, spectral or ensemble storage depending only on the arena the type's
+graph allocates, and only the gathers and the scatter differ per type.
 
 ``EVALUATION_TYPES`` are the six analysis outputs. ``ENSEMBLE_RESIDUAL``
 evaluates S plain residuals at once (the finite-difference oracle's perturbed
@@ -29,7 +30,6 @@ __all__ = [
     "GraphCycleError",
     "UnsatisfiedDependencyError",
     "DuplicateProducerError",
-    "MissingSpecializationError",
     "WorksetContext",
     "build_graph",
     "instantiate_for_all_types",
@@ -46,10 +46,6 @@ class UnsatisfiedDependencyError(KeyError):
 
 class DuplicateProducerError(ValueError):
     """Two evaluators claim to evaluate the same field."""
-
-
-class MissingSpecializationError(KeyError):
-    """A registrar has no implementation for the requested evaluation type."""
 
 
 @dataclass(frozen=True)
@@ -130,9 +126,9 @@ class WorksetContext:
 
     ``workset`` carries the element range, which may span material regions
     (kernels look up per-element material data by it); ``arena`` owns the field
-    buffers. The scatter adds the workset's rows straight into the global
-    objects of the assembly; worksets run in element order, which keeps the
-    sums independent of the partition.
+    storage, which ``field(name)`` returns. The scatter adds the workset's rows
+    straight into the global objects of the assembly; worksets run in element
+    order, which keeps the sums independent of the partition.
     """
 
     def __init__(self, workset, arena):
@@ -290,28 +286,11 @@ def build_graph(ev_type, evaluators, required_outputs, dim_sizes=None):
     return EvaluatorGraph(ev_type, schedule, dim_sizes or {})
 
 
-def instantiate_for_all_types(registrars, types, required_outputs,
+def instantiate_for_all_types(evaluators_for, types, required_outputs,
                               dim_sizes=None):
-    """One independent graph per evaluation type from per-type registrars.
-
-    Each registrar is called with the evaluation type and returns one
-    evaluator; shared read-only configuration lives inside the registrar
-    closures. A registrar that cannot build for a requested type
-    raises :class:`MissingSpecializationError` naming itself.
-    """
-    graphs = {}
-    for ev_type in types:
-        evaluators = []
-        for registrar in registrars:
-            try:
-                evaluators.append(registrar(ev_type))
-            except MissingSpecializationError:
-                raise
-            except KeyError as err:
-                name = getattr(registrar, "__name__", repr(registrar))
-                raise MissingSpecializationError(
-                    f"registrar {name} has no specialization for "
-                    f"{ev_type.tag}") from err
-        graphs[ev_type] = build_graph(ev_type, evaluators, required_outputs,
-                                      dim_sizes)
-    return graphs
+    """One graph per evaluation type; ``evaluators_for(ev_type)`` lists that
+    type's evaluators in registration order, and evaluators that do not
+    depend on the type may appear in every list."""
+    return {ev_type: build_graph(ev_type, evaluators_for(ev_type),
+                                 required_outputs, dim_sizes)
+            for ev_type in types}

@@ -1,5 +1,9 @@
 """Problem driver: wires mesh, physics, and per-type evaluator graphs.
 
+The model builds each type-blind kernel once; a type's graph is its row of
+``assembly._SPECIALIZATIONS`` (coordinate gather, solution gather, scatter)
+around those shared kernels.
+
 ``ThermoElectricModel.assemble`` realizes one loop for every evaluation type
 
     bind inputs, allocate globals; promote parameters;
@@ -24,7 +28,7 @@ import numpy as np
 from .analysis import LUOrder, sparse_lu
 from .assembly import (AssemblyState, ConnectivityMap, DirichletRows,
                        GlobalSystem, bind, build_worksets, finish,
-                       specialization_registrars)
+                       specializations)
 from .discretization import (ElementGeometryEvaluator, SolutionAtQPEvaluator,
                              bilinear_basis)
 from .graph import (ENSEMBLE_RESIDUAL, EVALUATION_TYPES, JACOBIAN, RESIDUAL,
@@ -60,29 +64,24 @@ class ThermoElectricModel:
 
         lib = self.library
         mats = ElementMaterials(materials, mesh.region_of)
-        gather_coordinates, gather_solution, scatter = \
-            specialization_registrars(self.state, UNKNOWNS)
-        registrars = [
-            gather_coordinates,
-            lambda ev_type: ElementGeometryEvaluator(self.basis),
-            gather_solution,
-            lambda ev_type: SolutionAtQPEvaluator("psi"),
-            lambda ev_type: SolutionAtQPEvaluator("temp"),
-            lambda ev_type: ConductivityEvaluator(mats, lib),
-        ]
+        # the type-blind evaluators, built once and shared by every graph
+        geometry = ElementGeometryEvaluator(self.basis)
+        kernels = [SolutionAtQPEvaluator("psi"), SolutionAtQPEvaluator("temp"),
+                   ConductivityEvaluator(mats, lib)]
         if with_joule:
-            registrars.append(lambda ev_type: JouleHeatingEvaluator())
-        if mms_forcing is not None:
-            registrars.append(lambda ev_type: TabulatedSourceEvaluator(mms_forcing))
-        else:
-            registrars.append(lambda ev_type: QuadraticSourceEvaluator(lib))
-        registrars.append(lambda ev_type: PotentialResidualEvaluator())
-        registrars.append(lambda ev_type: HeatResidualEvaluator(
-            mats, with_joule=with_joule))
-        registrars.append(scatter)
+            kernels.append(JouleHeatingEvaluator())
+        kernels.append(QuadraticSourceEvaluator(lib) if mms_forcing is None
+                       else TabulatedSourceEvaluator(mms_forcing))
+        kernels += [PotentialResidualEvaluator(),
+                    HeatResidualEvaluator(mats, with_joule=with_joule)]
+
+        def evaluators(ev_type):
+            coords, solution, scatter = specializations(ev_type, self.state,
+                                                        UNKNOWNS)
+            return [coords, geometry, solution, *kernels, scatter]
 
         self.graphs = instantiate_for_all_types(
-            registrars, EVALUATION_TYPES + (ENSEMBLE_RESIDUAL,),
+            evaluators, EVALUATION_TYPES + (ENSEMBLE_RESIDUAL,),
             ["residual_scattered"],
             dim_sizes={"node": self.basis.num_nodes, "qp": self.basis.num_qp,
                        "dim": 2, "eq": N_EQ})

@@ -205,7 +205,7 @@ class ConductivityEvaluator(Evaluator):
     def evaluate(self, ctx):
         ws, mats = ctx.workset, self.materials
         e = ws.elements
-        temp = ctx.field("temp_qp").data
+        temp = ctx.field("temp_qp")
         denom = 1.0 + mats.beta[e] * (temp - mats.T0[e])
         nonpositive = sc.strip_derivatives(denom) <= 0.0
         if np.any(nonpositive):
@@ -215,11 +215,11 @@ class ConductivityEvaluator(Evaluator):
                 "conductivity denominator non-positive in elements "
                 f"{(bad + ws.start)[:8].tolist()}")
         sigma = ctx.field("sigma_qp")
-        sigma.assign(mats.sigma0[e] / denom)
-        # slices write into the field; a boolean mask would write into a copy
+        sc.copy_into(sigma, mats.sigma0[e] / denom)
+        # slices are views of the field; a boolean mask would give a copy
         pad_sigma0 = self.library.scalar("PadSigma0")
         for run in mats.pad_slices(ws):
-            sigma[run] = pad_sigma0 / denom[run]
+            sc.copy_into(sigma[run], pad_sigma0 / denom[run])
 
 
 class JouleHeatingEvaluator(Evaluator):
@@ -231,10 +231,10 @@ class JouleHeatingEvaluator(Evaluator):
     evaluates = (FieldSpec("joule_qp", ("elem", "qp"), "solution"),)
 
     def evaluate(self, ctx):
-        sigma = ctx.field("sigma_qp").data
-        g = ctx.field("grad_psi_qp").data
-        ctx.field("joule_qp").assign(
-            sigma * (g[:, :, 0] * g[:, :, 0] + g[:, :, 1] * g[:, :, 1]))
+        sigma = ctx.field("sigma_qp")
+        g = ctx.field("grad_psi_qp")
+        sc.copy_into(ctx.field("joule_qp"),
+                     sigma * (g[:, :, 0] * g[:, :, 0] + g[:, :, 1] * g[:, :, 1]))
 
 
 class QuadraticSourceEvaluator(Evaluator):
@@ -259,10 +259,10 @@ class QuadraticSourceEvaluator(Evaluator):
             # residual carries that only as the sign of a zero, like x
             # against 0.0 + x, and the scatter's add into zeroed globals
             # erases it
-            source.assign(alpha)
+            sc.copy_into(source, alpha)
             return
-        u = ctx.field("temp_qp").data
-        source.assign(alpha + beta * u * u)
+        u = ctx.field("temp_qp")
+        sc.copy_into(source, alpha + beta * u * u)
 
 
 class TabulatedSourceEvaluator(Evaluator):
@@ -276,8 +276,8 @@ class TabulatedSourceEvaluator(Evaluator):
         self.forcing = forcing
 
     def evaluate(self, ctx):
-        xq = ctx.field("coords_qp").data
-        ctx.field("source_qp").assign(self.forcing(xq[:, :, 0], xq[:, :, 1]))
+        xq = ctx.field("coords_qp")
+        sc.copy_into(ctx.field("source_qp"), self.forcing(xq[:, :, 0], xq[:, :, 1]))
 
 
 class PotentialResidualEvaluator(Evaluator):
@@ -290,12 +290,12 @@ class PotentialResidualEvaluator(Evaluator):
     evaluates = (FieldSpec("psi_residual", ("elem", "node"), "solution"),)
 
     def evaluate(self, ctx):
-        sigma = ctx.field("sigma_qp").data
-        g = ctx.field("grad_psi_qp").data
-        wgbf = ctx.field("weighted_grad_bf").data
+        sigma = ctx.field("sigma_qp")
+        g = ctx.field("grad_psi_qp")
+        wgbf = ctx.field("weighted_grad_bf")
         residual = integrate(sigma * g[:, :, 0], wgbf[:, :, :, 0])
         sc.add_into(residual, integrate(sigma * g[:, :, 1], wgbf[:, :, :, 1]))
-        ctx.field("psi_residual").assign(residual)
+        sc.copy_into(ctx.field("psi_residual"), residual)
 
 
 class HeatResidualEvaluator(Evaluator):
@@ -325,17 +325,17 @@ class HeatResidualEvaluator(Evaluator):
         e = ctx.workset.elements
         kappa = self.materials.kappa[e]
         vx, vy = (v[e] for v in self.materials.velocity)
-        gt = ctx.field("grad_temp_qp").data
-        wbf = ctx.field("weighted_bf").data
-        wgbf = ctx.field("weighted_grad_bf").data
+        gt = ctx.field("grad_temp_qp")
+        wbf = ctx.field("weighted_bf")
+        wgbf = ctx.field("weighted_grad_bf")
         residual = integrate(kappa * gt[:, :, 0], wgbf[:, :, :, 0])
         sc.add_into(residual, integrate(kappa * gt[:, :, 1], wgbf[:, :, :, 1]))
         bulk = -(vx * gt[:, :, 0] + vy * gt[:, :, 1])
         if self.with_joule:
-            bulk = bulk - ctx.field("joule_qp").data
-        bulk = bulk + ctx.field("source_qp").data
+            bulk = bulk - ctx.field("joule_qp")
+        bulk = bulk + ctx.field("source_qp")
         sc.add_into(residual, integrate(bulk, wbf))
-        ctx.field("temp_residual").assign(residual)
+        sc.copy_into(ctx.field("temp_residual"), residual)
 
 
 # ---------------------------------------------------------------------------

@@ -84,7 +84,7 @@ def test_gather_residual_copies_values():
     model.assemble(gr.RESIDUAL, x)
     ws = model.worksets[0]
     arena = model.graphs[gr.RESIDUAL].arena_for(ws.size)
-    psi = arena.get("psi_node").data
+    psi = arena.get("psi_node")
     assert np.array_equal(psi, x[model.conn.dof[ws.elements, :, 0]])
 
 
@@ -95,8 +95,8 @@ def test_gather_jacobian_identity_seed():
     ws = model.worksets[0]
     arena = model.graphs[gr.JACOBIAN].arena_for(
         ws.size, deriv_width=model.conn.dofs_per_element)
-    psi = arena.get("psi_node").data
-    temp = arena.get("temp_node").data
+    psi = arena.get("psi_node")
+    temp = arena.get("temp_node")
     n_nodes = model.conn.node_conn.shape[1]
     # stacked per-equation rows give the identity over local dofs
     seeds = np.zeros((ws.size, 2 * n_nodes, 2 * n_nodes))
@@ -116,7 +116,7 @@ def test_gather_sg_deterministic_input():
                    uncertain={"PadSigma0": [35.0, 0.0, 0.0, 0.0]})
     ws = model.worksets[0]
     arena = model.graphs[gr.SG_RESIDUAL].arena_for(ws.size, basis=basis)
-    psi = arena.get("psi_node").data
+    psi = arena.get("psi_node")
     assert np.array_equal(psi.coeffs[..., 0], x[model.conn.dof[ws.elements, :, 0]])
     assert np.all(psi.coeffs[..., 1:] == 0.0)
 
@@ -134,7 +134,7 @@ def test_gather_coordinates_shape_seeds():
     # the arena still holds the coordinates of the last-executed workset
     ws = model.worksets[-1]
     arena = model.graphs[gr.SHAPE_TANGENT].arena_for(ws.size, deriv_width=1)
-    coords = arena.get("coords_node").data
+    coords = arena.get("coords_node")
     local = np.nonzero(model.conn.node_conn[ws.elements] == node)
     assert np.all(coords.dx[local[0], local[1], 1, 0] == 1.0)
     mask = np.ones(coords.dx.shape[:2], dtype=bool)

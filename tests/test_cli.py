@@ -360,3 +360,35 @@ def test_non_finite_values_exit_two(tmp_path, capsys, key, value):
     section, name = key.split(".", 1)
     assert (f"config error: [{section}] {name} must be finite, got {value!r}"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("expansion", ["nan", "0.0, inf"])
+def test_non_finite_expansion_of_any_parameter_exits_two(tmp_path, capsys,
+                                                         expansion):
+    code, _ = run_cli(tmp_path, (CONFIGS / "uq.ini").read_text(),
+                      ["uq.parameter=Alpha", f"uq.expansion={expansion}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (f"config error: uq.expansion must be finite, got {expansion!r}"
+            in err and "Traceback" not in err)
+
+
+def test_expansion_longer_than_the_basis_exits_two_before_any_output(
+        tmp_path, capsys):
+    code, out = run_cli(tmp_path, (CONFIGS / "uq.ini").read_text(),
+                        ["uq.degree=2", "uq.expansion=35, 1, 1, 1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("config error: uq.expansion has 4 coefficients, more than the 3 "
+            "of a degree-2 basis" in err and "Traceback" not in err)
+    assert not out.exists()
+    parse_config(CONFIGS / "uq.ini", ["uq.degree=2", "uq.expansion=35, 1, 1"])
+
+
+def test_bad_quad_order_is_named_in_the_error(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, (CONFIGS / "demo.ini").read_text(),
+                      ["geometry.quad_order=5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("config error: geometry.quad_order must be 1, 2, or 3, got 5"
+            in err and "Traceback" not in err)

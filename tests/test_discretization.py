@@ -8,7 +8,7 @@ from embedfem.discretization import (REF_NODES, bilinear_basis,
                                      element_geometry, element_tables,
                                      integrate, interpolate_to_qp,
                                      shape_values)
-from embedfem.fields import Field, Layout, make_storage
+from embedfem.fields import make_storage
 from embedfem.mesh import MeshError
 
 
@@ -203,9 +203,9 @@ def _scalar(rng, kind, shape):
     return sc.Ensemble(_values(rng, (SAMPLES,) + shape))
 
 
-def _zeroed_field(kind):
-    return Field("r", Layout((6, 4)), make_storage(
-        kind, (6, 4), deriv_width=WIDTH, basis=SG_BASIS, samples=SAMPLES))
+def _zeroed_storage(kind):
+    return make_storage(kind, (6, 4), deriv_width=WIDTH, basis=SG_BASIS,
+                        samples=SAMPLES)
 
 
 @pytest.mark.parametrize("weights, integrand", [
@@ -218,14 +218,14 @@ def test_integrate_is_bitwise_the_broadcast_and_sum(weights, integrand):
     # bit
     rng = np.random.default_rng(7)
     kind = weights if integrand == "real" else integrand
-    got, want = _zeroed_field(kind), _zeroed_field(kind)
+    got, want = _zeroed_storage(kind), _zeroed_storage(kind)
     with np.errstate(invalid="ignore"):
         for _ in range(2):   # into zeroed storage, then on top of the first
             weighted = _scalar(rng, weights, (6, 4, 4))
             values = _scalar(rng, integrand, (6, 4))
-            sc.add_into(got.data, integrate(values, weighted))
-            sc.add_into(want.data, (weighted * values[:, None]).sum(axis=2))
-    for a, b in zip(_bits(got.data), _bits(want.data), strict=True):
+            sc.add_into(got, integrate(values, weighted))
+            sc.add_into(want, (weighted * values[:, None]).sum(axis=2))
+    for a, b in zip(_bits(got), _bits(want), strict=True):
         assert np.array_equal(a, b)
 
 
@@ -234,16 +234,16 @@ def test_integrate_vector_integrand_adds_in_row_major_qp_dim_order(kind):
     rng = np.random.default_rng(8)
     weighted = _scalar(rng, "real", (6, 4, 4, 2))
     values = _scalar(rng, kind, (6, 4, 2))
-    got, want = _zeroed_field(kind), _zeroed_field(kind)
+    got, want = _zeroed_storage(kind), _zeroed_storage(kind)
     reference = None
     with np.errstate(invalid="ignore"):
-        sc.add_into(got.data, integrate(values, weighted))
+        sc.add_into(got, integrate(values, weighted))
         for q in range(4):
             for d in range(2):
                 term = weighted[:, :, q, d] * values[:, q, d][:, None]
                 reference = term if reference is None else reference + term
-    sc.add_into(want.data, reference)
-    for a, b in zip(_bits(got.data), _bits(want.data), strict=True):
+    sc.add_into(want, reference)
+    for a, b in zip(_bits(got), _bits(want), strict=True):
         assert np.array_equal(a, b)
 
 

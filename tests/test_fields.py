@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embedfem import scalars as sc
-from embedfem.fields import Field, FieldArena, Layout, make_storage
+from embedfem.fields import FieldArena, Layout, make_storage
 
 BASIS = sc.build_basis_data(2)
 
@@ -44,53 +44,51 @@ def test_out_of_bounds_index_reported():
         layout.linear_index((0, 0, 0))
 
 
+def _arena_field(kind, **keys):
+    """Zeroed storage of one field in an arena of three elements."""
+    return FieldArena({"elem": 3}, **keys).ensure("u", ("elem",), kind)
+
+
 def test_assign_constant_real():
-    f = Field("u", Layout((4,)), make_storage("real", (4,)))
-    f.assign(0.0)
-    assert f.data.sum() == 0.0
-    f.assign(1.0)
-    assert f.data.sum() == 4.0
+    u = make_storage("real", (4,))
+    sc.copy_into(u, 0.0)
+    assert u.sum() == 0.0
+    sc.copy_into(u, 1.0)
+    assert u.sum() == 4.0
 
 
 def test_assign_constant_dual_zeroes_partials():
-    f = Field("u", Layout((3,)), make_storage("dual", (3,), deriv_width=2))
-    f.data.dx[...] = 7.0
-    f.assign(2.5)
-    assert np.all(f.data.val == 2.5)
-    assert np.all(f.data.dx == 0.0)
+    u = _arena_field("dual", deriv_width=2)
+    u.dx[...] = 7.0
+    sc.copy_into(u, 2.5)
+    assert np.all(u.val == 2.5)
+    assert np.all(u.dx == 0.0)
 
 
 def test_assign_constant_nested_zeroes_chaos_partials():
-    f = Field("u", Layout((3,)),
-              make_storage("nested", (3,), deriv_width=2, basis=BASIS))
-    f.data.val.coeffs[...] = 7.0
-    f.data.dx.coeffs[...] = 7.0
-    f.assign(2.5)
-    assert np.all(f.data.val.mean == 2.5)
-    assert np.all(f.data.val.coeffs[..., 1:] == 0.0)
-    assert np.all(f.data.dx.coeffs == 0.0)
+    u = _arena_field("nested", deriv_width=2, basis=BASIS)
+    u.val.coeffs[...] = 7.0
+    u.dx.coeffs[...] = 7.0
+    sc.copy_into(u, 2.5)
+    assert np.all(u.val.mean == 2.5)
+    assert np.all(u.val.coeffs[..., 1:] == 0.0)
+    assert np.all(u.dx.coeffs == 0.0)
 
 
 def test_assign_constant_pce_mean_only():
-    f = Field("u", Layout((3,)), make_storage("pce", (3,), basis=BASIS))
-    f.data.coeffs[...] = 7.0
-    f.assign(2.5)
-    assert np.all(f.data.mean == 2.5)
-    assert np.all(f.data.coeffs[..., 1:] == 0.0)
+    u = _arena_field("pce", basis=BASIS)
+    u.coeffs[...] = 7.0
+    sc.copy_into(u, 2.5)
+    assert np.all(u.mean == 2.5)
+    assert np.all(u.coeffs[..., 1:] == 0.0)
 
 
-def test_setitem_guards_plain_storage():
-    f = Field("u", Layout((3,)), make_storage("real", (3,)))
-    with pytest.raises(TypeError):
-        f[0] = sc.Dual(1.0, [1.0])
-    f[0] = sc.strip_derivatives(sc.Dual(1.0, [1.0]))
-    assert f.data[0] == 1.0
-
-
-def test_getitem_bounds_checked():
-    f = Field("u", Layout((3,)), make_storage("real", (3,)))
-    with pytest.raises(IndexError):
-        f[5]
+def test_plain_storage_refuses_embedded_scalars():
+    u = make_storage("real", (3,))
+    with pytest.raises(TypeError, match="strip_derivatives"):
+        sc.copy_into(u[0:1], sc.Dual(1.0, [1.0]))
+    sc.copy_into(u[0:1], sc.strip_derivatives(sc.Dual(1.0, [1.0])))
+    assert u[0] == 1.0
 
 
 def test_nested_storage_shapes():
@@ -116,18 +114,19 @@ def test_same_name_coexists_across_arenas_without_aliasing():
     dims = {"elem": 2, "node": 4}
     real = FieldArena(dims).ensure("coords", ("elem", "node"), "real")
     dual = FieldArena(dims, deriv_width=2).ensure("coords", ("elem", "node"), "dual")
-    real.assign(1.0)
-    dual.assign(2.0)
-    assert np.all(real.data == 1.0)
-    assert np.all(dual.data.val == 2.0)
+    assert real.shape == dual.shape == (2, 4)
+    sc.copy_into(real, 1.0)
+    sc.copy_into(dual, 2.0)
+    assert np.all(real == 1.0)
+    assert np.all(dual.val == 2.0)
 
 
 def test_ensemble_storage_holds_one_copy_per_sample():
     with pytest.raises(ValueError, match="sample count"):
         make_storage("ensemble", (3,))
-    f = Field("u", Layout((3,)), make_storage("ensemble", (3,), samples=2))
-    f.assign(1.5)
-    f[1] = 2.0
-    assert np.array_equal(f.data.vals, [[1.5, 2.0, 1.5], [1.5, 2.0, 1.5]])
+    u = _arena_field("ensemble", samples=2)
+    sc.copy_into(u, 1.5)
+    sc.copy_into(u[1], 2.0)
+    assert np.array_equal(u.vals, [[1.5, 2.0, 1.5], [1.5, 2.0, 1.5]])
     with pytest.raises(TypeError):
-        Field("p", Layout((3,)), make_storage("real", (3,))).assign(f.data)
+        sc.copy_into(make_storage("real", (3,)), u)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from embedfem import graph as gr
+from embedfem import scalars as sc
 from embedfem.graph import Evaluator, FieldSpec
 
 
@@ -22,8 +23,8 @@ class Named(Evaluator):
         for spec in self.evaluates:
             total = self.value
             for dep in self.depends:
-                total = total + ctx.field(dep.name).data
-            ctx.field(spec.name).assign(total)
+                total = total + ctx.field(dep.name)
+            sc.copy_into(ctx.field(spec.name), total)
 
 
 def build(evaluators, outputs, **kw):
@@ -111,7 +112,7 @@ def test_execution_runs_each_kernel_once_in_order():
     ctx = gr.WorksetContext(None, g.arena_for(3))
     g.execute(ctx)
     assert log == ["A", "B"]
-    assert np.all(ctx.field("fb").data == 2.0)
+    assert np.all(ctx.field("fb") == 2.0)
 
 
 def test_reexecution_reuses_arena_without_reallocation():
@@ -126,7 +127,7 @@ def test_reexecution_reuses_arena_without_reallocation():
     assert arena.allocations == allocs
     # each kernel writes its whole fields; the engine adds nothing across
     # executions
-    assert np.all(arena.get("fb").data == 2.0)
+    assert np.all(arena.get("fb") == 2.0)
 
 
 def test_kernel_errors_carry_evaluator_name():
@@ -140,31 +141,25 @@ def test_kernel_errors_carry_evaluator_name():
 
 
 def test_instantiate_for_all_types_structural_equality():
-    def reg_a(ev_type):
-        return Named("A", [], ["fa"])
+    a = Named("A", [], ["fa"])
+    b = Named("B", ["fa"], ["fb"])
+    seen = []
 
-    def reg_b(ev_type):
-        return Named("B", ["fa"], ["fb"])
+    def evaluators(ev_type):
+        seen.append(ev_type)
+        return [a, b]
 
     graphs = gr.instantiate_for_all_types(
-        [reg_a, reg_b], [gr.RESIDUAL, gr.JACOBIAN], ["fb"],
-        dim_sizes={"elem": 1})
-    assert len(graphs) == 2
+        evaluators, [gr.RESIDUAL, gr.JACOBIAN], ["fb"], dim_sizes={"elem": 1})
+    assert seen == [gr.RESIDUAL, gr.JACOBIAN]
+    assert list(graphs) == seen
+    assert [g.ev_type for g in graphs.values()] == seen
     names = {t: g.evaluator_names() for t, g in graphs.items()}
-    assert names[gr.RESIDUAL] == names[gr.JACOBIAN]
+    assert names[gr.RESIDUAL] == names[gr.JACOBIAN] == ["A", "B"]
     assert graphs[gr.RESIDUAL].edges() == graphs[gr.JACOBIAN].edges()
-
-
-def test_registrar_missing_specialization_is_named():
-    table = {gr.RESIDUAL.tag: lambda: Named("A", [], ["fa"])}
-
-    def gather_registrar(ev_type):
-        return table[ev_type.tag]()
-
-    with pytest.raises(gr.MissingSpecializationError, match="gather_registrar"):
-        gr.instantiate_for_all_types([gather_registrar],
-                                     [gr.RESIDUAL, gr.JACOBIAN], ["fa"],
-                                     dim_sizes={"elem": 1})
+    # shared evaluators, each graph with arenas of its own
+    assert graphs[gr.RESIDUAL].schedule == graphs[gr.JACOBIAN].schedule == [a, b]
+    assert graphs[gr.RESIDUAL].arena_for(1) is not graphs[gr.JACOBIAN].arena_for(1)
 
 
 def test_evaluation_type_scalar_kind_table():

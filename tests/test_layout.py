@@ -61,7 +61,7 @@ def test_outputs_are_bitwise_those_of_c_ordered_storage(monkeypatch):
     for model, c_contiguous in ((c_model, True), (shipped_model, False)):
         for graph in model.graphs.values():
             for arena in graph._arenas.values():
-                for data, elem_axis in _components(arena.get("temp_qp").data):
+                for data, elem_axis in _components(arena.get("temp_qp")):
                     assert data.flags.c_contiguous == c_contiguous
                     assert (data.strides[elem_axis] == data.itemsize) \
                         != c_contiguous
@@ -256,15 +256,13 @@ def test_contractions_are_bitwise_the_row_form_and_element_fastest(kind):
             for data, elem_axis in _components(value):
                 assert data.strides[elem_axis] == data.itemsize, (name, size)
 
-        field = fields.Field("r", fields.Layout((size, QUAD.num_nodes)),
-                             make_storage(kind, (size, QUAD.num_nodes),
-                                          **STORAGE_KINDS[kind]))
+        got = make_storage(kind, (size, QUAD.num_nodes), **STORAGE_KINDS[kind])
         reference = make_storage(kind, (size, QUAD.num_nodes),
                                  **STORAGE_KINDS[kind])
         for _ in range(2):   # into zeroed storage, then on top of the first
-            sc.add_into(field.data, integrate(integrand, weighted))
+            sc.add_into(got, integrate(integrand, weighted))
             sc.add_into(reference, _row_integrate(integrand, weighted))
-        assert _same_bits(field.data, reference), ("integrate", size)
+        assert _same_bits(got, reference), ("integrate", size)
 
         after = [data for storage in inputs for data, _ in _components(storage)]
         for old, new in zip(before, after, strict=True):
@@ -279,9 +277,9 @@ def test_assembly_reads_basis_values_from_an_element_fastest_field():
               for arena in graph._arenas.values()]
     assert {arena.dim_sizes["elem"] for arena in arenas} == set(_workset_sizes())
     for arena in arenas:
-        bf = arena.get("bf").data
+        bf = arena.get("bf")
         assert bf.strides[0] == bf.itemsize
         assert np.array_equal(bf, np.broadcast_to(model.basis.values, bf.shape))
-        temp = arena.get("temp_node").data
-        assert _same_bits(arena.get("temp_qp").data,
+        temp = arena.get("temp_node")
+        assert _same_bits(arena.get("temp_qp"),
                           _row_contraction(temp, model.basis.values))

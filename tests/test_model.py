@@ -1,5 +1,7 @@
 """Assembly-level invariants: single-source values, partitioning, ensembles."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -82,9 +84,9 @@ def _all_plain_outputs(model, x):
 
 
 def _full_source_expression(self, ctx):
-    u = ctx.field("temp_qp").data
+    u = ctx.field("temp_qp")
     alpha, beta = self.library.scalar("Alpha"), self.library.scalar("Beta")
-    ctx.field("source_qp").assign(alpha + beta * u * u)
+    sc.copy_into(ctx.field("source_qp"), alpha + beta * u * u)
 
 
 def _bits(arrays):
@@ -307,22 +309,63 @@ def _assert_matches_fresh_model(model, x):
 
 
 def test_geometry_cache_follows_every_coordinate_change():
-    model = demo_model(workset_size=7)
+    # the geometry evaluator, shared by every graph, memoizes per arena: with
+    # the coordinates changed between any two assemblies, every type (the
+    # directional and the ensemble residual included) still gives, on each
+    # coordinate set, the outputs of a model that only saw that set
+    model = demo_model(sg_basis=BASIS, workset_size=7)
     x = random_state(model, seed=8)
     base = model.mesh.replace_coords(model.base_coords)
-    before = _outputs(model, x)
+    morphed = morph(base, np.array([0.05])).coords
 
-    model.set_coords(morph(base, np.array([0.05])).coords)
-    _assert_matches_fresh_model(model, x)
-    assert not np.array_equal(model.residual(x), before[0])
+    def base_coords(m):
+        m.reset_coords()
 
-    model.reset_coords()
-    _assert_matches_fresh_model(model, x)
-    assert np.array_equal(model.residual(x), before[0])
+    def morphed_coords(m):
+        m.set_coords(morphed.copy())
 
-    model.state.coords[40] += (1e-3, -2e-3)
-    _assert_matches_fresh_model(model, x)
-    assert not np.array_equal(model.residual(x), before[0])
+    def perturbed_coords(m):   # in place: the memo compares the bits
+        m.reset_coords()
+        m.state.coords[40] += (1e-3, -2e-3)
+
+    setters = (base_coords, morphed_coords, perturbed_coords)
+    want = []
+    for setter in setters:
+        fresh = demo_model(sg_basis=BASIS, workset_size=7)
+        setter(fresh)
+        want.append({tag: call() for tag, call in _assemblies(fresh, x).items()})
+    for other in want[1:]:
+        assert not np.array_equal(other["Residual"], want[0]["Residual"])
+    calls = _assemblies(model, x)
+    for shift in range(len(setters)):
+        for i, (tag, call) in enumerate(calls.items()):
+            k = (i + shift) % len(setters)
+            setters[k](model)
+            assert _bitwise(call(), want[k][tag]), (setters[k].__name__, tag)
+
+
+def test_every_graph_shares_the_type_blind_evaluators():
+    # each type's graph is its gathers and scatter around one set of kernels
+    model = demo_model(sg_basis=BASIS)
+    graphs = list(model.graphs.values())
+    assert len(graphs) == 7
+    for a, b in itertools.combinations(graphs, 2):
+        assert a.evaluator_names() == b.evaluator_names()
+        different = [n for n, (p, q) in enumerate(zip(a.schedule, b.schedule,
+                                                      strict=True)) if p is not q]
+        assert different == [0, 2, len(a.schedule) - 1]
+    for graph in graphs:
+        specialized = [isinstance(ev, assembly._Specialized) for ev in graph.schedule]
+        assert specialized == [n in (0, 2, len(specialized) - 1)
+                               for n in range(len(specialized))]
+
+
+def test_type_without_a_specialization_row_raises_its_tag(monkeypatch):
+    hessian = gr.EvaluationType("Hessian", "dual", "real")
+    monkeypatch.setattr("embedfem.model.EVALUATION_TYPES",
+                        gr.EVALUATION_TYPES + (hessian,))
+    with pytest.raises(KeyError, match="Hessian"):
+        demo_model()
 
 
 def _assemblies(model, x):
@@ -401,9 +444,9 @@ def test_every_kernel_writes_its_whole_outputs(workset_size):
         geometry = {spec.name for ev in graph.schedule
                     if ev.name == "element_geometry" for spec in ev.evaluates}
         for arena in graph._arenas.values():
-            for name, field in arena.fields.items():
+            for name, storage in arena.fields.items():
                 if name not in geometry:
-                    _poison(field.data)
+                    _poison(storage)
     fresh = demo_model(sg_basis=BASIS, workset_size=workset_size)
     want = {tag: assemble() for tag, assemble in _assemblies(fresh, x).items()}
     for tag, assemble in _assemblies(model, x).items():

@@ -199,10 +199,10 @@ def test_conductivity_values():
     x[1::2] = 10.0  # T - T0 = 10 everywhere
     model.residual(x)
     arena = model.graphs[gr.RESIDUAL].arena_for(1)
-    assert np.allclose(arena.get("sigma_qp").data, 17.5, atol=1e-14)
+    assert np.allclose(arena.get("sigma_qp"), 17.5, atol=1e-14)
     x[1::2] = 0.0
     model.residual(x)
-    assert np.allclose(arena.get("sigma_qp").data, 35.0, atol=1e-15)
+    assert np.allclose(arena.get("sigma_qp"), 35.0, atol=1e-15)
 
 
 def test_conductivity_derivative_at_reference_temperature():
@@ -212,8 +212,8 @@ def test_conductivity_derivative_at_reference_temperature():
     x = np.zeros(model.num_dofs)
     model.assemble(gr.JACOBIAN, x)
     arena = model.graphs[gr.JACOBIAN].arena_for(1, deriv_width=8)
-    sigma = arena.get("sigma_qp").data
-    temp = arena.get("temp_qp").data
+    sigma = arena.get("sigma_qp")
+    temp = arena.get("temp_qp")
     # d sigma / dT = -sigma0 * beta at T = T0; chain through the qp seeds
     assert np.allclose(sigma.dx, -35.0 * 0.1 * temp.dx, atol=1e-13)
 
@@ -254,11 +254,11 @@ def test_source_term_examples():
     x[1::2] = 3.0
     model.residual(x)
     arena = model.graphs[gr.RESIDUAL].arena_for(1)
-    assert np.allclose(arena.get("source_qp").data, 19.0, atol=1e-14)
+    assert np.allclose(arena.get("source_qp"), 19.0, atol=1e-14)
     model.library.set_value("Beta", 0.0)
     model.library.set_value("Alpha", 2.0)
     model.residual(x)
-    assert np.allclose(arena.get("source_qp").data, 2.0, atol=1e-15)
+    assert np.allclose(arena.get("source_qp"), 2.0, atol=1e-15)
 
 
 def test_source_parameter_seeds_under_tangent():
@@ -270,7 +270,7 @@ def test_source_parameter_seeds_under_tangent():
     x[1::2] = 3.0
     model.assemble(gr.TANGENT, x, tangent_params=("Alpha", "Beta"))
     arena = model.graphs[gr.TANGENT].arena_for(1, deriv_width=2)
-    source = arena.get("source_qp").data
+    source = arena.get("source_qp")
     # ds/d(alpha) = 1, ds/d(beta) = u^2 = 9
     assert np.allclose(source.dx[..., 0], 1.0, atol=1e-15)
     assert np.allclose(source.dx[..., 1], 9.0, atol=1e-13)
@@ -284,7 +284,7 @@ def test_beta_tangent_seed_bypasses_the_zero_beta_short_circuit():
     x[1::2] = 3.0
     model.assemble(gr.TANGENT, x, tangent_params=("Alpha", "Beta"))
     arena = model.graphs[gr.TANGENT].arena_for(1, deriv_width=2)
-    source = arena.get("source_qp").data
+    source = arena.get("source_qp")
     # Beta is 0.0 but carries a seed: ds/d(beta) = u^2 = 9
     assert np.array_equal(source.val, np.ones_like(source.val))
     assert np.allclose(source.dx[..., 0], 1.0, atol=1e-15)
