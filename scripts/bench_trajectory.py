@@ -2,7 +2,9 @@
 """Summarize paired benchmark runs of two checkouts into one BENCH_<n>.json.
 
 Each checkout's ``perfbench/out/<workload>-seed<N>-trace0.json`` files are
-read; runs pair up by workload and seed. Per workload the file records, for
+read, keeping only runs whose ``seconds`` is the ``run_seconds`` of that
+checkout's BENCHMARK.json (so short runs such as the test suite's are left
+out); runs pair up by workload and seed. Per workload the file records, for
 the parent and the change, the median and interquartile range of the four
 end-to-end metrics, the failed share of the ops, how many pairs the change
 won on each metric, and whether round 0 gave the same digest on both sides;
@@ -27,11 +29,14 @@ METRICS = {"setup_s": "lower", "dofs_per_s": "higher",
 
 
 def load(checkout, trace):
+    seconds = json.loads(Path(checkout, "BENCHMARK.json").read_text())[
+        "run_seconds"]
     runs = {}
     for path in sorted(Path(checkout, "perfbench", "out").glob(
             f"*-trace{trace}.json")):
         record = json.loads(path.read_text())
-        runs[(record["workload"], record["seed"])] = record
+        if record["seconds"] == seconds:
+            runs[(record["workload"], record["seed"])] = record
     return runs
 
 

@@ -379,8 +379,7 @@ def optimize(func, p0, bounds, tol=1e-6, max_iters=50):
                 break
             alpha *= _SHRINK
         if not accepted:
-            return OptimizeResult(p, g, it, np.linalg.norm(
-                projected, ord=np.inf) <= tol, history)
+            return OptimizeResult(p, g, it, False, history)
         s = candidate - p
         y = grad_new - grad
         sy = float(np.dot(s, y))
@@ -446,7 +445,7 @@ class SGResult:
     converged: bool
 
 
-def sg_newton_solve(model, uncertain, config=None, x0=None):
+def sg_newton_solve(model, uncertain, config=None):
     """Chord Newton on the spectral residual with a mean-based preconditioner.
 
     The mean block starts from the deterministic solve (hot start), which is
@@ -463,18 +462,15 @@ def sg_newton_solve(model, uncertain, config=None, x0=None):
         raise ValueError("model was built without spectral basis tables")
     n = model.num_dofs
     x_block = np.zeros((basis.size, n))
-    if x0 is not None:
-        x_block[...] = x0
-    else:
-        # solve the deterministic problem at the expansion means
-        nominal = {name: model.library.value(name) for name in uncertain}
-        try:
-            for name, coeffs in uncertain.items():
-                model.library.set_value(name, float(np.asarray(coeffs)[0]))
-            x_block[0] = newton_solve(model, config).x
-        finally:
-            for name, value in nominal.items():
-                model.library.set_value(name, value)
+    # solve the deterministic problem at the expansion means
+    nominal = {name: model.library.value(name) for name in uncertain}
+    try:
+        for name, coeffs in uncertain.items():
+            model.library.set_value(name, float(np.asarray(coeffs)[0]))
+        x_block[0] = newton_solve(model, config).x
+    finally:
+        for name, value in nominal.items():
+            model.library.set_value(name, value)
 
     # the SG Jacobian assembly's residual is bitwise the SG residual, so it
     # gives ||F(x0)|| as well
@@ -518,9 +514,9 @@ def shape_objective_gradient(model, params, config=None):
 
     Morphs the base mesh, solves, and evaluates dg/dp = -(dg/dx)^T J^{-1} f_p
     with J the Jacobian that Newton returns at its solution and f_p from the
-    shape-tangent assembly seeded by the finite-difference coordinate
-    sensitivities. The explicit dg/dp term is identically zero (the
-    parameters never appear in the objective).
+    shape-tangent assembly seeded by the exact coordinate sensitivities. The
+    explicit dg/dp term is identically zero (the parameters never appear in
+    the objective).
     """
     from .morphing import mesh_sensitivity, morph
 

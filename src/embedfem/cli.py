@@ -25,9 +25,6 @@ from .morphing import MorphError, morph
 from .physics import NonPhysicalStateError
 from .verification import run_verification, sg_vs_nisp
 
-#: names accepted by continuation/optimize that address the slider shape
-SHAPE_PARAMETERS = ("deflection", "deflection_top", "deflection_bottom")
-
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
@@ -64,9 +61,9 @@ def main(argv=None):
 
 
 def _dispatch(cfg, dump_graph=False):
+    model = build_model(cfg)
     out_dir = Path(cfg.run.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = build_model(cfg)
     if dump_graph:
         for ev_type, graph in model.graphs.items():
             (out_dir / f"graph_{ev_type.tag}.txt").write_text(graph.dump_text())
@@ -118,18 +115,10 @@ def _run_solve(cfg, model, out_dir):
 
 def _set_sweep_parameter(cfg, model):
     name = cfg.continuation.parameter
-    if name in SHAPE_PARAMETERS:
-        base = model.mesh.replace_coords(model.base_coords)
-
-        def setter(m, value):
-            m.set_coords(morph(base, [value]).coords)
-    elif name in model.library.names():
-        def setter(m, value):
-            m.library.set_value(name, value)
-    else:
-        raise ConfigError(f"continuation parameter {name!r} is neither a "
-                          f"registered parameter nor a shape parameter")
-    return setter
+    if name != "deflection":
+        return lambda m, value: m.library.set_value(name, value)
+    base = model.mesh.replace_coords(model.base_coords)
+    return lambda m, value: m.set_coords(morph(base, [value]).coords)
 
 
 def _run_continuation(cfg, model, out_dir):
@@ -158,27 +147,18 @@ def _run_continuation(cfg, model, out_dir):
 
 def _run_optimize(cfg, model, out_dir):
     o = cfg.optimize
-    names = [t.strip() for t in o.parameters.split(",") if t.strip()]
-    p0 = np.array([float(t) for t in o.start.replace(",", " ").split()])
-    if len(p0) != len(names):
-        raise ConfigError("optimize.start length does not match optimize.parameters")
-    shape_mode = all(n in SHAPE_PARAMETERS for n in names)
-    if shape_mode:
-        def func(p):
-            g, dg, _ = shape_objective_gradient(model, p, cfg.solver)
-            return g, dg
-    else:
-        raise ConfigError("optimize currently drives the shape parameters only")
-    bounds = (np.full(len(names), o.lower), np.full(len(names), o.upper))
-    result = optimize(func, p0, bounds, tol=o.tol, max_iters=o.max_iters)
+    bounds = (np.full(o.p0.size, o.lower), np.full(o.p0.size, o.upper))
+    result = optimize(
+        lambda p: shape_objective_gradient(model, p, cfg.solver)[:2], o.p0,
+        bounds, tol=o.tol, max_iters=o.max_iters)
     rows = [(i, *p, g) for i, (p, g) in enumerate(result.history)]
     write_table_csv(out_dir / "optimize.csv",
-                    ["iteration", *names, "objective"], rows)
+                    ["iteration", *o.shape_parameters, "objective"], rows)
     g_final, _, state = shape_objective_gradient(model, result.p, cfg.solver)
     _write_state(out_dir, model, state.x)
     summary = _base_summary(cfg, model)
     summary.update({
-        "shape_parameters": names,
+        "shape_parameters": o.shape_parameters,
         "p_star": result.p,
         "objective_star": result.value,
         "optimizer_iterations": result.iterations,

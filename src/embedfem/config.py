@@ -17,6 +17,7 @@ from numpy.polynomial import Legendre
 from .analysis import NewtonConfig
 from .mesh import GeometryParams, Resolution, build_slider_mesh
 from .model import ThermoElectricModel
+from .morphing import SHAPE_PARAMETERS
 from .physics import DemoMaterials, ParameterError, default_materials
 from . import scalars as sc
 
@@ -32,12 +33,22 @@ class RunSection:
     mode: str = "solve"            # solve | continuation | optimize | uq | verify
     output_dir: str = "out"
 
+    def __post_init__(self):
+        if self.mode not in _MODES:
+            raise ConfigError(f"unknown mode {self.mode!r}; expected one of "
+                              f"{_MODES}")
+
 
 @dataclass
 class GeometrySection(Resolution, GeometryParams):
     """Strip dimensions and mesh resolution (defaults: the 16x16 demo)."""
 
     quad_order: int = 2
+
+    def __post_init__(self):
+        if self.quad_order not in (1, 2, 3):
+            raise ConfigError(f"geometry.quad_order must be 1, 2, or 3, got "
+                              f"{self.quad_order}")
 
 
 @dataclass
@@ -49,19 +60,26 @@ class MaterialsSection(DemoMaterials):
 
 @dataclass
 class ContinuationSection:
-    """Uniform parameter sweep with Newton correction at each step."""
+    """Uniform sweep of deflection or a registered parameter; Newton per step."""
 
     parameter: str = "deflection"
     start: float = -0.3
     stop: float = 0.3
     steps: int = 21
 
+    def __post_init__(self):
+        if self.steps < 1:
+            raise ConfigError(f"continuation.steps must be >= 1, got "
+                              f"{self.steps}")
+        if not np.isfinite([self.start, self.stop]).all():
+            raise ConfigError(f"continuation.start and stop must be finite, "
+                              f"got {self.start} and {self.stop}")
+
 
 @dataclass
 class OptimizeSection:
-    """Projected-BFGS bound-constrained shape/parameter optimization."""
+    """Projected-BFGS shape optimization; start: deflection or top, bottom."""
 
-    parameters: str = "deflection"
     start: str = "0.15"
     lower: float = -0.3
     upper: float = 0.3
@@ -77,6 +95,11 @@ class OptimizeSection:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        self.p0 = np.array(_floats(self.start, "optimize.start"))
+        if self.p0.size not in SHAPE_PARAMETERS:
+            raise ValueError(f"start has {self.p0.size} values; one sets the "
+                             "deflection, two the top and bottom deflections")
+        self.shape_parameters = SHAPE_PARAMETERS[self.p0.size]
 
 
 @dataclass
@@ -87,6 +110,23 @@ class UqSection:
     expansion: str = "35.0, 15.0"
     degree: int = 3
     nisp_order: int = 6
+
+    def __post_init__(self):
+        if self.degree < 0:
+            raise ConfigError(f"uq.degree must be >= 0, got {self.degree}")
+        if self.nisp_order < 1:
+            raise ConfigError(f"uq.nisp_order must be >= 1, got "
+                              f"{self.nisp_order}")
+        self.coefficients = _floats(self.expansion, "uq.expansion")
+        count = len(self.coefficients)
+        if count > self.degree + 1:
+            raise ConfigError(f"uq.expansion has {count} coefficients, more "
+                              f"than the {self.degree + 1} of a "
+                              f"degree-{self.degree} basis")
+        low = _minimum_on_unit_interval(self.coefficients)
+        if self.parameter == "PadSigma0" and not low > 0.0:
+            raise ConfigError(f"uq.expansion of PadSigma0 reaches {low:g} on "
+                              "[-1, 1]; a conductivity must be positive")
 
 
 _SECTION_CLASSES = {
@@ -109,8 +149,7 @@ _DEFAULT_BOUNDARY = {
 _DEFAULT_PARAMETERS = {"Alpha": 0.0, "Beta": 0.0, "PadSigma0": 35.0}
 
 _MODES = ("solve", "continuation", "optimize", "uq", "verify")
-_MODE_SECTIONS = {"continuation": "continuation", "optimize": "optimize",
-                  "uq": "uq"}
+_MODE_SECTIONS = ("continuation", "optimize", "uq")   # each needs its section
 
 
 @dataclass
@@ -152,6 +191,8 @@ def _build_section(name, cls, items):
         values[key] = _coerce(raw, types[key], f"{name}.{key}")
     try:
         return cls(**values)
+    except ConfigError:
+        raise
     except ValueError as err:
         raise ConfigError(f"[{name}] {err}") from None
 
@@ -192,42 +233,19 @@ def parse_config(path, overrides=()):
 
 
 def validate_config(cfg):
-    if cfg.run.mode not in _MODES:
-        raise ConfigError(f"unknown mode {cfg.run.mode!r}; expected one of {_MODES}")
-    needed = _MODE_SECTIONS.get(cfg.run.mode)
-    if needed and getattr(cfg, needed) is None:
-        raise ConfigError(f"mode {cfg.run.mode!r} requires section [{needed}]")
+    """The rules that span sections; each section checks its own keys."""
+    mode = cfg.run.mode
+    if mode in _MODE_SECTIONS and getattr(cfg, mode) is None:
+        raise ConfigError(f"mode {mode!r} requires section [{mode}]")
     for key in cfg.boundary:
         parts = key.split(".")
         if len(parts) != 2 or parts[0] not in ("psi", "temp"):
             raise ConfigError(f"boundary key {key!r} is not unknown.node_set")
-    if cfg.continuation is not None and cfg.continuation.steps < 1:
-        raise ConfigError("continuation.steps must be >= 1, got "
-                          f"{cfg.continuation.steps}")
-    uq = cfg.uq
-    if uq is not None:
-        if uq.degree < 0:
-            raise ConfigError(f"uq.degree must be >= 0, got {uq.degree}")
-        if uq.nisp_order < 1:
-            raise ConfigError(f"uq.nisp_order must be >= 1, got {uq.nisp_order}")
-        coeffs = _expansion_coefficients(uq)
-        if len(coeffs) > uq.degree + 1:
-            raise ConfigError(f"uq.expansion has {len(coeffs)} coefficients, more "
-                              f"than the {uq.degree + 1} of a degree-{uq.degree} "
-                              "basis")
-        low = _minimum_on_unit_interval(coeffs)
-        if uq.parameter == "PadSigma0" and not low > 0.0:
-            raise ConfigError(f"uq.expansion of PadSigma0 reaches {low:g} on "
-                              "[-1, 1]; a conductivity must be positive")
-    g = cfg.geometry
-    if g.quad_order not in (1, 2, 3):
-        raise ConfigError(f"geometry.quad_order must be 1, 2, or 3, got "
-                          f"{g.quad_order}")
     try:
         build_materials(cfg)
     except ValueError as err:
         raise ConfigError(str(err)) from None
-    m = cfg.materials
+    m, g = cfg.materials, cfg.geometry
     speed = float(np.hypot(m.v0_x, m.v0_y))
     if speed > 0.0 and g.nx_conductor > 0:
         h = g.conductor_length / g.nx_conductor
@@ -238,15 +256,16 @@ def validate_config(cfg):
                 "convective term may oscillate", stacklevel=2)
 
 
-def _expansion_coefficients(uq):
+def _floats(raw, where):
+    """A comma- or space-separated list of finite floats, parsed once."""
     try:
-        coeffs = [float(t) for t in uq.expansion.replace(",", " ").split()]
+        values = tuple(float(t) for t in raw.replace(",", " ").split())
     except ValueError:
-        raise ConfigError(f"cannot parse uq.expansion = {uq.expansion!r} "
-                          "as a list of floats") from None
-    if not np.all(np.isfinite(coeffs)):
-        raise ConfigError(f"uq.expansion must be finite, got {uq.expansion!r}")
-    return coeffs
+        raise ConfigError(f"cannot parse {where} = {raw!r} as a list of "
+                          "floats") from None
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{where} must be finite, got {raw!r}")
+    return values
 
 
 def _minimum_on_unit_interval(coeffs):
@@ -324,14 +343,18 @@ def build_model(cfg, sg_basis=None):
             model.library.set_value(name, value)
         except ParameterError:
             raise ConfigError(f"parameter {name!r} is not registered by the model")
-    if cfg.uq is not None and cfg.uq.parameter not in model.library.names():
+    names = model.library.names()
+    if cfg.uq is not None and cfg.uq.parameter not in names:
         raise ConfigError(f"uq.parameter {cfg.uq.parameter!r} is not registered "
                           "by the model")
+    c = cfg.continuation
+    if c is not None and c.parameter not in ("deflection", *names):
+        raise ConfigError(f"continuation parameter {c.parameter!r} is neither "
+                          "'deflection' nor a registered parameter")
     return model
 
 
 def uncertain_expansion(cfg, basis):
-    coeffs = _expansion_coefficients(cfg.uq)
     out = np.zeros(basis.size)
-    out[:len(coeffs)] = coeffs
+    out[:len(cfg.uq.coefficients)] = cfg.uq.coefficients
     return {cfg.uq.parameter: out}

@@ -186,7 +186,6 @@ class ElementGeometryEvaluator(Evaluator):
             FieldSpec("weighted_bf", ("elem", "node", "qp"), "mesh"),
             FieldSpec("grad_bf", ("elem", "node", "qp", "dim"), "mesh"),
             FieldSpec("weighted_grad_bf", ("elem", "node", "qp", "dim"), "mesh"),
-            FieldSpec("det_w", ("elem", "qp"), "mesh"),
             FieldSpec("coords_qp", ("elem", "qp", "dim"), "mesh"),
         )
 
@@ -208,8 +207,7 @@ class ElementGeometryEvaluator(Evaluator):
         basis = self.basis
         bf = ctx.field("bf")
         bf[...] = basis.values
-        det, phys_grad, det_w = element_geometry(coords, basis)
-        sc.copy_into(ctx.field("det_w"), det_w)
+        _, phys_grad, det_w = element_geometry(coords, basis)
         sc.copy_into(ctx.field("weighted_bf"), det_w[:, None] * bf)
         gbf = ctx.field("grad_bf")
         wgbf = ctx.field("weighted_grad_bf")

@@ -1,4 +1,4 @@
-"""Analytic slider morphing and finite-difference coordinate sensitivities.
+"""Analytic slider morphing and its exact coordinate sensitivities.
 
 The slider band deforms by parabolic profiles of its top and bottom surfaces
 over the full (mirrored) slider length; interior nodes interpolate linearly
@@ -18,8 +18,13 @@ from __future__ import annotations
 import numpy as np
 
 from .mesh import validate_element_orientation
+from . import scalars as sc
 
-__all__ = ["morph", "mesh_sensitivity", "slider_area"]
+__all__ = ["morph", "mesh_sensitivity", "slider_area", "SHAPE_PARAMETERS"]
+
+#: the parameters of a one- and a two-parameter morph, in ``_profiles`` order
+SHAPE_PARAMETERS = {1: ("deflection",),
+                    2: ("deflection_top", "deflection_bottom")}
 
 
 class MorphError(ValueError):
@@ -55,14 +60,14 @@ def _slider_frame(mesh):
 
 
 def _profiles(t, params, t_cols, w_cols):
-    """Top/bottom displacement profiles; closed-form area compensation."""
-    params = np.atleast_1d(np.asarray(params, dtype=float))
+    """Top/bottom profiles (float or Dual params) with area compensation."""
+    count = params.shape[0]
     prof = 4.0 * t * (1.0 - t)
-    if params.size == 1:
+    if count == 1:
         d = params[0]
         return d * prof, d * prof
-    if params.size == 2:
-        d_top, d_bot = params
+    if count == 2:
+        d_top, d_bot = params[0], params[1]
         prof_cols = 4.0 * t_cols * (1.0 - t_cols)
         # area change = sum w ((d_top - d_bot) prof + 2 e prof^2) = 0
         num = float(np.sum(w_cols * prof_cols))
@@ -71,7 +76,14 @@ def _profiles(t, params, t_cols, w_cols):
         top = d_top * prof + e * prof * prof
         bot = d_bot * prof - e * prof * prof
         return top, bot
-    raise MorphError(f"expected 1 or 2 shape parameters, got {params.size}")
+    raise MorphError(f"expected 1 or 2 shape parameters, got {count}")
+
+
+def _moved_y(mesh, params):
+    """The moving nodes and their morphed y (a ``Dual`` for dual params)."""
+    moving, t, s, t_cols, w_cols = _slider_frame(mesh)
+    top, bot = _profiles(t, params, t_cols, w_cols)
+    return moving, mesh.coords[moving, 1] + bot + s * (top - bot)
 
 
 def morph(mesh, params):
@@ -80,32 +92,22 @@ def morph(mesh, params):
     Only nodes strictly inside the slider band move, and only vertically;
     morph(0) reproduces the base coordinates bit for bit.
     """
-    moving, t, s, t_cols, w_cols = _slider_frame(mesh)
-    top, bot = _profiles(t, params, t_cols, w_cols)
+    moving, y = _moved_y(mesh, np.atleast_1d(np.asarray(params, dtype=float)))
     coords = mesh.coords.copy()
-    coords[moving, 1] = coords[moving, 1] + bot + s * (top - bot)
+    coords[moving, 1] = y
     out = mesh.replace_coords(coords)
     validate_element_orientation(out)
     return out
 
 
 def mesh_sensitivity(mesh, params):
-    """Central-difference coordinate sensitivities around the morph.
-
-    Returns d(coords)/d(p) with shape (num_nodes, 2, n_params); column k uses
-    the step 1e-6 (1 + |p_k|), the same relative step as the Jacobian's FD
-    oracle. Non-slider rows are exactly zero because the morph never touches
-    those nodes.
-    """
+    """Exact d(coords)/d(p), shape (num_nodes, 2, n_params), from the morph
+    evaluated on ``Dual`` parameters. Non-slider rows are exactly zero because
+    the morph never touches those nodes."""
     params = np.atleast_1d(np.asarray(params, dtype=float))
+    moving, y = _moved_y(mesh, sc.Dual(params, np.eye(params.size)))
     out = np.zeros(mesh.coords.shape + (params.size,))
-    for k in range(params.size):
-        h = 1e-6 * (1.0 + abs(params[k]))
-        delta = np.zeros_like(params)
-        delta[k] = h
-        plus = morph(mesh, params + delta).coords
-        minus = morph(mesh, params - delta).coords
-        out[:, :, k] = (plus - minus) / (2.0 * h)
+    out[moving, 1] = y.dx
     return out
 
 

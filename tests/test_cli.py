@@ -283,8 +283,9 @@ def test_uncertain_conductivity_must_stay_positive(tmp_path, capsys, config):
     ("demo.ini", ["materials.sigma0_pad=50"]),
     ("continuation.ini", ["continuation.steps=0"]),
     ("continuation.ini", ["geometry.nx_slider=0", "geometry.slider_length=0"]),
-    ("optimize.ini", ["optimize.parameters=deflection,deflection_top,"
-                      "deflection_bottom", "optimize.start=0.1,0.1,0.1"]),
+    ("optimize.ini", ["optimize.start=0.1,0.1,0.1"]),
+    ("optimize.ini", ["optimize.parameters=deflection_bottom,deflection_top",
+                      "optimize.start=0.1,0.0"]),
 ])
 def test_bad_config_value_exits_two_without_traceback(tmp_path, capsys, config,
                                                        overrides):
@@ -339,15 +340,57 @@ nisp_order = 3
      "be below upper (nan)"),
     ("demo.ini", ["solver.abs_tol=nan"], "[solver] tolerances must be "
      "positive"),
+    ("optimize.ini", ["optimize.start=abc"],
+     "cannot parse optimize.start = 'abc' as a list of floats"),
+    ("optimize.ini", ["optimize.start=nan"],
+     "optimize.start must be finite, got 'nan'"),
+    ("optimize.ini", ["optimize.start=0.1,0.1,0.1"], "[optimize] start has 3 "
+     "values; one sets the deflection, two the top and bottom deflections"),
+    ("optimize.ini", ["optimize.parameters=deflection_top"],
+     "unknown key 'parameters' in section [optimize]"),
+    ("continuation.ini", ["continuation.start=nan"],
+     "continuation.start and stop must be finite, got nan and 0.3"),
+    ("continuation.ini", ["continuation.stop=inf"],
+     "continuation.start and stop must be finite, got -0.3 and inf"),
+    # the checks of registered names, made by build_model
+    ("continuation.ini", ["continuation.parameter=deflection_top"],
+     "continuation parameter 'deflection_top' is neither 'deflection' nor a "
+     "registered parameter"),
+    ("continuation.ini", ["continuation.parameter=Gamma"],
+     "continuation parameter 'Gamma' is neither 'deflection' nor a "
+     "registered parameter"),
+    ("uq.ini", ["uq.parameter=Bogus"],
+     "uq.parameter 'Bogus' is not registered by the model"),
+    ("demo.ini", ["parameters.Gamma=1.0"],
+     "parameter 'Gamma' is not registered by the model"),
 ], ids=["solver-max-iters", "solver-negative-iters", "optimize-bounds",
         "optimize-max-iters", "optimize-tol", "optimize-nan-bound",
-        "solver-nan-tol"])
+        "solver-nan-tol", "optimize-start-text", "optimize-start-nan",
+        "optimize-three-starts", "optimize-parameters-key",
+        "continuation-nan-start", "continuation-inf-stop",
+        "continuation-shape-name", "continuation-unknown-name",
+        "uq-unknown-name", "unknown-parameter"])
 def test_settings_that_cannot_run_exit_two(tmp_path, capsys, config,
                                            overrides, message):
-    code, _ = run_cli(tmp_path, (CONFIGS / config).read_text(), overrides)
+    # every one fails before the output directory is made
+    code, out = run_cli(tmp_path, (CONFIGS / config).read_text(), overrides)
     assert code == 2
     err = capsys.readouterr().err
     assert f"config error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("start, names", [
+    ("0.1", ["deflection"]),
+    ("0.1, 0.0", ["deflection_top", "deflection_bottom"])])
+def test_optimize_start_picks_the_shape_parameters(tmp_path, start, names):
+    code, out = run_cli(tmp_path, (CONFIGS / "optimize.ini").read_text(),
+                        [f"optimize.start={start}", "optimize.max_iters=1"])
+    assert code == 0
+    header = (out / "optimize.csv").read_text().splitlines()[0]
+    assert header == ",".join(["iteration", *names, "objective"])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["shape_parameters"] == names
 
 
 @pytest.mark.parametrize("key", ["parameters.PadSigma0",

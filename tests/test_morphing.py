@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from embedfem.mesh import GeometryParams, Resolution, build_slider_mesh
-from embedfem.morphing import MorphError, mesh_sensitivity, morph, slider_area
+from embedfem.morphing import (SHAPE_PARAMETERS, MorphError, _slider_frame,
+                               mesh_sensitivity, morph, slider_area)
 
 
 def base_mesh():
@@ -92,3 +93,24 @@ def test_inverted_elements_rejected():
 def test_parameter_count_validated():
     with pytest.raises(MorphError):
         morph(base_mesh(), [0.1, 0.2, 0.3])
+
+
+def test_one_parameter_sensitivity_is_the_profile_exactly():
+    mesh = base_mesh()
+    moving, t = _slider_frame(mesh)[:2]
+    x_p = mesh_sensitivity(mesh, [0.07])
+    assert np.array_equal(x_p[moving, 1, 0], 4.0 * t * (1.0 - t))
+
+
+def test_two_parameters_are_top_then_bottom():
+    # next to the pad the area correction, which goes as the squared
+    # profile, is small beside the deflections themselves
+    mesh = base_mesh()
+    moving = mesh.node_sets["slider_interior"]
+    x = mesh.coords[moving, 0]
+    moving = moving[x == x.min()]
+    y = mesh.coords[moving, 1]
+    upper, lower = moving[np.argmax(y)], moving[np.argmin(y)]
+    moved = morph(mesh, [0.1, 0.0]).coords[:, 1] - mesh.coords[:, 1]
+    assert moved[upper] > moved[lower]
+    assert SHAPE_PARAMETERS[2] == ("deflection_top", "deflection_bottom")
