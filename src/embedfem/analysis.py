@@ -15,6 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import scalars as sc
+from .physics import NonPhysicalStateError
 
 
 class SolveFailure(RuntimeError):
@@ -56,9 +57,9 @@ _SG_REFRESH = 0.05
 
 #: Forcing terms of the SG GMRES, its relative tolerances (Eisenstat &
 #: Walker 1996, choice 2): eta = gamma (||F_k|| / ||F_k-1||)^alpha, at most
-#: ``_SG_ETA_MAX`` (also the first step's), and never below half the ratio of
-#: the stopping tolerance to ||F_k||, so that no solve is tighter than
-#: convergence needs.
+#: ``_SG_ETA_MAX`` (also the first solve's when no mean-based step precedes
+#: it), and never below half the ratio of the stopping tolerance to ||F_k||,
+#: so that no solve is tighter than convergence needs.
 _SG_GAMMA, _SG_ALPHA, _SG_ETA_MAX = 0.9, 2.0, 1e-3
 
 
@@ -181,8 +182,6 @@ def newton_solve(model, config=None, x0=None):
     ``lu_order`` when it has one. Converges when ||f|| <= abs_tol or
     ||f|| <= rel_tol * ||f(x0)||; the result carries the Jacobian at its x.
     """
-    from .physics import NonPhysicalStateError
-
     config = config or NewtonConfig()
     if x0 is None:
         warm = getattr(model, "warm_start", None)
@@ -450,11 +449,16 @@ def sg_newton_solve(model, uncertain, config=None):
 
     The mean block starts from the deterministic solve (hot start), which is
     the natural initial expansion and makes the zero-uncertainty case reduce
-    to the deterministic solution immediately. The SG Jacobian, its block
+    to the deterministic solution immediately. The first step is mean-based
+    (Powell & Elman 2009): one LU of the hot start's Jacobian solves every
+    coefficient block of F(x0), and the first SG Jacobian, whose residual is
+    bitwise F, is assembled where it lands; a step that does not reduce ||F||
+    or lands on a non-physical state is discarded. The SG Jacobian, its block
     operator and the mean-block factor are kept across steps and re-assembled
     at the current state only when the last step cut ||F|| by less than
-    ``_SG_REFRESH``; each GMRES solve stops at its forcing term. Convergence is judged on the SG residual: ||F|| <=
-    abs_tol or ||F|| <= rel_tol * ||F(x0)||.
+    ``_SG_REFRESH``; each GMRES solve stops at its forcing term. Convergence
+    is judged on the SG residual: ||F|| <= abs_tol or ||F|| <= rel_tol *
+    ||F(x0)||; ``iterations`` counts the mean-based step.
     """
     config = config or NewtonConfig()
     basis = model.sg_basis
@@ -467,24 +471,41 @@ def sg_newton_solve(model, uncertain, config=None):
     try:
         for name, coeffs in uncertain.items():
             model.library.set_value(name, float(np.asarray(coeffs)[0]))
-        x_block[0] = newton_solve(model, config).x
+        hot = newton_solve(model, config)
     finally:
         for name, value in nominal.items():
             model.library.set_value(name, value)
+    x_block[0] = hot.x
 
-    # the SG Jacobian assembly's residual is bitwise the SG residual, so it
-    # gives ||F(x0)|| as well
-    f, blocks = model.sg_jacobian(x_block, uncertain)
+    f = model.sg_residual(x_block, uncertain)
     norm = norm0 = float(np.linalg.norm(f))
     history = [norm0]
     if norm0 <= config.abs_tol:
         return SGResult(x_block, history, 0, True)
     stop = max(config.abs_tol, config.rel_tol * norm0)
-    eta, refresh = _SG_ETA_MAX, True
-    for it in range(1, config.max_iters + 1):
+    trial = x_block - sparse_lu(hot.jacobian, model.lu_order,
+                                "LU factorization of the mean Jacobian")(f.T).T
+    del hot   # the factor went with the expression; the Jacobian goes too
+    try:
+        trial_f, blocks = model.sg_jacobian(trial, uncertain)
+        new_norm = float(np.linalg.norm(trial_f))
+    except NonPhysicalStateError:
+        new_norm = np.inf
+    rate = np.inf   # before any step GMRES starts at the cap
+    if new_norm < norm:
+        x_block, f, rate, norm = trial, trial_f, new_norm / norm, new_norm
+        history.append(norm)
+        if norm <= stop:
+            return SGResult(x_block, history, 1, True)
+    else:
+        f, blocks = model.sg_jacobian(x_block, uncertain)
+    refresh = True
+    for it in range(len(history), config.max_iters + 1):   # -> history[it]
         if refresh:
             system = SGSystem(blocks, basis, model.lu_order)
             operator, precond = system.operator(), system.mean_preconditioner()
+        eta = min(_SG_ETA_MAX, max(_SG_GAMMA * rate ** _SG_ALPHA,
+                                   0.5 * stop / norm))
         update, info = spla.gmres(operator, f.ravel(), M=precond, rtol=eta,
                                   atol=0.0, restart=80, maxiter=400)
         if info != 0:
@@ -500,10 +521,9 @@ def sg_newton_solve(model, uncertain, config=None):
             return SGResult(x_block, history, it, True)
         rate, norm = new_norm / norm, new_norm
         refresh = rate > _SG_REFRESH
-        if refresh:
+        if refresh:   # the old system goes before the new one is assembled
+            blocks = system = operator = precond = None
             f, blocks = model.sg_jacobian(x_block, uncertain)
-        eta = min(_SG_ETA_MAX, max(_SG_GAMMA * rate ** _SG_ALPHA,
-                                   0.5 * stop / norm))
     raise SolveFailure(
         f"spectral Newton did not converge in {config.max_iters} iterations",
         history)

@@ -231,10 +231,12 @@ class GatherSolution(_Specialized):
 
     Each specialization only overrides ``_value``, the element-local scalar
     of one unknown. ``evaluate`` assigns it to the whole field, and plain
-    values assigned to dual storage get zero partials.
+    values assigned to dual storage get zero partials. Constant seeds
+    (``_seeds``) are written once per arena, which is then ``seeded``.
     """
 
     name = "gather_solution"
+    _seeds = None   # (eq) -> the constant partials of unknown eq
 
     def __init__(self, state, unknowns):
         super().__init__(state, unknowns)
@@ -263,7 +265,14 @@ class GatherSolution(_Specialized):
 
     def evaluate(self, ctx):
         for eq, u in enumerate(self.unknowns):
-            sc.copy_into(ctx.field(f"{u}_node"), self._value(ctx.workset, eq))
+            field, value = ctx.field(f"{u}_node"), self._value(ctx.workset, eq)
+            if self._seeds is None:
+                sc.copy_into(field, value)
+            elif ctx.arena.seeded:
+                sc.copy_into(field.val, value)
+            else:   # the seeds broadcast over the workset's elements
+                sc.copy_into(field, sc.Dual(value, self._seeds(eq)))
+        ctx.arena.seeded = self._seeds is not None
 
 
 class GatherSolutionJacobian(GatherSolution):
@@ -274,9 +283,7 @@ class GatherSolutionJacobian(GatherSolution):
         GatherSolution.bind(state, x)
         return {"deriv_width": state.system.conn.dofs_per_element}, {}
 
-    def _value(self, ws, eq):
-        # the seeds broadcast over the workset's elements
-        return sc.Dual(super()._value(ws, eq), self._identity(eq))
+    _seeds = GatherSolution._identity
 
 
 class GatherSolutionTangent(GatherSolution):
@@ -331,11 +338,10 @@ class GatherSolutionSGJacobian(GatherSolutionSG):
         keys, seeds = GatherSolutionSG.bind(state, x_block, uncertain)
         return dict(keys, deriv_width=state.system.conn.dofs_per_element), seeds
 
-    def _value(self, ws, eq):
+    def _seeds(self, eq):
         basis = self.state.sg_basis
         mean = np.arange(basis.size) == 0   # deterministic seeds
-        return sc.Dual(super()._value(ws, eq),
-                       sc.PCE(self._identity(eq)[:, :, None] * mean, basis))
+        return sc.PCE(self._identity(eq)[:, :, None] * mean, basis)
 
 
 class GatherSolutionEnsemble(GatherSolution):

@@ -351,6 +351,10 @@ def build_model(cfg, sg_basis=None):
     if c is not None and c.parameter not in ("deflection", *names):
         raise ConfigError(f"continuation parameter {c.parameter!r} is neither "
                           "'deflection' nor a registered parameter")
+    morphs = cfg.run.mode == "optimize" or (
+        cfg.run.mode == "continuation" and c.parameter == "deflection")
+    if morphs and mesh.node_sets["slider_interior"].size == 0:
+        raise ConfigError("mesh has no slider region to morph")
     return model
 
 

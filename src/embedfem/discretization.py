@@ -204,6 +204,7 @@ class ElementGeometryEvaluator(Evaluator):
         self._memo[ctx.arena] = (ctx.workset.start, bits.copy(order="K"))
 
     def _compute(self, ctx, coords):
+        ctx.arena.geometry_maps += 1
         basis = self.basis
         bf = ctx.field("bf")
         bf[...] = basis.values
@@ -221,11 +222,18 @@ class ElementGeometryEvaluator(Evaluator):
 
 
 class SolutionAtQPEvaluator(Evaluator):
-    """Interpolates one nodal unknown and its gradient to quadrature points."""
+    """Interpolates one nodal unknown and its gradient to quadrature points.
+
+    With constant nodal seeds (``arena.seeded``) the partials are constants
+    of the arena's geometry: while the workset start and geometry stamp
+    (``arena.geometry_maps``) match the memo, only values are interpolated.
+    Tangent arenas are never seeded; dual geometry is stamped on every call.
+    """
 
     def __init__(self, unknown):
         self.unknown = unknown
         self.name = f"{unknown}_at_qp"
+        self._memo = {}   # arena -> (workset start, geometry stamp)
         self.depends = (
             FieldSpec(f"{unknown}_node", ("elem", "node"), "solution"),
             FieldSpec("bf", ("elem", "node", "qp"), "real"),
@@ -237,10 +245,14 @@ class SolutionAtQPEvaluator(Evaluator):
         )
 
     def evaluate(self, ctx):
-        nodal = ctx.field(f"{self.unknown}_node")
-        sc.copy_into(ctx.field(f"{self.unknown}_qp"),
-                     interpolate_to_qp(nodal, ctx.field("bf")))
+        u, arena = self.unknown, ctx.arena
+        nodal, qp, grad = (ctx.field(name) for name in
+                           (f"{u}_node", f"{u}_qp", f"grad_{u}_qp"))
+        key = (ctx.workset.start, arena.geometry_maps) if arena.seeded else None
+        if key is not None and self._memo.get(arena) == key:
+            nodal, qp, grad = nodal.val, qp.val, grad.val
+        sc.copy_into(qp, interpolate_to_qp(nodal, ctx.field("bf")))
         gbf = ctx.field("grad_bf")
-        grad = ctx.field(f"grad_{self.unknown}_qp")
         for d in range(2):
             sc.copy_into(grad[:, :, d], interpolate_to_qp(nodal, gbf[:, :, :, d]))
+        self._memo[arena] = key

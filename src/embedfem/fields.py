@@ -106,6 +106,9 @@ class FieldArena:
 
     Allocation happens on first request per field; later executions reuse the
     same storage. ``allocations`` counts creations so reuse is testable.
+
+    Kernels keep per-arena constants by two stamps: ``seeded`` (the gather's
+    partials are constant seeds) and ``geometry_maps`` (geometry mappings).
     """
 
     def __init__(self, dim_sizes, deriv_width=None, basis=None, samples=None):
@@ -115,6 +118,8 @@ class FieldArena:
         self.samples = samples
         self.fields = {}
         self.allocations = 0
+        self.seeded = False
+        self.geometry_maps = 0
 
     def ensure(self, name, dims, kind):
         storage = self.fields.get(name)

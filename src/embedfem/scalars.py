@@ -391,7 +391,16 @@ def _galerkin_product(a, b, basis):
     the dense einsum's, signed zeros included (a term with t = 1 adds a_i b_j
     itself, which is bitwise (a_i b_j) * 1.0). Elementwise ufuncs alone make
     every batch row independent of the batch it is computed in.
+
+    A mean-only operand (the gathered seeds, say) scales the other: c_k is
+    a_0 b_k or a_k b_0, the only term that can be nonzero, plus signed zeros.
+    Adding +0.0, the loop's start, makes this bitwise the einsum's too.
     """
+    for mean_only, other in ((a, b), (b, a)):
+        if not np.any(mean_only[..., 1:]):
+            out = mean_only[..., :1] * other
+            out += 0.0
+            return out
     # products follow their operands' memory order: with the coefficient axis
     # slowest every a_i b_j and every term is one contiguous block. The
     # result takes a full-shape operand's layout (C in, C out).

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import scalars as sc
-from .analysis import (NewtonConfig, newton_solve, nisp_project,
-                       sg_functional_expansion, sg_newton_solve)
+from .analysis import (NewtonConfig, SolveFailure, newton_solve,
+                       nisp_project, sg_functional_expansion, sg_newton_solve)
 from .discretization import element_geometry, element_tables, interpolate_to_qp
 from .mesh import build_rect_mesh
 from .model import ThermoElectricModel, UNKNOWNS
@@ -199,9 +199,13 @@ def sg_vs_nisp(model, expansion, nisp_order=6, config=None):
     nominal = model.library.value(name)
 
     def sample(xi):
-        model.library.set_value(name, float(coeffs.evaluate(xi)))
+        value = float(coeffs.evaluate(xi))
+        model.library.set_value(name, value)
         try:
             return model.objective(newton_solve(model, config).x).value
+        except SolveFailure as err:
+            where = f"NISP sample at xi = {xi:.4g} ({name} = {value:.4g})"
+            raise SolveFailure(f"{where} failed: {err}", err.history) from err
         finally:
             model.library.set_value(name, nominal)
 

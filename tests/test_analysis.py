@@ -731,14 +731,27 @@ def test_sg_newton_is_a_chord_iteration_on_true_sg_residuals(monkeypatch):
     result = sg_newton_solve(model, uncertain)
     k = result.iterations
     assert result.converged and k >= 3
-    # one SG residual after each step; ||F(x0)|| comes from the first SG
-    # Jacobian, so no assembly is spent on it alone
-    iterates = jacobian_states[:1] + residual_states
-    assert len(residual_states) == len(tolerances) == k
+    # ||F(x0)|| from one SG residual at the hot start, whose higher
+    # coefficients are zero
+    x0 = residual_states[0]
+    assert not np.any(x0[1:])
+    model.library.set_value("PadSigma0", 35.0)
+    f0, hot_jacobian = model.residual(x0[0]), model.jacobian(x0[0])[1]
+    assert np.linalg.norm(f0) <= 1e-11
+    # the mean-based step solves every coefficient block of F(x0) with the
+    # hot start's Jacobian, and the first SG Jacobian is assembled where it
+    # lands: its residual gives ||F(x1)||, with no SG residual spent there
+    x1 = jacobian_states[0]
+    f0_block = sg_residual(x0, uncertain)
+    assert np.allclose(hot_jacobian @ (x0 - x1).T, f0_block.T, rtol=0.0,
+                       atol=1e-12 * np.max(np.abs(f0_block)))
+    # then one SG residual after each GMRES step
+    iterates = [x0, x1] + residual_states[1:]
+    assert len(residual_states) == k and len(tolerances) == k - 1
     # the Jacobian is refreshed only at states the loop reached, after a step
     # that cut ||F|| by less than _SG_REFRESH, and fewer than k times
     h = result.history
-    stalled = [j for j in range(1, k) if h[j] > analysis._SG_REFRESH * h[j - 1]]
+    stalled = [j for j in range(2, k) if h[j] > analysis._SG_REFRESH * h[j - 1]]
     assert len(jacobian_states) == 1 + len(stalled) < k
     for x_block, j in zip(jacobian_states[1:], stalled):
         assert np.array_equal(_bits(x_block), _bits(iterates[j]))
@@ -748,9 +761,81 @@ def test_sg_newton_is_a_chord_iteration_on_true_sg_residuals(monkeypatch):
     # so the history is bitwise the one explicit SG residuals give
     want = [float(np.linalg.norm(sg_residual(x, uncertain))) for x in iterates]
     assert np.array_equal(_bits(np.array(h)), _bits(np.array(want)))
-    # GMRES starts at the forcing cap and never solves more loosely
+    # each GMRES solve stops at the forcing term of the step before it, the
+    # mean-based one included, and never more loosely than the cap
     eta_max = analysis._SG_ETA_MAX
-    assert tolerances[0] == eta_max and max(tolerances) <= eta_max
+    stop = max(1e-11, 1e-12 * h[0])
+    assert tolerances == [
+        min(eta_max, max(analysis._SG_GAMMA * (h[j] / h[j - 1]) ** 2,
+                         0.5 * stop / h[j])) for j in range(1, k)]
+    assert max(tolerances) <= eta_max
+
+
+def chord_from_the_hot_start(model, uncertain, config):
+    """SG Newton without the mean-based step: the chord iteration from the
+    hot start, the reference that a refused mean-based step must reproduce
+    bit for bit. Returns the coefficients and the history."""
+    basis, n = model.sg_basis, model.num_dofs
+    x_block = np.zeros((basis.size, n))
+    model.library.set_value("PadSigma0", float(uncertain["PadSigma0"][0]))
+    x_block[0] = newton_solve(model, config).x
+    f, blocks = model.sg_jacobian(x_block, uncertain)
+    norm = norm0 = float(np.linalg.norm(f))
+    history = [norm0]
+    stop = max(config.abs_tol, config.rel_tol * norm0)
+    eta, refresh = analysis._SG_ETA_MAX, True
+    for _ in range(config.max_iters):
+        if refresh:
+            system = SGSystem(blocks, basis, model.lu_order)
+            operator, precond = system.operator(), system.mean_preconditioner()
+        update, info = spla.gmres(operator, f.ravel(), M=precond, rtol=eta,
+                                  atol=0.0, restart=80, maxiter=400)
+        assert info == 0
+        x_block = x_block - update.reshape(basis.size, n)
+        f = model.sg_residual(x_block, uncertain)
+        new_norm = float(np.linalg.norm(f))
+        history.append(new_norm)
+        if new_norm <= stop:
+            return x_block, history
+        rate, norm = new_norm / norm, new_norm
+        refresh = rate > analysis._SG_REFRESH
+        if refresh:
+            f, blocks = model.sg_jacobian(x_block, uncertain)
+        eta = min(analysis._SG_ETA_MAX,
+                  max(analysis._SG_GAMMA * rate ** analysis._SG_ALPHA,
+                      0.5 * stop / norm))
+    raise AssertionError("reference SG Newton did not converge")
+
+
+@pytest.mark.parametrize("bad_step", [
+    lambda step: -step,                          # ||F|| grows
+    lambda step: np.full_like(step, np.nan),     # ||F|| is not finite
+    lambda step: np.full_like(step, 1e6),        # T = -1e6: sigma(T) < 0
+], ids=["no-decrease", "non-finite", "non-physical"])
+def test_refused_mean_step_gives_the_chord_from_the_hot_start(monkeypatch,
+                                                             bad_step):
+    # a mean-based step that does not reduce ||F||, or whose state the SG
+    # Jacobian refuses, is discarded: the solve is then bitwise the chord
+    # iteration from the hot start
+    model = config.build_model(config.RunConfig(), sg_basis=BASIS)
+    model.library.set_value("Beta", 0.01)
+    uncertain = {"PadSigma0": [35.0, 15.0, 0.0, 0.0]}
+    want_x, want_history = chord_from_the_hot_start(model, uncertain,
+                                                    NewtonConfig())
+    lu = analysis.sparse_lu
+
+    def bad_mean_step(matrix, order=None, label="LU factorization"):
+        solve = lu(matrix, order, label)
+        if "mean Jacobian" not in label:
+            return solve
+        return lambda rhs: bad_step(solve(rhs))
+
+    monkeypatch.setattr(analysis, "sparse_lu", bad_mean_step)
+    result = sg_newton_solve(model, uncertain)
+    assert result.iterations == len(want_history) - 1
+    assert np.array_equal(_bits(result.coefficients), _bits(want_x))
+    assert np.array_equal(_bits(np.array(result.history)),
+                          _bits(np.array(want_history)))
 
 
 def test_sg_jacobian_is_exact_in_mean_only_directions():

@@ -363,13 +363,19 @@ nisp_order = 3
      "uq.parameter 'Bogus' is not registered by the model"),
     ("demo.ini", ["parameters.Gamma=1.0"],
      "parameter 'Gamma' is not registered by the model"),
+    # the modes that morph need a slider, also checked by build_model
+    ("continuation.ini", ["geometry.nx_slider=0", "geometry.slider_length=0"],
+     "mesh has no slider region to morph"),
+    ("optimize.ini", ["geometry.nx_slider=0", "geometry.slider_length=0"],
+     "mesh has no slider region to morph"),
 ], ids=["solver-max-iters", "solver-negative-iters", "optimize-bounds",
         "optimize-max-iters", "optimize-tol", "optimize-nan-bound",
         "solver-nan-tol", "optimize-start-text", "optimize-start-nan",
         "optimize-three-starts", "optimize-parameters-key",
         "continuation-nan-start", "continuation-inf-stop",
         "continuation-shape-name", "continuation-unknown-name",
-        "uq-unknown-name", "unknown-parameter"])
+        "uq-unknown-name", "unknown-parameter", "continuation-no-slider",
+        "optimize-no-slider"])
 def test_settings_that_cannot_run_exit_two(tmp_path, capsys, config,
                                            overrides, message):
     # every one fails before the output directory is made
@@ -378,6 +384,25 @@ def test_settings_that_cannot_run_exit_two(tmp_path, capsys, config,
     err = capsys.readouterr().err
     assert f"config error: {message}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_sweep_of_a_library_parameter_needs_no_slider(tmp_path):
+    code, out = run_cli(tmp_path, (CONFIGS / "continuation.ini").read_text(),
+                        ["geometry.nx_slider=0", "geometry.slider_length=0",
+                         "continuation.parameter=Beta", "continuation.steps=2"])
+    assert code == 0 and (out / "continuation.csv").exists()
+
+
+def test_failed_nisp_sample_names_its_xi_and_parameter(tmp_path, capsys):
+    # the SG solve converges; the Gauss node at xi = -0.9325 puts Beta past
+    # the turning point near -0.176, where no steady solution exists
+    code, _ = run_cli(tmp_path, (CONFIGS / "uq.ini").read_text(),
+                      ["uq.parameter=Beta", "uq.expansion=0.0, 0.2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert ("solver failure: NISP sample at xi = -0.9325 (Beta = -0.1865) "
+            "failed: Newton line search failed to find a decrease") in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("start, names", [

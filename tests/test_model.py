@@ -344,6 +344,60 @@ def test_geometry_cache_follows_every_coordinate_change():
             assert _bitwise(call(), want[k][tag]), (setters[k].__name__, tag)
 
 
+def test_solution_memo_follows_every_coordinate_change_in_one_workset(
+        monkeypatch):
+    # with one workset per arena the Jacobian types interpolate only values
+    # while their arena's geometry is unchanged: between Jacobians at one
+    # coordinate set, directional, Tangent and shape-tangent assemblies (on
+    # arenas of their own) change nothing, and every output is still that
+    # of a model that only saw the coordinates
+    model = demo_model(sg_basis=BASIS)
+    x = random_state(model, seed=19)
+    base = model.mesh.replace_coords(model.base_coords)
+    morphed = morph(base, np.array([-0.04])).coords
+
+    def base_coords(m):
+        m.reset_coords()
+
+    def morphed_coords(m):
+        m.set_coords(morphed.copy())
+
+    def perturbed_coords(m):   # in place: the geometry memo compares bits
+        m.reset_coords()
+        m.state.coords[40] += (1e-3, -2e-3)
+
+    setters = (base_coords, morphed_coords, perturbed_coords)
+    tags = ("Jacobian", "Directional", "Tangent", "SGJacobian", "Jacobian",
+            "ShapeTangent", "Tangent", "SGJacobian", "Directional")
+    want = []
+    for setter in setters:
+        fresh = demo_model(sg_basis=BASIS)
+        setter(fresh)
+        calls = _assemblies(fresh, x)
+        want.append({tag: calls[tag]() for tag in set(tags)})
+    dual_interpolations = []
+    interpolate = discretization.interpolate_to_qp
+
+    def counted(nodal, table):
+        dual_interpolations.append(isinstance(nodal, sc.Dual))
+        return interpolate(nodal, table)
+
+    monkeypatch.setattr(discretization, "interpolate_to_qp", counted)
+    calls = _assemblies(model, x)
+    last = {}
+    for k in (0, 0, 1, 1, 2, 0, 2, 2):
+        for tag in tags:
+            setters[k](model)
+            dual_interpolations.clear()
+            assert _bitwise(calls[tag](), want[k][tag]), (setters[k].__name__,
+                                                          tag)
+            if tag in ("Jacobian", "SGJacobian"):
+                # two unknowns, each with its value and two gradient parts
+                hit = last.get(tag) == k
+                assert sum(dual_interpolations) == (0 if hit else 6), (k, tag)
+                last[tag] = k
+
+
 def test_every_graph_shares_the_type_blind_evaluators():
     # each type's graph is its gathers and scatter around one set of kernels
     model = demo_model(sg_basis=BASIS)
@@ -435,7 +489,9 @@ def _poison(storage):
 def test_every_kernel_writes_its_whole_outputs(workset_size):
     # the engine zeroes nothing: with every arena field but the geometry
     # memo's outputs set to NaN, the next assembly of each type still gives
-    # a fresh model's outputs bit for bit
+    # a fresh model's outputs bit for bit. The seeds of a seeded arena and
+    # their quadrature-point partials are arena constants too: only their
+    # values are set to NaN
     model = demo_model(sg_basis=BASIS, workset_size=workset_size)
     x = random_state(model, seed=11)
     for assemble in _assemblies(model, x).values():
@@ -443,9 +499,14 @@ def test_every_kernel_writes_its_whole_outputs(workset_size):
     for graph in model.graphs.values():
         geometry = {spec.name for ev in graph.schedule
                     if ev.name == "element_geometry" for spec in ev.evaluates}
+        solution = {spec.name for ev in graph.schedule
+                    if ev.name == "gather_solution" or ev.name.endswith("_at_qp")
+                    for spec in ev.evaluates}
         for arena in graph._arenas.values():
             for name, storage in arena.fields.items():
-                if name not in geometry:
+                if arena.seeded and name in solution:
+                    _poison(storage.val)
+                elif name not in geometry:
                     _poison(storage)
     fresh = demo_model(sg_basis=BASIS, workset_size=workset_size)
     want = {tag: assemble() for tag, assemble in _assemblies(fresh, x).items()}

@@ -464,6 +464,34 @@ def test_pce_product_bitwise_equals_dense_einsum(shape_a, shape_b):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("shape_mean, shape_other", [
+    ((), ()),
+    ((5, 3), (5, 3)),
+    ((5, 3, 1), (5, 3, 8)),   # deterministic value times chaos partials
+    ((5, 3, 8), (5, 3, 1)),   # deterministic seeds times a chaos value
+])
+def test_mean_only_operand_scales_bitwise_like_dense_einsum(shape_mean,
+                                                           shape_other):
+    # an operand with exactly zero higher coefficients (+0.0 or -0.0) scales
+    # the other; signed zeros in the products must come out as the dense
+    # sum's, from either side
+    rng = np.random.default_rng(12)
+    for basis in (BASIS3, sc.build_basis_data(0), sc.build_basis_data(5)):
+        size = basis.size
+        mean = np.zeros(shape_mean + (size,))
+        mean[..., 0] = rng.normal(size=shape_mean)
+        mean.reshape(-1, size)[0, 0] = -0.0
+        mean[..., 1:] = rng.choice([0.0, -0.0], size=shape_mean + (size - 1,))
+        other = rng.normal(size=shape_other + (size,))
+        other[other > 1.0] = -0.0
+        other[other < -1.0] = 0.0
+        for a, b in ((mean, other), (other, mean)):
+            got = (sc.PCE(a, basis) * sc.PCE(b, basis)).coeffs
+            want = _einsum_product(a, b, basis)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 # ---------------------------------------------------------------------------
 # value/mean consistency across all scalar kinds (single-source invariant)
 # ---------------------------------------------------------------------------
