@@ -39,8 +39,9 @@ class NewtonConfig:
     dense_dof_limit: int = 2000    # sparse LU at or below, ILU(0) + GMRES above
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):   # NaN fails too
-            raise ValueError("tolerances must be positive")
+        # NaN fails the comparisons too
+        if not (0 < self.abs_tol < np.inf and 0 < self.rel_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 

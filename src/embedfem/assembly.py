@@ -7,14 +7,19 @@ returns the arena keys. Each gather's ``_value`` pulls global vectors into
 one element-local scalar with seeded embedded data (identity seeds for
 stiffness rows, direction seeds for sensitivities, coordinate seeds for shape
 derivatives, coefficients for spectral unknowns, one state per sample for
-ensembles), and its ``evaluate`` copies that scalar into the whole field. The scatter's ``targets`` name the global
-objects it fills, and its ``evaluate`` adds each workset's rows straight
-into them. Worksets run in element order, so every entry sums its terms in
-element order, bitwise independent of the workset partition. ``finish``
-replaces the Dirichlet rows of whatever was filled.
+ensembles), and its ``evaluate`` assigns that scalar to the whole field
+(``field[:] = value``; plain values get zero partials or a mean only). The
+scatter's ``targets`` name the global objects it fills, and its ``evaluate``
+adds each workset's rows straight into them. Worksets run in element order,
+so every entry sums its terms in element order, bitwise independent of the
+workset partition. ``finish`` replaces the Dirichlet rows of whatever was
+filled.
 
 A new evaluation type needs a storage kind in ``fields.make_storage``, an
-``EvaluationType`` constant and one row here; the assembly loop is unchanged.
+``EvaluationType`` constant and one row here. A scatter that fills a new
+global object also needs that target's shape in ``_zeros`` and its Dirichlet
+rows and output in ``finish``, both keyed by target name; the assembly loop
+is unchanged.
 """
 from __future__ import annotations
 
@@ -211,7 +216,7 @@ class GatherCoordinates(_Specialized):
         return self.state.coords[self.conn.node_conn[ws.elements]]
 
     def evaluate(self, ctx):
-        sc.copy_into(ctx.field("coords_node"), self._value(ctx.workset))
+        ctx.field("coords_node")[:] = self._value(ctx.workset)
 
 
 class GatherCoordinatesShape(GatherCoordinates):
@@ -267,11 +272,11 @@ class GatherSolution(_Specialized):
         for eq, u in enumerate(self.unknowns):
             field, value = ctx.field(f"{u}_node"), self._value(ctx.workset, eq)
             if self._seeds is None:
-                sc.copy_into(field, value)
+                field[:] = value
             elif ctx.arena.seeded:
-                sc.copy_into(field.val, value)
+                field.val[:] = value
             else:   # the seeds broadcast over the workset's elements
-                sc.copy_into(field, sc.Dual(value, self._seeds(eq)))
+                field[:] = sc.Dual(value, self._seeds(eq))
         ctx.arena.seeded = self._seeds is not None
 
 

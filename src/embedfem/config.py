@@ -93,8 +93,8 @@ class OptimizeSection:
                              f"({self.upper})")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < np.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         self.p0 = np.array(_floats(self.start, "optimize.start"))
         if self.p0.size not in SHAPE_PARAMETERS:
             raise ValueError(f"start has {self.p0.size} values; one sets the "
@@ -250,7 +250,7 @@ def validate_config(cfg):
     if speed > 0.0 and g.nx_conductor > 0:
         h = g.conductor_length / g.nx_conductor
         peclet = speed * h / (2.0 * m.kappa)
-        if peclet > 2.0:
+        if 2.0 < peclet < np.inf:   # an infinite length is refused later
             warnings.warn(
                 f"element Peclet number {peclet:.2f} exceeds 2; the unstabilized "
                 "convective term may oscillate", stacklevel=2)
@@ -351,10 +351,15 @@ def build_model(cfg, sg_basis=None):
     if c is not None and c.parameter not in ("deflection", *names):
         raise ConfigError(f"continuation parameter {c.parameter!r} is neither "
                           "'deflection' nor a registered parameter")
+    sweeps = cfg.run.mode == "continuation"
     morphs = cfg.run.mode == "optimize" or (
-        cfg.run.mode == "continuation" and c.parameter == "deflection")
+        sweeps and c.parameter == "deflection")
     if morphs and mesh.node_sets["slider_interior"].size == 0:
         raise ConfigError("mesh has no slider region to morph")
+    if sweeps and c.parameter == "PadSigma0" and not min(c.start, c.stop) > 0:
+        raise ConfigError(f"continuation of PadSigma0 reaches "
+                          f"{min(c.start, c.stop):g}; a conductivity must be "
+                          "positive")
     return model
 
 

@@ -119,7 +119,7 @@ def interpolate_to_qp(nodal, table):
     components. The nodes are added in order, in place into the first."""
     acc = nodal[:, 0][:, None] * table[:, 0]
     for n in range(1, np.shape(table)[1]):
-        sc.add_into(acc, nodal[:, n][:, None] * table[:, n])
+        acc += nodal[:, n][:, None] * table[:, n]
     return acc
 
 
@@ -156,7 +156,7 @@ def integrate(integrand, weighted):
              for point in np.ndindex(*w_shape[2:]))
     acc = next(terms)
     for term in terms:
-        sc.add_into(acc, term)
+        acc += term
     return acc
 
 
@@ -209,16 +209,16 @@ class ElementGeometryEvaluator(Evaluator):
         bf = ctx.field("bf")
         bf[...] = basis.values
         _, phys_grad, det_w = element_geometry(coords, basis)
-        sc.copy_into(ctx.field("weighted_bf"), det_w[:, None] * bf)
+        ctx.field("weighted_bf")[:] = det_w[:, None] * bf
         gbf = ctx.field("grad_bf")
         wgbf = ctx.field("weighted_grad_bf")
         for n in range(basis.num_nodes):
             for d in range(2):
-                sc.copy_into(gbf[:, n, :, d], phys_grad[n][d])
-                sc.copy_into(wgbf[:, n, :, d], phys_grad[n][d] * det_w)
+                gbf[:, n, :, d] = phys_grad[n][d]
+                wgbf[:, n, :, d] = phys_grad[n][d] * det_w
         xqp = ctx.field("coords_qp")
         for d in range(2):
-            sc.copy_into(xqp[:, :, d], interpolate_to_qp(coords[:, :, d], bf))
+            xqp[:, :, d] = interpolate_to_qp(coords[:, :, d], bf)
 
 
 class SolutionAtQPEvaluator(Evaluator):
@@ -251,8 +251,8 @@ class SolutionAtQPEvaluator(Evaluator):
         key = (ctx.workset.start, arena.geometry_maps) if arena.seeded else None
         if key is not None and self._memo.get(arena) == key:
             nodal, qp, grad = nodal.val, qp.val, grad.val
-        sc.copy_into(qp, interpolate_to_qp(nodal, ctx.field("bf")))
+        qp[:] = interpolate_to_qp(nodal, ctx.field("bf"))
         gbf = ctx.field("grad_bf")
         for d in range(2):
-            sc.copy_into(grad[:, :, d], interpolate_to_qp(nodal, gbf[:, :, :, d]))
+            grad[:, :, d] = interpolate_to_qp(nodal, gbf[:, :, :, d])
         self._memo[arena] = key

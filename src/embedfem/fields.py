@@ -2,8 +2,8 @@
 
 A field is one storage object (ndarray, ``Dual``, ``PCE`` or ``Ensemble``)
 whose value axes follow the field's ``Layout``; kernels read it directly and
-write it with ``scalars.copy_into``, whole fields at once so the per-element
-work stays vectorized. A ``FieldArena`` allocates the storage for one
+write it with ``field[:] = value``, under the storage rules of its scalar
+type, whole fields at once so the per-element work stays vectorized. A ``FieldArena`` allocates the storage for one
 evaluator graph once per workset size and hands it out by name, keeping the
 assembly hot loop free of repeated structural allocation.
 """

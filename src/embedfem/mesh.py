@@ -176,11 +176,13 @@ def build_slider_mesh(geom, res):
     """
     lengths = (geom.conductor_length, geom.pad_length, geom.slider_length)
     counts = (res.nx_conductor, res.nx_pad, res.nx_slider)
-    if geom.height <= 0.0:
-        raise MeshError("degenerate geometry: height must be positive")
-    if any(l < 0 for l in lengths):
-        raise MeshError("region lengths must be non-negative")
+    if not 0.0 < geom.height < np.inf:   # NaN fails too
+        raise MeshError("degenerate geometry: height must be positive and "
+                        f"finite, got {geom.height}")
     for name, l, n in zip(REGIONS, lengths, counts):
+        if not 0.0 <= l < np.inf:
+            raise MeshError(f"region {name!r} length must be non-negative and "
+                            f"finite, got {l}")
         if l > 0.0 and n < 1:
             raise MeshError(f"region {name!r} has positive length but no elements")
         if l == 0.0 and n != 0:

@@ -14,7 +14,7 @@ promoted it once for the running assembly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -113,7 +113,7 @@ class MaterialTable:
 
     def __post_init__(self):
         for name, mat in zip(REGIONS, (self.conductor, self.pad, self.slider)):
-            if mat.sigma0 <= 0.0 or mat.kappa <= 0.0:
+            if not (mat.sigma0 > 0.0 and mat.kappa > 0.0):   # NaN fails too
                 raise ValueError(f"{name}: sigma0 and kappa must be positive")
         if any(v != 0.0 for v in self.slider.velocity):
             raise ValueError("the slider moves with the frame, its velocity is 0")
@@ -163,6 +163,12 @@ class DemoMaterials:
     T0: float = 0.0
     v0_x: float = -10.0
     v0_y: float = 0.0
+
+    def __post_init__(self):
+        for f in fields(DemoMaterials):
+            value = getattr(self, f.name)
+            if not np.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 def default_materials(sigma0_pad=35.0, **constants):
@@ -215,11 +221,11 @@ class ConductivityEvaluator(Evaluator):
                 "conductivity denominator non-positive in elements "
                 f"{(bad + ws.start)[:8].tolist()}")
         sigma = ctx.field("sigma_qp")
-        sc.copy_into(sigma, mats.sigma0[e] / denom)
+        sigma[:] = mats.sigma0[e] / denom
         # slices are views of the field; a boolean mask would give a copy
         pad_sigma0 = self.library.scalar("PadSigma0")
         for run in mats.pad_slices(ws):
-            sc.copy_into(sigma[run], pad_sigma0 / denom[run])
+            sigma[run] = pad_sigma0 / denom[run]
 
 
 class JouleHeatingEvaluator(Evaluator):
@@ -233,8 +239,8 @@ class JouleHeatingEvaluator(Evaluator):
     def evaluate(self, ctx):
         sigma = ctx.field("sigma_qp")
         g = ctx.field("grad_psi_qp")
-        sc.copy_into(ctx.field("joule_qp"),
-                     sigma * (g[:, :, 0] * g[:, :, 0] + g[:, :, 1] * g[:, :, 1]))
+        ctx.field("joule_qp")[:] = sigma * (g[:, :, 0] * g[:, :, 0]
+                                            + g[:, :, 1] * g[:, :, 1])
 
 
 class QuadraticSourceEvaluator(Evaluator):
@@ -259,10 +265,10 @@ class QuadraticSourceEvaluator(Evaluator):
             # residual carries that only as the sign of a zero, like x
             # against 0.0 + x, and the scatter's add into zeroed globals
             # erases it
-            sc.copy_into(source, alpha)
+            source[:] = alpha
             return
         u = ctx.field("temp_qp")
-        sc.copy_into(source, alpha + beta * u * u)
+        source[:] = alpha + beta * u * u
 
 
 class TabulatedSourceEvaluator(Evaluator):
@@ -277,7 +283,7 @@ class TabulatedSourceEvaluator(Evaluator):
 
     def evaluate(self, ctx):
         xq = ctx.field("coords_qp")
-        sc.copy_into(ctx.field("source_qp"), self.forcing(xq[:, :, 0], xq[:, :, 1]))
+        ctx.field("source_qp")[:] = self.forcing(xq[:, :, 0], xq[:, :, 1])
 
 
 class PotentialResidualEvaluator(Evaluator):
@@ -294,8 +300,8 @@ class PotentialResidualEvaluator(Evaluator):
         g = ctx.field("grad_psi_qp")
         wgbf = ctx.field("weighted_grad_bf")
         residual = integrate(sigma * g[:, :, 0], wgbf[:, :, :, 0])
-        sc.add_into(residual, integrate(sigma * g[:, :, 1], wgbf[:, :, :, 1]))
-        sc.copy_into(ctx.field("psi_residual"), residual)
+        residual += integrate(sigma * g[:, :, 1], wgbf[:, :, :, 1])
+        ctx.field("psi_residual")[:] = residual
 
 
 class HeatResidualEvaluator(Evaluator):
@@ -329,13 +335,13 @@ class HeatResidualEvaluator(Evaluator):
         wbf = ctx.field("weighted_bf")
         wgbf = ctx.field("weighted_grad_bf")
         residual = integrate(kappa * gt[:, :, 0], wgbf[:, :, :, 0])
-        sc.add_into(residual, integrate(kappa * gt[:, :, 1], wgbf[:, :, :, 1]))
+        residual += integrate(kappa * gt[:, :, 1], wgbf[:, :, :, 1])
         bulk = -(vx * gt[:, :, 0] + vy * gt[:, :, 1])
         if self.with_joule:
             bulk = bulk - ctx.field("joule_qp")
         bulk = bulk + ctx.field("source_qp")
-        sc.add_into(residual, integrate(bulk, wbf))
-        sc.copy_into(ctx.field("temp_residual"), residual)
+        residual += integrate(bulk, wbf)
+        ctx.field("temp_residual")[:] = residual
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,11 @@ coefficient axis of ``PCE.coeffs`` always stay trailing; the sample axis of
 allocated in its operands' memory order (element-fastest for field storage,
 see ``fields.make_storage``), and no result depends on it, since ``sum``
 reduces a C-ordered copy.
+
+Each type owns its storage rules, so kernels write fields with ``x[idx] = v``
+and ``acc += v``: plain data stored into a dual gets zero partials, into a
+chaos expansion the mean only; plain storage refuses embedded data unless
+``strip_derivatives`` casts it explicitly.
 """
 
 from __future__ import annotations
@@ -34,9 +39,7 @@ __all__ = [
     "NestedDual",
     "PCE",
     "SpectralDivisionError",
-    "add_into",
     "build_basis_data",
-    "copy_into",
     "exp",
     "gauss_legendre",
     "legendre_values",
@@ -101,34 +104,27 @@ class BasisData:
     is exact for polynomials of degree 3 * degree.
     """
 
-    __slots__ = ("degree", "norms", "triple", "triple_scaled", "products",
-                 "pairs", "quad_nodes", "quad_weights")
+    __slots__ = ("degree", "norms", "triple", "triple_scaled", "pairs",
+                 "quad_nodes")
 
-    def __init__(self, degree, norms, triple, quad_nodes, quad_weights):
+    def __init__(self, degree, norms, triple, quad_nodes):
         self.degree = degree
         self.norms = norms
         self.triple = triple
         # triple_scaled[i, j, k] = E[P_i P_j P_k] / E[P_k^2], the projection
         # tensor used by Galerkin products.
         self.triple_scaled = triple / norms[None, None, :]
-        # products[k] lists (i, j, triple_scaled[i, j, k]) over the nonzero
-        # entries in i-major, j-minor order: the terms a Galerkin product
-        # actually has (23 of 64 at degree 3).
-        self.products = tuple(
-            tuple((i, j, float(self.triple_scaled[i, j, k]))
-                  for i in range(degree + 1) for j in range(degree + 1)
-                  if self.triple_scaled[i, j, k] != 0.0)
-            for k in range(degree + 1))
-        # pairs lists (i, j, ((k, t), ...)) in i-major, j-minor order: the
-        # same terms grouped by the product a_i b_j they share.
-        uses = {}
-        for k, terms in enumerate(self.products):
-            for i, j, t in terms:
-                uses.setdefault((i, j), []).append((k, t))
-        self.pairs = tuple((i, j, tuple(kt))
-                           for (i, j), kt in sorted(uses.items()))
+        # pairs lists (i, j, ((k, triple_scaled[i, j, k]), ...)) over the
+        # nonzero entries, in i-major, j-minor, k-minor order: the terms a
+        # Galerkin product actually has (23 of 64 at degree 3), grouped by
+        # the product a_i b_j they share.
+        self.pairs = tuple(
+            (i, j, tuple((k, float(t))
+                         for k, t in enumerate(self.triple_scaled[i, j])
+                         if t != 0.0))
+            for i in range(degree + 1) for j in range(degree + 1)
+            if np.any(self.triple_scaled[i, j]))
         self.quad_nodes = quad_nodes
-        self.quad_weights = quad_weights
 
     @property
     def size(self):
@@ -160,7 +156,7 @@ def build_basis_data(degree):
                     v = raw[i, j, k]
                 for p, q, r in itertools.permutations((i, j, k)):
                     triple[p, q, r] = v
-    return BasisData(degree, norms, triple, nodes, weights)
+    return BasisData(degree, norms, triple, nodes)
 
 
 def project_samples(samples, nodes, weights, basis):
@@ -234,7 +230,20 @@ def _require_nonzero(v):
         raise ZeroDivisionError("division by zero value")
 
 
-class _ComparedByValue:
+class _Embedded:
+    """What numpy sees of every embedded scalar: mixed arithmetic defers to
+    the reflected dunders, ``plain += embedded`` is refused, and so is the
+    conversion numpy makes to store a value into plain storage."""
+
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    def __array__(self, dtype=None, copy=None):
+        raise TypeError("storing embedded scalars into plain storage "
+                        "requires strip_derivatives(...)")
+
+
+class _ComparedByValue(_Embedded):
     """Comparisons act on the plain value: a dual's value, a chaos mean."""
 
     __slots__ = ()
@@ -271,7 +280,6 @@ class PCE(_ComparedByValue):
     """
 
     __slots__ = ("coeffs", "basis")
-    __array_ufunc__ = None  # force reflected dunders in numpy mixed expressions
 
     def __init__(self, coeffs, basis):
         self.coeffs = np.asarray(coeffs, dtype=float)
@@ -293,6 +301,23 @@ class PCE(_ComparedByValue):
 
     def __getitem__(self, idx):
         return PCE(self.coeffs[_check_index(idx, self.coeffs.ndim - 1)], self.basis)
+
+    def __setitem__(self, idx, src):
+        idx = _check_index(idx, self.coeffs.ndim - 1)
+        if isinstance(src, PCE):
+            self._check(src)
+            self.coeffs[idx] = src.coeffs
+        else:   # deterministic data is mean-only
+            self.coeffs[idx + (Ellipsis, 0)] = src
+            self.coeffs[idx + (Ellipsis, slice(1, None))] = 0.0
+
+    def __iadd__(self, src):
+        if isinstance(src, PCE):
+            self._check(src)
+            self.coeffs += src.coeffs
+        else:
+            self.coeffs[..., 0] += src
+        return self
 
     def sum(self, axis=None):
         return PCE(_sum(self.coeffs, _norm_axes(axis, self.coeffs.ndim - 1)),
@@ -442,11 +467,12 @@ def _spectral_factor(den, basis):
         return lambda num, partials=False: num / (
             d0[..., None, None] if partials else d0[..., None])
     size = basis.size
-    # lu[j][k] is M_kj (column j, row k), of the divisor's entry shape; the
-    # elimination leaves the unit-lower L below the diagonal, U on and above
+    # lu[j][k] is M_kj (column j, row k), of the divisor's entry shape, its
+    # terms added in ascending i; the elimination leaves the unit-lower L
+    # below the diagonal, U on and above
     lu = [[None] * size for _ in range(size)]
-    for k, terms in enumerate(basis.products):
-        for i, j, t in terms:
+    for i, j, uses in basis.pairs:
+        for k, t in uses:
             term = den[..., i] if t == 1.0 else den[..., i] * t
             lu[j][k] = term if lu[j][k] is None else lu[j][k] + term
     swaps = []
@@ -501,10 +527,9 @@ def _swap_rows(columns, c, piv):
 
 def pce_constant(value, basis):
     """Deterministic value promoted to a chaos expansion (mean only)."""
-    value = np.asarray(value, dtype=float)
-    c = np.zeros(value.shape + (basis.size,))
-    c[..., 0] = value
-    return PCE(c, basis)
+    out = PCE(np.zeros(np.shape(value) + (basis.size,)), basis)
+    out[()] = value
+    return out
 
 
 def _chaos_divider(den):
@@ -551,7 +576,6 @@ class Dual(_ComparedByValue):
     """
 
     __slots__ = ("val", "dx")
-    __array_ufunc__ = None
 
     def __init__(self, val, dx):
         self.val = val if isinstance(val, PCE) else np.asarray(val, dtype=float)
@@ -577,6 +601,23 @@ class Dual(_ComparedByValue):
     def __getitem__(self, idx):
         idx = _check_index(idx, self._value_ndim())
         return Dual(self.val[idx], self.dx[idx])
+
+    def __setitem__(self, idx, src):
+        idx = _check_index(idx, self._value_ndim())
+        dx = 0.0   # plain data has zero partials
+        if isinstance(src, Dual):
+            self._check(src)
+            src, dx = src.val, src.dx
+        self.val[idx] = src
+        self.dx[idx] = dx
+
+    def __iadd__(self, src):
+        if isinstance(src, Dual):
+            self._check(src)
+            self.dx += src.dx
+            src = src.val
+        self.val += src
+        return self
 
     def sum(self, axis=None):
         ax = _norm_axes(axis, self._value_ndim())
@@ -684,14 +725,22 @@ NestedDual = Dual
 # ensembles of independent samples
 # ---------------------------------------------------------------------------
 
-def _lead(vals, ndim):
-    """Sample-first ``vals`` with size-1 value axes inserted after the sample
-    axis up to ``ndim`` axes, so that value axes align from the right."""
-    missing = ndim - vals.ndim
-    return vals[(slice(None),) + (None,) * missing] if missing > 0 else vals
+def _lead(x, ndim):
+    """An ensemble's samples with size-1 value axes inserted after the sample
+    axis up to ``ndim`` axes, so that value axes align from the right; plain
+    data as it is."""
+    if not isinstance(x, Ensemble):
+        return x
+    return x.vals[(slice(None),) + (None,) * (ndim - x.vals.ndim)]
 
 
-class Ensemble:
+def _behind_samples(idx):
+    """``idx`` applied to the value axes behind the sample axis; there every
+    index, Ellipsis too, meets value axes."""
+    return (slice(None),) + (idx if isinstance(idx, tuple) else (idx,))
+
+
+class Ensemble(_Embedded):
     """S independent samples of one value, combined elementwise.
 
     ``vals[s]`` is sample s. Every operation is elementwise, and ``sum``
@@ -702,7 +751,6 @@ class Ensemble:
     """
 
     __slots__ = ("vals",)
-    __array_ufunc__ = None
 
     def __init__(self, vals):
         self.vals = np.asarray(vals, dtype=float)
@@ -712,10 +760,17 @@ class Ensemble:
         return self.vals.shape[1:]
 
     def __getitem__(self, idx):
-        # behind the sample axis every index, Ellipsis too, meets value axes
-        if not isinstance(idx, tuple):
-            idx = (idx,)
-        return Ensemble(self.vals[(slice(None),) + idx])
+        return Ensemble(self.vals[_behind_samples(idx)])
+
+    # plain data is the same in every sample; dual or spectral data is
+    # refused by numpy (``_Embedded``)
+    def __setitem__(self, idx, src):
+        idx = _behind_samples(idx)
+        self.vals[idx] = _lead(src, self.vals[idx].ndim)
+
+    def __iadd__(self, src):
+        self.vals += _lead(src, self.vals.ndim)
+        return self
 
     def sum(self, axis=None):
         axes = _norm_axes(axis, self.vals.ndim - 1)
@@ -725,12 +780,12 @@ class Ensemble:
         """Sample values of both operands, aligned for one elementwise op."""
         if isinstance(other, Ensemble):
             ndim = max(self.vals.ndim, other.vals.ndim)
-            return _lead(self.vals, ndim), _lead(other.vals, ndim)
+            return _lead(self, ndim), _lead(other, ndim)
         if isinstance(other, (Dual, PCE)):
             raise TypeError(
                 f"an Ensemble does not mix with {type(other).__name__} scalars")
         # plain numbers have no ndim attribute; arrays and numpy scalars do
-        return _lead(self.vals, getattr(other, "ndim", 0) + 1), other
+        return _lead(self, getattr(other, "ndim", 0) + 1), other
 
     def __add__(self, other):
         a, b = self._pair(other)
@@ -782,11 +837,7 @@ def exp(x):
 
 def log(x):
     if isinstance(x, Dual):
-        if isinstance(x.val, PCE):
-            raise TypeError("transcendental functions of spectral values are not supported")
-        if np.any(x.val <= 0.0):
-            raise ValueError("log requires a positive value")
-        return Dual(np.log(x.val), x.dx / _dxpand(x.val))
+        return Dual(log(x.val), x.dx / _dxpand(x.val))
     if isinstance(x, PCE):
         raise TypeError("transcendental functions of spectral values are not supported")
     if np.any(np.asarray(x) <= 0.0):
@@ -807,80 +858,3 @@ def sqrt(x):
     if np.any(np.asarray(x) < 0.0):
         raise ValueError("sqrt requires a non-negative value")
     return np.sqrt(x)
-
-
-# ---------------------------------------------------------------------------
-# structure-aware storage operations (used by field buffers)
-# ---------------------------------------------------------------------------
-
-def copy_into(dst, src):
-    """Copy ``src`` into preallocated storage ``dst`` of equal or richer kind.
-
-    Plain data copied into dual/spectral storage is promoted (zero partials,
-    mean-only coefficients). Copying embedded scalars into plain storage is
-    refused; call :func:`strip_derivatives` to make the cast explicit.
-    """
-    if isinstance(dst, Dual):
-        if isinstance(src, Dual):
-            if dst.n != src.n:
-                raise DerivativeDimensionError(
-                    f"derivative lengths differ: {dst.n} vs {src.n}")
-            copy_into(dst.val, src.val)
-            copy_into(dst.dx, src.dx)
-        else:
-            copy_into(dst.val, src)
-            copy_into(dst.dx, 0.0)
-    elif isinstance(dst, PCE):
-        if isinstance(src, Dual):
-            raise TypeError("use strip_derivatives(...) to discard derivative data")
-        if isinstance(src, PCE):
-            dst._check(src)
-            np.copyto(dst.coeffs, src.coeffs)
-        else:
-            dst.coeffs[...] = 0.0
-            dst.coeffs[..., 0] = src
-    elif isinstance(dst, Ensemble):
-        if isinstance(src, (Dual, PCE)):
-            raise TypeError("an Ensemble does not mix with dual or spectral scalars")
-        if isinstance(src, Ensemble):
-            src = _lead(src.vals, dst.vals.ndim)
-        np.copyto(dst.vals, src)
-    else:
-        if isinstance(src, (Dual, PCE, Ensemble)):
-            raise TypeError(
-                "assigning embedded scalars into plain storage requires "
-                "strip_derivatives(...)")
-        np.copyto(dst, np.asarray(src, dtype=float))
-
-
-def add_into(dst, src):
-    """Accumulate ``src`` into preallocated storage ``dst`` (see copy_into)."""
-    if isinstance(dst, Dual):
-        if isinstance(src, Dual):
-            if dst.n != src.n:
-                raise DerivativeDimensionError(
-                    f"derivative lengths differ: {dst.n} vs {src.n}")
-            add_into(dst.val, src.val)
-            add_into(dst.dx, src.dx)
-        else:
-            add_into(dst.val, src)
-    elif isinstance(dst, PCE):
-        if isinstance(src, Dual):
-            raise TypeError("use strip_derivatives(...) to discard derivative data")
-        if isinstance(src, PCE):
-            dst._check(src)
-            dst.coeffs += src.coeffs
-        else:
-            dst.coeffs[..., 0] += src
-    elif isinstance(dst, Ensemble):
-        if isinstance(src, (Dual, PCE)):
-            raise TypeError("an Ensemble does not mix with dual or spectral scalars")
-        if isinstance(src, Ensemble):
-            src = _lead(src.vals, dst.vals.ndim)
-        dst.vals += src
-    else:
-        if isinstance(src, (Dual, PCE, Ensemble)):
-            raise TypeError(
-                "accumulating embedded scalars into plain storage requires "
-                "strip_derivatives(...)")
-        dst += np.asarray(src, dtype=float)

@@ -368,6 +368,11 @@ nisp_order = 3
      "mesh has no slider region to morph"),
     ("optimize.ini", ["geometry.nx_slider=0", "geometry.slider_length=0"],
      "mesh has no slider region to morph"),
+    # a conductivity sweep that reaches zero, also checked by build_model
+    ("continuation.ini", ["continuation.parameter=PadSigma0",
+                          "continuation.start=10", "continuation.stop=-5",
+                          "continuation.steps=4"],
+     "continuation of PadSigma0 reaches -5; a conductivity must be positive"),
 ], ids=["solver-max-iters", "solver-negative-iters", "optimize-bounds",
         "optimize-max-iters", "optimize-tol", "optimize-nan-bound",
         "solver-nan-tol", "optimize-start-text", "optimize-start-nan",
@@ -375,7 +380,7 @@ nisp_order = 3
         "continuation-nan-start", "continuation-inf-stop",
         "continuation-shape-name", "continuation-unknown-name",
         "uq-unknown-name", "unknown-parameter", "continuation-no-slider",
-        "optimize-no-slider"])
+        "optimize-no-slider", "continuation-pad-sigma0-to-zero"])
 def test_settings_that_cannot_run_exit_two(tmp_path, capsys, config,
                                            overrides, message):
     # every one fails before the output directory is made
@@ -428,6 +433,46 @@ def test_non_finite_values_exit_two(tmp_path, capsys, key, value):
     section, name = key.split(".", 1)
     assert (f"config error: [{section}] {name} must be finite, got {value!r}"
             in capsys.readouterr().err)
+
+
+#: (config, key, message) of every float key a section checks for finiteness
+_SECTION_FLOATS = [
+    ("demo.ini", "solver.abs_tol", "[solver] tolerances must be positive and "
+     "finite"),
+    ("demo.ini", "solver.rel_tol", "[solver] tolerances must be positive and "
+     "finite"),
+    ("optimize.ini", "optimize.tol", "[optimize] tol must be positive and "
+     "finite, got {}"),
+    *(("demo.ini", f"materials.{name}", f"[materials] {name} must be finite, "
+       "got {}") for name in ("kappa", "sigma0_conductor", "sigma0_slider",
+                              "beta", "T0", "v0_x", "v0_y")),
+    *(("demo.ini", f"geometry.{region}_length", f"region {region!r} length "
+       "must be non-negative and finite, got {}")
+      for region in ("conductor", "pad", "slider")),
+    ("demo.ini", "geometry.height", "degenerate geometry: height must be "
+     "positive and finite, got {}"),
+]
+
+
+@pytest.mark.parametrize("config, key, message", [
+    pytest.param(*case, id=case[1]) for case in _SECTION_FLOATS])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_section_floats_exit_two(tmp_path, capsys, config, key,
+                                            message, value):
+    code, out = run_cli(tmp_path, (CONFIGS / config).read_text(),
+                        [f"{key}={value}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (f"config error: {message.format(float(value))}" in err
+            and "Traceback" not in err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", ["optimize.lower=-inf", "optimize.upper=inf"])
+def test_infinite_optimize_bounds_still_run(tmp_path, bound):
+    code, out = run_cli(tmp_path, (CONFIGS / "optimize.ini").read_text(),
+                        [bound, "optimize.max_iters=1"])
+    assert code == 0 and (out / "summary.json").exists()
 
 
 @pytest.mark.parametrize("expansion", ["nan", "0.0, inf"])

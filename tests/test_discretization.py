@@ -144,7 +144,7 @@ def test_integrate_accumulates():
     det, _, det_w = element_geometry(square_coords(1.0), b)
     wbf = np.stack([b.values[n] * det_w[0] for n in range(4)])[None]
     acc = integrate(np.ones((1, b.num_qp)), wbf)
-    sc.add_into(acc, integrate(np.ones((1, b.num_qp)), wbf))
+    acc += integrate(np.ones((1, b.num_qp)), wbf)
     assert np.allclose(acc, 2.0 * 0.25, atol=1e-15)
 
 
@@ -223,8 +223,8 @@ def test_integrate_is_bitwise_the_broadcast_and_sum(weights, integrand):
         for _ in range(2):   # into zeroed storage, then on top of the first
             weighted = _scalar(rng, weights, (6, 4, 4))
             values = _scalar(rng, integrand, (6, 4))
-            sc.add_into(got, integrate(values, weighted))
-            sc.add_into(want, (weighted * values[:, None]).sum(axis=2))
+            got += integrate(values, weighted)
+            want += (weighted * values[:, None]).sum(axis=2)
     for a, b in zip(_bits(got), _bits(want), strict=True):
         assert np.array_equal(a, b)
 
@@ -237,12 +237,12 @@ def test_integrate_vector_integrand_adds_in_row_major_qp_dim_order(kind):
     got, want = _zeroed_storage(kind), _zeroed_storage(kind)
     reference = None
     with np.errstate(invalid="ignore"):
-        sc.add_into(got, integrate(values, weighted))
+        got += integrate(values, weighted)
         for q in range(4):
             for d in range(2):
                 term = weighted[:, :, q, d] * values[:, q, d][:, None]
                 reference = term if reference is None else reference + term
-    sc.add_into(want, reference)
+    want += reference
     for a, b in zip(_bits(got), _bits(want), strict=True):
         assert np.array_equal(a, b)
 

@@ -51,16 +51,16 @@ def _arena_field(kind, **keys):
 
 def test_assign_constant_real():
     u = make_storage("real", (4,))
-    sc.copy_into(u, 0.0)
+    u[:] = 0.0
     assert u.sum() == 0.0
-    sc.copy_into(u, 1.0)
+    u[:] = 1.0
     assert u.sum() == 4.0
 
 
 def test_assign_constant_dual_zeroes_partials():
     u = _arena_field("dual", deriv_width=2)
     u.dx[...] = 7.0
-    sc.copy_into(u, 2.5)
+    u[:] = 2.5
     assert np.all(u.val == 2.5)
     assert np.all(u.dx == 0.0)
 
@@ -69,7 +69,7 @@ def test_assign_constant_nested_zeroes_chaos_partials():
     u = _arena_field("nested", deriv_width=2, basis=BASIS)
     u.val.coeffs[...] = 7.0
     u.dx.coeffs[...] = 7.0
-    sc.copy_into(u, 2.5)
+    u[:] = 2.5
     assert np.all(u.val.mean == 2.5)
     assert np.all(u.val.coeffs[..., 1:] == 0.0)
     assert np.all(u.dx.coeffs == 0.0)
@@ -78,7 +78,7 @@ def test_assign_constant_nested_zeroes_chaos_partials():
 def test_assign_constant_pce_mean_only():
     u = _arena_field("pce", basis=BASIS)
     u.coeffs[...] = 7.0
-    sc.copy_into(u, 2.5)
+    u[:] = 2.5
     assert np.all(u.mean == 2.5)
     assert np.all(u.coeffs[..., 1:] == 0.0)
 
@@ -86,8 +86,8 @@ def test_assign_constant_pce_mean_only():
 def test_plain_storage_refuses_embedded_scalars():
     u = make_storage("real", (3,))
     with pytest.raises(TypeError, match="strip_derivatives"):
-        sc.copy_into(u[0:1], sc.Dual(1.0, [1.0]))
-    sc.copy_into(u[0:1], sc.strip_derivatives(sc.Dual(1.0, [1.0])))
+        u[0:1] = sc.Dual(1.0, [1.0])
+    u[0:1] = sc.strip_derivatives(sc.Dual(1.0, [1.0]))
     assert u[0] == 1.0
 
 
@@ -115,8 +115,8 @@ def test_same_name_coexists_across_arenas_without_aliasing():
     real = FieldArena(dims).ensure("coords", ("elem", "node"), "real")
     dual = FieldArena(dims, deriv_width=2).ensure("coords", ("elem", "node"), "dual")
     assert real.shape == dual.shape == (2, 4)
-    sc.copy_into(real, 1.0)
-    sc.copy_into(dual, 2.0)
+    real[:] = 1.0
+    dual[:] = 2.0
     assert np.all(real == 1.0)
     assert np.all(dual.val == 2.0)
 
@@ -125,8 +125,8 @@ def test_ensemble_storage_holds_one_copy_per_sample():
     with pytest.raises(ValueError, match="sample count"):
         make_storage("ensemble", (3,))
     u = _arena_field("ensemble", samples=2)
-    sc.copy_into(u, 1.5)
-    sc.copy_into(u[1], 2.0)
+    u[:] = 1.5
+    u[1] = 2.0
     assert np.array_equal(u.vals, [[1.5, 2.0, 1.5], [1.5, 2.0, 1.5]])
     with pytest.raises(TypeError):
-        sc.copy_into(make_storage("real", (3,)), u)
+        make_storage("real", (3,))[:] = u

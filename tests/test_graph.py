@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from embedfem import graph as gr
-from embedfem import scalars as sc
 from embedfem.graph import Evaluator, FieldSpec
 
 
@@ -24,7 +23,7 @@ class Named(Evaluator):
             total = self.value
             for dep in self.depends:
                 total = total + ctx.field(dep.name)
-            sc.copy_into(ctx.field(spec.name), total)
+            ctx.field(spec.name)[:] = total
 
 
 def build(evaluators, outputs, **kw):

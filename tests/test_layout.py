@@ -260,8 +260,8 @@ def test_contractions_are_bitwise_the_row_form_and_element_fastest(kind):
         reference = make_storage(kind, (size, QUAD.num_nodes),
                                  **STORAGE_KINDS[kind])
         for _ in range(2):   # into zeroed storage, then on top of the first
-            sc.add_into(got, integrate(integrand, weighted))
-            sc.add_into(reference, _row_integrate(integrand, weighted))
+            got += integrate(integrand, weighted)
+            reference += _row_integrate(integrand, weighted)
         assert _same_bits(got, reference), ("integrate", size)
 
         after = [data for storage in inputs for data, _ in _components(storage)]

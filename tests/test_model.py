@@ -86,7 +86,7 @@ def _all_plain_outputs(model, x):
 def _full_source_expression(self, ctx):
     u = ctx.field("temp_qp")
     alpha, beta = self.library.scalar("Alpha"), self.library.scalar("Beta")
-    sc.copy_into(ctx.field("source_qp"), alpha + beta * u * u)
+    ctx.field("source_qp")[:] = alpha + beta * u * u
 
 
 def _bits(arrays):

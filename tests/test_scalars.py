@@ -424,10 +424,12 @@ def test_pce_product_truncation_residual_is_high_mode_only():
 def test_product_table_is_the_nonzero_support_in_order(degree):
     b = sc.build_basis_data(degree)
     support = np.zeros_like(b.triple_scaled, dtype=bool)
-    for k, terms in enumerate(b.products):
-        pairs = [(i, j) for i, j, _ in terms]
-        assert pairs == sorted(pairs)
-        for i, j, t in terms:
+    pairs = [(i, j) for i, j, _ in b.pairs]
+    assert pairs == sorted(pairs)
+    for i, j, uses in b.pairs:
+        ks = [k for k, _ in uses]
+        assert ks and ks == sorted(ks)
+        for k, t in uses:
             assert t == b.triple_scaled[i, j, k]
             support[i, j, k] = True
     assert np.array_equal(support, b.triple_scaled != 0.0)
@@ -602,28 +604,80 @@ def test_sum_over_value_axes():
 
 
 # ---------------------------------------------------------------------------
-# storage helpers
+# storage: each scalar type's item assignment and in-place add
 # ---------------------------------------------------------------------------
 
-def test_copy_into_promotes_and_guards():
+def test_assignment_promotes_and_guards():
     dst = sc.Dual(np.zeros(3), np.ones((3, 2)))
-    sc.copy_into(dst, np.array([1.0, 2.0, 3.0]))
+    dst[:] = np.array([1.0, 2.0, 3.0])
     assert np.array_equal(dst.val, [1.0, 2.0, 3.0])
     assert np.all(dst.dx == 0.0)
+    dst[1:] = sc.Dual(np.array([5.0, 6.0]), np.full((2, 2), 4.0))
+    assert np.array_equal(dst.val, [1.0, 5.0, 6.0])
+    assert np.array_equal(dst.dx, [[0.0, 0.0], [4.0, 4.0], [4.0, 4.0]])
+    with pytest.raises(sc.DerivativeDimensionError):
+        dst[:] = sc.Dual(np.ones(3), np.ones((3, 3)))
+    with pytest.raises(IndexError):
+        dst[...] = 1.0
 
     plain = np.zeros(3)
-    with pytest.raises(TypeError):
-        sc.copy_into(plain, sc.Dual(np.ones(3), np.ones((3, 2))))
-    sc.copy_into(plain, sc.strip_derivatives(sc.Dual(np.ones(3), np.ones((3, 2)))))
+    for embedded in (sc.Dual(np.ones(3), np.ones((3, 2))), pce(np.ones((3, 4))),
+                     sc.Ensemble(np.ones((2, 3)))):
+        with pytest.raises(TypeError, match="strip_derivatives"):
+            plain[:] = embedded
+        with pytest.raises(TypeError):
+            plain += embedded
+    assert not np.any(plain)
+    plain[:] = sc.strip_derivatives(sc.Dual(np.ones(3), np.ones((3, 2))))
     assert np.all(plain == 1.0)
 
 
-def test_add_into_accumulates():
+def test_spectral_assignment_is_mean_only_and_checks_the_basis():
+    dst = pce(np.full((2, 4), 7.0))
+    dst[1] = 2.5
+    assert np.array_equal(dst.coeffs, [[7.0] * 4, [2.5, 0.0, 0.0, 0.0]])
+    dst[:] = pce(np.ones((2, 4)))
+    assert np.all(dst.coeffs == 1.0)
+    with pytest.raises(sc.BasisMismatchError):
+        dst[:] = sc.PCE(np.ones((2, 4)), sc.build_basis_data(3))
+    with pytest.raises(sc.BasisMismatchError):
+        dst += sc.PCE(np.ones((2, 4)), sc.build_basis_data(3))
+    for other in (sc.Dual(np.ones(2), np.ones((2, 3))), sc.Ensemble(np.ones((3, 2)))):
+        with pytest.raises(TypeError):
+            dst[:] = other
+        with pytest.raises(TypeError):
+            dst += other
+    assert np.all(dst.coeffs == 1.0)
+
+
+def test_inplace_add_accumulates():
     dst = sc.PCE(np.zeros((2, 4)), BASIS3)
-    sc.add_into(dst, sc.PCE(np.ones((2, 4)), BASIS3))
-    sc.add_into(dst, 1.0)
+    acc = dst
+    acc += sc.PCE(np.ones((2, 4)), BASIS3)
+    acc += 1.0
+    assert acc is dst
     assert np.array_equal(dst.coeffs[:, 0], [2.0, 2.0])
     assert np.all(dst.coeffs[:, 1:] == 1.0)
+
+    dual = sc.Dual(np.zeros(3), np.zeros((3, 2)))
+    acc = dual
+    acc += sc.Dual(np.ones(3), np.ones((3, 2)))
+    acc += 2.0   # plain data adds to the value only
+    assert acc is dual
+    assert np.all(dual.val == 3.0) and np.all(dual.dx == 1.0)
+    with pytest.raises(sc.DerivativeDimensionError):
+        acc += sc.Dual(np.ones(3), np.ones((3, 3)))
+    with pytest.raises(TypeError):
+        acc += sc.Ensemble(np.ones((2, 3)))
+
+    nested = sc.Dual(pce(np.zeros((3, 4))), pce(np.zeros((3, 2, 4))))
+    acc = nested
+    acc += sc.Dual(pce(np.ones((3, 4))), pce(np.ones((3, 2, 4))))
+    acc += 1.0
+    assert acc is nested
+    assert np.array_equal(nested.val.coeffs[:, 0], [2.0] * 3)
+    assert np.all(nested.val.coeffs[:, 1:] == 1.0)
+    assert np.all(nested.dx.coeffs == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -709,18 +763,25 @@ def test_ensemble_refuses_dual_and_spectral_operands():
                 op(ens, other)
             with pytest.raises(TypeError):
                 op(other, ens)
+        target = sc.Ensemble(np.zeros((2, 3)))
         with pytest.raises(TypeError):
-            sc.copy_into(sc.Ensemble(np.zeros((2, 3))), other)
-    with pytest.raises(TypeError):
-        sc.copy_into(np.zeros(3), ens)
+            target[:] = other
+        with pytest.raises(TypeError):
+            target += other
+        with pytest.raises(TypeError):
+            other[:] = ens
+    with pytest.raises(TypeError, match="strip_derivatives"):
+        np.zeros(3)[:] = ens
 
 
 def test_ensemble_storage_promotes_plain_values_to_every_sample():
     ens = sc.Ensemble(np.zeros((2, 3)))
-    sc.copy_into(ens, np.array([1.0, 2.0, 3.0]))
-    sc.add_into(ens, sc.Ensemble(np.array([[1.0], [2.0]])))
+    acc = ens
+    acc[:] = np.array([1.0, 2.0, 3.0])
+    acc += sc.Ensemble(np.array([[1.0], [2.0]]))
+    assert acc is ens
     assert np.array_equal(ens.vals, [[2.0, 3.0, 4.0], [3.0, 4.0, 5.0]])
     assert np.array_equal(sc.strip_derivatives(ens), ens.vals)
     assert ens.shape == (3,)
-    sc.copy_into(ens, 0.0)
+    ens[:] = 0.0
     assert not np.any(ens.vals)
