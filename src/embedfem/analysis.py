@@ -44,6 +44,9 @@ class NewtonConfig:
             raise ValueError("tolerances must be positive and finite")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.dense_dof_limit < 0:
+            raise ValueError(f"dense_dof_limit must be >= 0, got "
+                             f"{self.dense_dof_limit}")
 
 
 #: GMRES settings of the ILU(0) branch of ``_linear_solve``

@@ -2,24 +2,24 @@
 
 ``_SPECIALIZATIONS`` holds one row per evaluation type: a coordinate gather,
 a solution gather and a scatter, the only evaluators that differ between the
-types' graphs. The solution gather's ``bind`` checks the type's inputs and
-returns the arena keys. Each gather's ``_value`` pulls global vectors into
-one element-local scalar with seeded embedded data (identity seeds for
-stiffness rows, direction seeds for sensitivities, coordinate seeds for shape
-derivatives, coefficients for spectral unknowns, one state per sample for
-ensembles), and its ``evaluate`` assigns that scalar to the whole field
-(``field[:] = value``; plain values get zero partials or a mean only). The
-scatter's ``targets`` name the global objects it fills, and its ``evaluate``
-adds each workset's rows straight into them. Worksets run in element order,
-so every entry sums its terms in element order, bitwise independent of the
-workset partition. ``finish`` replaces the Dirichlet rows of whatever was
-filled.
+types' graphs. The solution gather's ``bind`` clears the last assembly's
+inputs, checks and stores the type's own and returns the arena keys. Each
+gather's ``_value`` pulls global vectors into one element-local scalar with
+seeded embedded data (identity seeds for stiffness rows, direction seeds for
+sensitivities, coordinate seeds for shape derivatives, coefficients for
+spectral unknowns, one state per sample for ensembles), and its ``evaluate``
+assigns that scalar to the whole field (``field[:] = value``; plain values
+get zero partials or a mean only). The scatter owns the global objects it
+fills: ``start`` allocates them zeroed from the arena keys, ``evaluate`` adds
+each workset's rows straight into them and ``finish`` replaces their
+Dirichlet rows and hands them out as the assembly's outputs. Worksets run in
+element order, so every entry sums its terms in element order, bitwise
+independent of the workset partition.
 
 A new evaluation type needs a storage kind in ``fields.make_storage``, an
-``EvaluationType`` constant and one row here. A scatter that fills a new
-global object also needs that target's shape in ``_zeros`` and its Dirichlet
-rows and output in ``finish``, both keyed by target name; the assembly loop
-is unchanged.
+``EvaluationType`` constant and one row here. A scatter that fills another
+global object extends its parent's ``start``, ``evaluate`` and ``finish``;
+the assembly loop is unchanged.
 """
 from __future__ import annotations
 
@@ -175,12 +175,8 @@ def _required(value, what):
 # ---------------------------------------------------------------------------
 
 class AssemblyState:
-    """Inputs and global objects of the current assembly.
-
-    :func:`bind` clears the inputs, lets the type's gather store the ones it
-    reads and allocates the global objects its scatter adds into
-    (``targets``, by name); :func:`finish` takes the targets out again.
-    """
+    """Inputs of the current assembly, which the solution gather's ``bind``
+    replaces and the type's gathers and scatter read."""
 
     def __init__(self, system, coords, sg_basis=None):
         self.system = system
@@ -189,7 +185,29 @@ class AssemblyState:
         self.x = None             # (num_dofs,), or (coeffs or samples, num_dofs)
         self.v = None             # directional seed vector
         self.Xp = None            # (num_nodes, 2, n_shape_params)
-        self.targets = {}
+
+
+@dataclass
+class AssemblyOutputs:
+    """Per-type results; the residual value component is always filled."""
+
+    residual: np.ndarray = None    # (samples, num_dofs) for the ensemble type
+    jacobian: object = None        # scipy CSR
+    tangent: np.ndarray = None     # (num_dofs, n_params)
+    directional: np.ndarray = None
+    sg_residual: np.ndarray = None # (n_coeffs, num_dofs)
+    sg_jacobian: list = None       # one CSR per coefficient
+
+
+class DirichletRows:
+    """Dofs and values of the Dirichlet conditions, with the CSR data
+    positions of their rows and diagonals found once per model."""
+
+    def __init__(self, system, dofs, values):
+        self.dofs = dofs
+        self.values = values
+        self.entries = system.row_entry_indices(dofs)
+        self.diag = system.diagonal[dofs]
 
 
 class _Specialized(Evaluator):
@@ -249,12 +267,14 @@ class GatherSolution(_Specialized):
             FieldSpec(f"{u}_node", ("elem", "node"), "solution")
             for u in self.unknowns)
 
-    @staticmethod
-    def bind(state, x=None):
-        """Check this type's inputs and store them in ``state``. Returns the
-        arena keys (``deriv_width``, ``basis``, ``samples``) and the seeds
+    def bind(self, x=None):
+        """Clear the last assembly's inputs, then check this type's and store
+        them in the state. Returns the arena keys (``deriv_width``, ``basis``,
+        ``samples``), which the scatter's ``start`` also takes, and the seeds
         (``tangent_params``, ``uncertain``, ``basis``) from which
         ``ParameterLibrary.push`` promotes the parameters once per assembly."""
+        state = self.state
+        state.v = state.Xp = None
         state.x = _required(x, "the solution vector x")
         return {}, {}
 
@@ -283,10 +303,9 @@ class GatherSolution(_Specialized):
 class GatherSolutionJacobian(GatherSolution):
     """Gathers values and seeds d(local x)/d(local x) with the identity."""
 
-    @staticmethod
-    def bind(state, x=None):
-        GatherSolution.bind(state, x)
-        return {"deriv_width": state.system.conn.dofs_per_element}, {}
+    def bind(self, x=None):
+        super().bind(x)
+        return {"deriv_width": self.conn.dofs_per_element}, {}
 
     _seeds = GatherSolution._identity
 
@@ -295,11 +314,10 @@ class GatherSolutionTangent(GatherSolution):
     """Zero solution partials (parameters seed themselves), or the direction
     v for directional-derivative assemblies."""
 
-    @staticmethod
-    def bind(state, x=None, tangent_params=(), v=None):
-        GatherSolution.bind(state, x)
+    def bind(self, x=None, tangent_params=(), v=None):
+        super().bind(x)
         if v is not None:
-            state.v = np.asarray(v, dtype=float)
+            self.state.v = np.asarray(v, dtype=float)
             return {"deriv_width": 1}, {}
         if not tangent_params:
             raise ValueError("tangent assembly needs tangent_params or a direction v")
@@ -316,21 +334,19 @@ class GatherSolutionTangent(GatherSolution):
 class GatherSolutionShapeTangent(GatherSolutionTangent):
     """Zero solution partials; the coordinate gather seeds d/dp from Xp."""
 
-    @staticmethod
-    def bind(state, x=None, Xp=None):
-        GatherSolution.bind(state, x)
-        state.Xp = _required(Xp, "the coordinate sensitivities Xp")
-        return {"deriv_width": state.Xp.shape[-1]}, {}
+    def bind(self, x=None, Xp=None):
+        GatherSolution.bind(self, x)
+        self.state.Xp = _required(Xp, "the coordinate sensitivities Xp")
+        return {"deriv_width": self.state.Xp.shape[-1]}, {}
 
 
 class GatherSolutionSG(GatherSolution):
-    @staticmethod
-    def bind(state, x_block=None, uncertain=None):
-        if state.sg_basis is None:
+    def bind(self, x_block=None, uncertain=None):
+        basis = self.state.sg_basis
+        if basis is None:
             raise ValueError("spectral assembly needs the model built with sg_basis")
-        state.x = _required(x_block, "the block unknowns x_block")
-        return ({"basis": state.sg_basis},
-                {"uncertain": uncertain, "basis": state.sg_basis})
+        super().bind(_required(x_block, "the block unknowns x_block"))
+        return {"basis": basis}, {"uncertain": uncertain, "basis": basis}
 
     def _value(self, ws, eq):
         return sc.PCE(np.moveaxis(self.state.x[:, self._dofs(ws, eq)], 0, -1),
@@ -338,10 +354,9 @@ class GatherSolutionSG(GatherSolution):
 
 
 class GatherSolutionSGJacobian(GatherSolutionSG):
-    @staticmethod
-    def bind(state, x_block=None, uncertain=None):
-        keys, seeds = GatherSolutionSG.bind(state, x_block, uncertain)
-        return dict(keys, deriv_width=state.system.conn.dofs_per_element), seeds
+    def bind(self, x_block=None, uncertain=None):
+        keys, seeds = super().bind(x_block, uncertain)
+        return dict(keys, deriv_width=self.conn.dofs_per_element), seeds
 
     def _seeds(self, eq):
         basis = self.state.sg_basis
@@ -350,10 +365,9 @@ class GatherSolutionSGJacobian(GatherSolutionSG):
 
 
 class GatherSolutionEnsemble(GatherSolution):
-    @staticmethod
-    def bind(state, x_block=None):
-        state.x = _required(x_block, "the block unknowns x_block")
-        return {"samples": state.x.shape[0]}, {}
+    def bind(self, x_block=None):
+        super().bind(_required(x_block, "the block unknowns x_block"))
+        return {"samples": self.state.x.shape[0]}, {}
 
     def _value(self, ws, eq):
         return sc.Ensemble(self.state.x[:, self._dofs(ws, eq)])
@@ -364,11 +378,12 @@ class GatherSolutionEnsemble(GatherSolution):
 # ---------------------------------------------------------------------------
 
 class ScatterResidual(_Specialized):
-    """Adds the workset's residual rows into ``f``; every scatter's
-    ``targets`` name the global objects its ``evaluate`` adds into."""
+    """Owns the global residual ``f`` of an assembly: ``start`` allocates it
+    zeroed, ``evaluate`` adds each workset's rows into it and ``finish``
+    replaces its Dirichlet rows and hands it out, keeping no reference. A
+    subclass that fills more global objects extends all three."""
 
     name = "scatter_residual"
-    targets = ("f",)
     evaluates = (FieldSpec("residual_scattered", ("elem",), "real"),)
 
     def __init__(self, state, unknowns):
@@ -377,7 +392,10 @@ class ScatterResidual(_Specialized):
             FieldSpec(f"{u}_residual", ("elem", "node"), "solution")
             for u in self.unknowns)
 
-    def _local(self, ctx, part, trailing=()):
+    def start(self, **keys):
+        self.f = np.zeros(self.conn.num_global_dofs)
+
+    def _local(self, ctx, part, trailing):
         """Element-local block (n_ws, n_nodes, n_eq, *trailing) of one part
         of the residual storage, e.g. its values or its partials."""
         n_ws, n_nodes = ctx.workset.size, self.conn.node_conn.shape[1]
@@ -386,63 +404,116 @@ class ScatterResidual(_Specialized):
             out[:, :, eq] = part(ctx.field(f"{u}_residual"))
         return out
 
-    def _add_at_dofs(self, ctx, name, local):
-        _add_rows(self.state.targets[name],
-                  self.conn.dof[ctx.workset.elements].ravel(), local)
+    def _add_at_dofs(self, ctx, target, part):
+        """Element rows of ``part`` into the target's rows at their dofs."""
+        _add_rows(target, self.conn.dof[ctx.workset.elements].ravel(),
+                  self._local(ctx, part, target.shape[1:]))
 
-    def _add_at_entries(self, ctx, name, local):
-        """Element matrices into CSR data at their pattern positions."""
-        _add_rows(self.state.targets[name],
-                  self.state.system.positions[ctx.workset.elements].ravel(), local)
+    def _add_at_entries(self, ctx, target, part):
+        """Element matrices of ``part`` into CSR data at pattern positions."""
+        _add_rows(target, self.state.system.positions[ctx.workset.elements].ravel(),
+                  self._local(ctx, part,
+                              (self.conn.dofs_per_element,) + target.shape[1:]))
 
     def evaluate(self, ctx):
-        self._add_at_dofs(ctx, "f", self._local(ctx, lambda data: data))
+        self._add_at_dofs(ctx, self.f, lambda data: data)
+
+    def finish(self, dirichlet):
+        """The outputs, with the Dirichlet rows replaced (f <- x - g)."""
+        f, self.f = self.f, None
+        d = dirichlet.dofs
+        f[..., d] = self.state.x[..., d] - dirichlet.values
+        return AssemblyOutputs(residual=f)
 
 
 class ScatterJacobian(ScatterResidual):
     """Values go to the residual; derivative rows go to the stiffness entries."""
 
-    targets = ("f", "jac")
+    def start(self, **keys):
+        super().start(**keys)
+        self.jac = np.zeros(self.state.system.nnz)
 
     def evaluate(self, ctx):
-        nd = self.conn.dofs_per_element
-        self._add_at_dofs(ctx, "f", self._local(ctx, lambda data: data.val))
-        self._add_at_entries(ctx, "jac",
-                             self._local(ctx, lambda data: data.dx, (nd,)))
+        self._add_at_dofs(ctx, self.f, lambda data: data.val)
+        self._add_at_entries(ctx, self.jac, lambda data: data.dx)
+
+    def finish(self, dirichlet):
+        """J's Dirichlet rows <- identity rows."""
+        jac, self.jac = self.jac, None
+        jac[dirichlet.entries] = 0.0
+        jac[dirichlet.diag] = 1.0
+        out = super().finish(dirichlet)
+        out.jacobian = self.state.system.matrix_from_data(jac)
+        return out
 
 
 class ScatterTangent(ScatterResidual):
     """Extracts d(residual)/d(parameter) columns alongside the values."""
 
-    targets = ("f", "fp")
+    def start(self, deriv_width=None, **keys):
+        super().start(**keys)
+        self.fp = np.zeros((self.conn.num_global_dofs, deriv_width))
 
     def evaluate(self, ctx):
-        width = self.state.targets["fp"].shape[1]
-        self._add_at_dofs(ctx, "f", self._local(ctx, lambda data: data.val))
-        self._add_at_dofs(ctx, "fp",
-                          self._local(ctx, lambda data: data.dx, (width,)))
+        self._add_at_dofs(ctx, self.f, lambda data: data.val)
+        self._add_at_dofs(ctx, self.fp, lambda data: data.dx)
+
+    def finish(self, dirichlet):
+        """Dirichlet rows of the tangent <- 0, of a directional <- v."""
+        fp, self.fp = self.fp, None
+        out = super().finish(dirichlet)
+        d, v = dirichlet.dofs, self.state.v
+        if v is None:
+            fp[d, :] = 0.0
+            out.tangent = fp
+        else:
+            fp[d, 0] = v[d]
+            out.directional = fp[:, 0].copy()
+        return out
 
 
 class ScatterSGResidual(ScatterResidual):
-    targets = ("F",)
+    """Adds the residual rows' chaos coefficients into ``F`` (num_dofs,
+    basis size) in place of the plain residual."""
+
+    def start(self, basis=None, **keys):
+        self.F = np.zeros((self.conn.num_global_dofs, basis.size))
 
     def evaluate(self, ctx):
-        size = self.state.targets["F"].shape[1]
-        self._add_at_dofs(ctx, "F",
-                          self._local(ctx, lambda data: data.coeffs, (size,)))
+        self._add_at_dofs(ctx, self.F, lambda data: data.coeffs)
+
+    def finish(self, dirichlet):
+        """F's Dirichlet rows <- the coefficients of x - g; the mean's column
+        is the residual."""
+        F, self.F = self.F, None
+        d = dirichlet.dofs
+        F[d, :] = self.state.x[:, d].T
+        F[d, 0] -= dirichlet.values
+        return AssemblyOutputs(residual=F[:, 0].copy(),
+                               sg_residual=np.ascontiguousarray(F.T))
 
 
-class ScatterSGJacobian(ScatterResidual):
-    targets = ("F", "jac_blocks")
+class ScatterSGJacobian(ScatterSGResidual):
+    """Values go to ``F``; derivative rows go to the stiffness entries of
+    every coefficient's block (nnz, basis size)."""
+
+    def start(self, basis=None, **keys):
+        super().start(basis=basis, **keys)
+        self.blocks = np.zeros((self.state.system.nnz, basis.size))
 
     def evaluate(self, ctx):
-        size = self.state.targets["F"].shape[1]
-        nd = self.conn.dofs_per_element
-        self._add_at_dofs(
-            ctx, "F", self._local(ctx, lambda data: data.val.coeffs, (size,)))
-        self._add_at_entries(
-            ctx, "jac_blocks",
-            self._local(ctx, lambda data: data.dx.coeffs, (nd, size)))
+        self._add_at_dofs(ctx, self.F, lambda data: data.val.coeffs)
+        self._add_at_entries(ctx, self.blocks, lambda data: data.dx.coeffs)
+
+    def finish(self, dirichlet):
+        """The mean block's Dirichlet rows <- identity rows, the others' <- 0."""
+        blocks, self.blocks = self.blocks, None
+        blocks[dirichlet.entries, :] = 0.0
+        blocks[dirichlet.diag, 0] = 1.0
+        out = super().finish(dirichlet)
+        out.sg_jacobian = [self.state.system.matrix_from_data(blocks[:, k].copy())
+                           for k in range(blocks.shape[1])]
+        return out
 
 
 class ScatterEnsembleResidual(ScatterResidual):
@@ -450,9 +521,11 @@ class ScatterEnsembleResidual(ScatterResidual):
     num_dofs) residual: sample s's rows are the plain rows plus s num_dofs,
     in the plain order, so each entry sums its terms in the plain order."""
 
+    def start(self, samples=None, **keys):
+        self.f = np.zeros((samples, self.conn.num_global_dofs))
+
     def evaluate(self, ctx):
-        ws = ctx.workset
-        f = self.state.targets["f"]
+        ws, f = ctx.workset, self.f
         vals = np.empty((f.shape[0], ws.size, self.conn.node_conn.shape[1],
                          len(self.unknowns)))
         for eq, u in enumerate(self.unknowns):
@@ -460,7 +533,6 @@ class ScatterEnsembleResidual(ScatterResidual):
         offsets = np.arange(f.shape[0])[:, None] * f.shape[1]
         _add_rows(f.reshape(-1),
                   (offsets + self.conn.dof[ws.elements].ravel()).ravel(), vals)
-
 
 #: one row per evaluation type: its coordinate gather, solution gather and
 #: scatter
@@ -482,92 +554,3 @@ def specializations(ev_type, state, unknowns):
     """The coordinate gather, solution gather and scatter of ``ev_type``'s
     row; a type without a row raises ``KeyError`` with its tag."""
     return [cls(state, unknowns) for cls in _SPECIALIZATIONS[ev_type.tag]]
-
-
-# ---------------------------------------------------------------------------
-# one assembly: bind the inputs, (execute the graph per workset), finish
-# ---------------------------------------------------------------------------
-
-def bind(ev_type, state, x=None, **inputs):
-    """Check and store one assembly's inputs through the type's gather and
-    allocate the global objects its scatter names. Returns the arena keys
-    and the parameter seeds."""
-    _, gather, scatter = _SPECIALIZATIONS[ev_type.tag]
-    state.x = state.v = state.Xp = None
-    if x is not None:
-        inputs["x"] = x
-    keys, seeds = gather.bind(state, **inputs)
-    state.targets = _zeros(scatter.targets, state.system, **keys)
-    return keys, seeds
-
-
-def _zeros(names, system, deriv_width=None, basis=None, samples=None):
-    """Zeroed global objects by name: the residual ``f`` (one row per
-    sample), tangent columns ``fp``, spectral residual ``F`` and the CSR data
-    ``jac`` and ``jac_blocks`` (one column per chaos coefficient)."""
-    n, nnz = system.num_dofs, system.nnz
-    size = None if basis is None else basis.size
-    shapes = {"f": (n,) if samples is None else (samples, n),
-              "fp": (n, deriv_width), "F": (n, size),
-              "jac": (nnz,), "jac_blocks": (nnz, size)}
-    return {name: np.zeros(shapes[name]) for name in names}
-
-
-@dataclass
-class AssemblyOutputs:
-    """Per-type results; the residual value component is always filled."""
-
-    residual: np.ndarray = None    # (samples, num_dofs) for the ensemble type
-    jacobian: object = None        # scipy CSR
-    tangent: np.ndarray = None     # (num_dofs, n_params)
-    directional: np.ndarray = None
-    sg_residual: np.ndarray = None # (n_coeffs, num_dofs)
-    sg_jacobian: list = None       # one CSR per coefficient
-
-
-class DirichletRows:
-    """Dofs and values of the Dirichlet conditions, with the CSR data
-    positions of their rows and diagonals found once per model."""
-
-    def __init__(self, system, dofs, values):
-        self.dofs = dofs
-        self.values = values
-        self.entries = system.row_entry_indices(dofs)
-        self.diag = system.diagonal[dofs]
-
-
-def finish(state, dirichlet):
-    """Replace the Dirichlet rows of whichever global objects the scatter
-    filled (f <- x - g, J rows <- identity) and return them as outputs."""
-    targets, state.targets = state.targets, {}
-    d, g = dirichlet.dofs, dirichlet.values
-    out = AssemblyOutputs()
-    if "F" in targets:
-        F = targets["F"]
-        F[d, :] = state.x[:, d].T
-        F[d, 0] -= g
-        out.residual = F[:, 0].copy()
-        out.sg_residual = np.ascontiguousarray(F.T)
-    else:
-        out.residual = targets["f"]
-        out.residual[..., d] = state.x[..., d] - g
-    if "fp" in targets:
-        fp = targets["fp"]
-        if state.v is not None:
-            fp[d, 0] = state.v[d]
-            out.directional = fp[:, 0].copy()
-        else:
-            fp[d, :] = 0.0
-            out.tangent = fp
-    if "jac" in targets:
-        jac = targets["jac"]
-        jac[dirichlet.entries] = 0.0
-        jac[dirichlet.diag] = 1.0
-        out.jacobian = state.system.matrix_from_data(jac)
-    if "jac_blocks" in targets:
-        blocks = targets["jac_blocks"]
-        blocks[dirichlet.entries, :] = 0.0
-        blocks[dirichlet.diag, 0] = 1.0
-        out.sg_jacobian = [state.system.matrix_from_data(blocks[:, k].copy())
-                           for k in range(blocks.shape[1])]
-    return out

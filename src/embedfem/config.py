@@ -15,9 +15,9 @@ import numpy as np
 from numpy.polynomial import Legendre
 
 from .analysis import NewtonConfig
-from .mesh import GeometryParams, Resolution, build_slider_mesh
+from .mesh import GeometryParams, MeshError, Resolution, build_slider_mesh
 from .model import ThermoElectricModel
-from .morphing import SHAPE_PARAMETERS
+from .morphing import SHAPE_PARAMETERS, morph
 from .physics import DemoMaterials, ParameterError, default_materials
 from . import scalars as sc
 
@@ -352,10 +352,19 @@ def build_model(cfg, sg_basis=None):
         raise ConfigError(f"continuation parameter {c.parameter!r} is neither "
                           "'deflection' nor a registered parameter")
     sweeps = cfg.run.mode == "continuation"
-    morphs = cfg.run.mode == "optimize" or (
-        sweeps and c.parameter == "deflection")
-    if morphs and mesh.node_sets["slider_interior"].size == 0:
-        raise ConfigError("mesh has no slider region to morph")
+    shapes = []   # the first and last shapes a run morphs to
+    if cfg.run.mode == "optimize":   # the optimizer projects its start
+        o = cfg.optimize
+        shapes = [np.clip(o.p0, o.lower, o.upper)]
+    elif sweeps and c.parameter == "deflection":
+        shapes = [[c.start], [c.stop]]
+    for p in shapes:   # without a slider, morph raises a MorphError
+        try:
+            morph(mesh, p)
+        except MeshError as err:
+            raise ConfigError(f"[{cfg.run.mode}] shape parameters "
+                              f"{', '.join(f'{v:g}' for v in p)} give no "
+                              f"valid mesh: {err}") from None
     if sweeps and c.parameter == "PadSigma0" and not min(c.start, c.stop) > 0:
         raise ConfigError(f"continuation of PadSigma0 reaches "
                           f"{min(c.start, c.stop):g}; a conductivity must be "

@@ -57,10 +57,8 @@ class EvaluationType:
     closed enumeration. A new type needs a storage kind in
     ``fields.make_storage``, a constant here and one row of
     ``assembly._SPECIALIZATIONS``, whose gather gives the arena keys and
-    whose scatter names the global objects it adds into. A global object
-    with a new name also needs its shape in ``assembly._zeros`` and its
-    Dirichlet rows in ``assembly.finish``. The assembly loop does not test
-    which type it runs.
+    whose scatter allocates, fills and finishes the global objects it owns.
+    The assembly loop does not test which type it runs.
     """
 
     tag: str

@@ -6,13 +6,14 @@ around those shared kernels.
 
 ``ThermoElectricModel.assemble`` realizes one loop for every evaluation type
 
-    bind inputs, allocate globals; promote parameters;
-    for each workset in element order: gather -> kernels -> scatter; finish
+    gather.bind; library.push; scatter.start;
+    for each workset in element order: gather -> kernels -> scatter;
+    scatter.finish
 
-without testing which type it runs: the type's gather specialization checks
-and binds its inputs and names the seeds from which the library promotes the
-parameters once, its scatter adds each workset's rows straight into the
-global objects, and ``assembly.finish`` applies Dirichlet conditions by row
+without testing which type it runs: the type's solution gather checks and
+binds its inputs and names the seeds from which the library promotes the
+parameters once; its scatter allocates the global objects it fills, adds each
+workset's rows straight into them and finishes them by Dirichlet row
 replacement (row <- e_i, f <- x - g), which keeps the sparse pattern static
 and is transparent to every embedded derivative.
 ``ThermoElectricModel.residuals`` runs the same loop once for a whole block of
@@ -27,8 +28,7 @@ import numpy as np
 
 from .analysis import LUOrder, sparse_lu
 from .assembly import (AssemblyState, ConnectivityMap, DirichletRows,
-                       GlobalSystem, bind, build_worksets, finish,
-                       specializations)
+                       GlobalSystem, build_worksets, specializations)
 from .discretization import (ElementGeometryEvaluator, SolutionAtQPEvaluator,
                              bilinear_basis)
 from .graph import (ENSEMBLE_RESIDUAL, EVALUATION_TYPES, JACOBIAN, RESIDUAL,
@@ -61,6 +61,7 @@ class ThermoElectricModel:
         self.state = AssemblyState(self.system, mesh.coords.copy(), sg_basis)
         self.base_coords = mesh.coords.copy()
         self.library = ParameterLibrary()
+        self._ends = {}   # each type's solution gather and scatter
 
         lib = self.library
         mats = ElementMaterials(materials, mesh.region_of)
@@ -75,9 +76,11 @@ class ThermoElectricModel:
         kernels += [PotentialResidualEvaluator(),
                     HeatResidualEvaluator(mats, with_joule=with_joule)]
 
+
         def evaluators(ev_type):
             coords, solution, scatter = specializations(ev_type, self.state,
                                                         UNKNOWNS)
+            self._ends[ev_type] = solution, scatter
             return [coords, geometry, solution, *kernels, scatter]
 
         self.graphs = instantiate_for_all_types(
@@ -168,8 +171,9 @@ class ThermoElectricModel:
 
     # -- assembly -------------------------------------------------------------
 
-    def assemble(self, ev_type, x=None, **inputs):
-        """Assemble one of the six ``EVALUATION_TYPES``; see ``_assemble``.
+    def assemble(self, ev_type, *args, **inputs):
+        """Assemble one of the six ``EVALUATION_TYPES`` from the inputs its
+        solution gather's ``bind`` takes; see ``_assemble``.
 
         The ensemble type has its own entry point, :meth:`residuals`.
         """
@@ -177,17 +181,18 @@ class ThermoElectricModel:
             raise ValueError(f"{ev_type.tag} is not one of the six analysis "
                              "types; ensemble residuals are assembled by "
                              "residuals()")
-        return self._assemble(ev_type, x, **inputs)
+        return self._assemble(ev_type, *args, **inputs)
 
-    def _assemble(self, ev_type, x=None, **inputs):
-        """Bind the inputs through the type's gather, promote the parameters
-        once, run the graph on every workset in element order and finish."""
-        keys, seeds = bind(ev_type, self.state, x, **inputs)
+    def _assemble(self, ev_type, *args, **inputs):
+        """One pass of the module docstring's loop for ``ev_type``."""
+        gather, scatter = self._ends[ev_type]
+        keys, seeds = gather.bind(*args, **inputs)
         self.library.push(**seeds)
+        scatter.start(**keys)
         graph = self.graphs[ev_type]
         for ws in self.worksets:
             graph.execute(WorksetContext(ws, graph.arena_for(ws.size, **keys)))
-        return finish(self.state, self.dirichlet)
+        return scatter.finish(self.dirichlet)
 
     # -- convenience wrappers ---------------------------------------------------
 

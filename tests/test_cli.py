@@ -1,11 +1,18 @@
 """CLI exit codes, artifacts, determinism, and config parsing."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from embedfem.analysis import NewtonConfig
 from embedfem.cli import main
@@ -331,6 +338,8 @@ nisp_order = 3
 @pytest.mark.parametrize("config, overrides, message", [
     ("demo.ini", ["solver.max_iters=0"], "[solver] max_iters must be >= 1"),
     ("demo.ini", ["solver.max_iters=-1"], "[solver] max_iters must be >= 1"),
+    ("demo.ini", ["solver.dense_dof_limit=-1"],
+     "[solver] dense_dof_limit must be >= 0, got -1"),
     ("optimize.ini", ["optimize.lower=0.3", "optimize.upper=-0.3"],
      "[optimize] lower (0.3) must be below upper (-0.3)"),
     ("optimize.ini", ["optimize.max_iters=0"],
@@ -373,14 +382,25 @@ nisp_order = 3
                           "continuation.start=10", "continuation.stop=-5",
                           "continuation.steps=4"],
      "continuation of PadSigma0 reaches -5; a conductivity must be positive"),
-], ids=["solver-max-iters", "solver-negative-iters", "optimize-bounds",
+    # a first or last shape that gives no valid mesh, also checked by
+    # build_model: a deflection of 1e300 rounds the slider's rows together
+    ("continuation.ini", ["continuation.start=1e300"],
+     "[continuation] shape parameters 1e+300 give no valid mesh: "
+     "non-positive mapping determinant"),
+    ("optimize.ini", ["optimize.upper=inf", "optimize.start=1e300"],
+     "[optimize] shape parameters 1e+300 give no valid mesh: "
+     "non-positive mapping determinant"),
+], ids=["solver-max-iters", "solver-negative-iters",
+        "solver-negative-dense-limit", "optimize-bounds",
         "optimize-max-iters", "optimize-tol", "optimize-nan-bound",
         "solver-nan-tol", "optimize-start-text", "optimize-start-nan",
         "optimize-three-starts", "optimize-parameters-key",
         "continuation-nan-start", "continuation-inf-stop",
         "continuation-shape-name", "continuation-unknown-name",
         "uq-unknown-name", "unknown-parameter", "continuation-no-slider",
-        "optimize-no-slider", "continuation-pad-sigma0-to-zero"])
+        "optimize-no-slider", "continuation-pad-sigma0-to-zero",
+        "continuation-deflection-without-a-mesh",
+        "optimize-start-without-a-mesh"])
 def test_settings_that_cannot_run_exit_two(tmp_path, capsys, config,
                                            overrides, message):
     # every one fails before the output directory is made
@@ -475,6 +495,13 @@ def test_infinite_optimize_bounds_still_run(tmp_path, bound):
     assert code == 0 and (out / "summary.json").exists()
 
 
+def test_optimize_start_outside_the_bounds_is_projected(tmp_path):
+    # the optimizer starts from the projected start, whose mesh is valid
+    code, out = run_cli(tmp_path, (CONFIGS / "optimize.ini").read_text(),
+                        ["optimize.start=1e300", "optimize.max_iters=1"])
+    assert code == 0 and (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("expansion", ["nan", "0.0, inf"])
 def test_non_finite_expansion_of_any_parameter_exits_two(tmp_path, capsys,
                                                          expansion):
@@ -505,3 +532,82 @@ def test_bad_quad_order_is_named_in_the_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert ("config error: geometry.quad_order must be 1, 2, or 3, got 5"
             in err and "Traceback" not in err)
+
+
+# ---------------------------------------------------------------------------
+# the clean-failure contract as a property over config values
+# ---------------------------------------------------------------------------
+
+#: the 8x8 strip, on which every mode runs in a fraction of a second
+STRIP8 = ["geometry.nx_conductor=4", "geometry.nx_pad=1",
+          "geometry.nx_slider=3", "geometry.ny=8"]
+
+#: per shipped config, overrides that keep its run short; drawn overrides
+#: come after them and may replace them
+_SHORT = {"demo.ini": [], "continuation.ini": ["continuation.steps=3"],
+          "optimize.ini": ["optimize.max_iters=2"], "uq.ini": ["uq.degree=2"],
+          "verify.ini": ["uq.degree=2"]}
+
+_EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -1.0, 1e300)
+
+
+def _float(low, high):
+    """A float of the key's range, or a non-finite or out-of-range one."""
+    return st.one_of(st.floats(low, high), st.sampled_from(_EDGE_FLOATS))
+
+
+def _int(low, high):
+    return st.one_of(st.integers(low, high), st.integers(-2, low - 1),
+                     st.integers(high + 1, high + 2))
+
+
+def _float_list(low, high, sizes):
+    return st.lists(_float(low, high), min_size=sizes[0],
+                    max_size=sizes[1]).map(lambda v: ", ".join(map(repr, v)))
+
+
+#: every key of [solver], [continuation], [optimize] and [uq] with values of
+#: its type: in its documented range (steps <= 3, max_iters <= 2, degree
+#: <= 2), at its edges, non-finite, or a registered name or not
+_OVERRIDES = {
+    "solver.abs_tol": _float(1e-14, 1e-6),
+    "solver.rel_tol": _float(1e-14, 1e-6),
+    "solver.max_iters": _int(1, 30),
+    "solver.dense_dof_limit": _int(0, 400),
+    "continuation.parameter": st.sampled_from(
+        ["deflection", "Alpha", "Beta", "PadSigma0", "Gamma"]),
+    "continuation.start": _float(-0.3, 0.3),
+    "continuation.stop": _float(-0.3, 0.3),
+    "continuation.steps": _int(1, 3),
+    "optimize.start": _float_list(-0.3, 0.3, (0, 3)),
+    "optimize.lower": _float(-0.3, 0.0),
+    "optimize.upper": _float(0.0, 0.3),
+    "optimize.tol": _float(1e-8, 1e-2),
+    "optimize.max_iters": _int(1, 2),
+    "uq.parameter": st.sampled_from(["PadSigma0", "Alpha", "Beta", "Bogus"]),
+    "uq.expansion": _float_list(-20.0, 50.0, (1, 4)),
+    "uq.degree": _int(0, 2),
+    "uq.nisp_order": _int(1, 4),
+}
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(config=st.sampled_from(sorted(_SHORT)), data=st.data())
+def test_any_config_value_exits_cleanly(config, data):
+    keys = data.draw(st.lists(st.sampled_from(sorted(_OVERRIDES)), unique=True,
+                              max_size=4), label="keys")
+    overrides = [f"{key}={data.draw(_OVERRIDES[key], label=key)}"
+                 for key in keys]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        argv = ["run", str(CONFIGS / config), f"run.output_dir={out}",
+                *STRIP8, *_SHORT[config], *overrides]
+        err = io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stderr(err),
+              contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("ignore")   # the 8x8 strip's Peclet warning
+            code = main(argv)
+        assert code in (0, 1, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert not out.exists(), err.getvalue()

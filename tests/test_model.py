@@ -1,5 +1,6 @@
 """Assembly-level invariants: single-source values, partitioning, ensembles."""
 
+import copy
 import itertools
 
 import numpy as np
@@ -420,6 +421,83 @@ def test_type_without_a_specialization_row_raises_its_tag(monkeypatch):
                         gr.EVALUATION_TYPES + (hessian,))
     with pytest.raises(KeyError, match="Hessian"):
         demo_model()
+
+
+class _ScatterDoubled(assembly.ScatterResidual):
+    """A test scatter that owns one more global object: twice the residual
+    rows, with Dirichlet rows of its own (zero)."""
+
+    def start(self, **keys):
+        super().start(**keys)
+        self.doubled = np.zeros(self.conn.num_global_dofs)
+
+    def evaluate(self, ctx):
+        super().evaluate(ctx)
+        self._add_at_dofs(ctx, self.doubled, lambda data: 2.0 * data)
+
+    def finish(self, dirichlet):
+        doubled, self.doubled = self.doubled, None
+        doubled[dirichlet.dofs] = 0.0
+        out = super().finish(dirichlet)
+        out.doubled = doubled
+        return out
+
+
+@pytest.mark.parametrize("workset_size", [0, 7])
+def test_a_new_type_needs_only_its_row(monkeypatch, workset_size):
+    # a constant and one row of gathers and a scatter: the scatter allocates,
+    # fills and finishes its own global object with no other edit
+    doubled = gr.EvaluationType("Doubled", "real", "real")
+    monkeypatch.setattr("embedfem.model.EVALUATION_TYPES",
+                        gr.EVALUATION_TYPES + (doubled,))
+    monkeypatch.setitem(assembly._SPECIALIZATIONS, doubled.tag,
+                        (assembly.GatherCoordinates, assembly.GatherSolution,
+                         _ScatterDoubled))
+    model = demo_model(workset_size=workset_size)
+    x = random_state(model, seed=20)
+    out = model.assemble(doubled, x)
+    assert _bitwise(out.residual, model.residual(x))
+    off = np.ones(model.num_dofs, dtype=bool)
+    off[model.dirichlet.dofs] = False
+    assert _bitwise(out.doubled[off], 2.0 * out.residual[off])
+    assert np.all(out.doubled[~off] == 0.0)
+
+
+def test_outputs_belong_to_the_caller():
+    # each scatter allocates fresh global objects and lets go of them when
+    # it finishes: what one call returned stays bitwise unchanged through
+    # every later assembly of every type, failing ones included, and no
+    # scatter keeps an array alive once its assembly is done
+    model = demo_model(sg_basis=BASIS, workset_size=33)
+    x = random_state(model, seed=19)
+    bad = model.initial_guess()
+    bad[model.conn.dof[130, :, 1]] = -5.5
+    scatters = [graph.schedule[-1] for graph in model.graphs.values()]
+    kept = []
+
+    def assert_kept():
+        for tag, output, snapshot in kept:
+            assert _bitwise(output, snapshot), tag
+
+    def assert_no_scatter_holds_an_array():
+        held = [(type(s).__name__, name) for s in scatters
+                for name, value in vars(s).items()
+                if isinstance(value, np.ndarray)]
+        assert held == []
+
+    for tag, call in _assemblies(model, x).items():
+        output = call()
+        assert_no_scatter_holds_an_array()
+        assert_kept()
+        kept.append((tag, output, copy.deepcopy(output)))
+    for tag, call in _assemblies(model, bad).items():
+        with pytest.raises(NonPhysicalStateError):
+            call()
+        assert_kept()
+    for call in _assemblies(model, x).values():
+        call()
+        assert_kept()
+    assert_no_scatter_holds_an_array()
 
 
 def _assemblies(model, x):
