@@ -60,7 +60,8 @@ def main():
                     ["iteration"] + [f"p{k}" for k in range(n_params)] + ["objective"],
                     [(i, *p, g) for i, (p, g) in enumerate(result.history)])
     print(f"optimizer: p* = {np.round(result.p, 6).tolist()}, "
-          f"g* = {result.value:.6f} after {result.iterations} iterations")
+          f"g* = {result.value:.6f} after {result.iterations} iterations "
+          f"({result.reason})")
     if n_params == 2:
         area = slider_area(morph(base, result.p))
         print(f"slider area at the optimum: {area:.12f} "
@@ -72,6 +73,7 @@ def main():
         "p_star": result.p,
         "objective_star": result.value,
         "optimizer_iterations": result.iterations,
+        "optimizer_termination": result.reason,
     })
 
 

@@ -1,14 +1,14 @@
 """Solver and analysis drivers consuming the assembled quantities.
 
 Newton with the embedded-derivative Jacobian, natural parameter continuation,
-forward-sensitivity reduced gradients, projected-BFGS bound optimization, the
-intrusive spectral Newton solve, and the non-intrusive spectral projection
-oracle used to verify it.
+forward-sensitivity reduced gradients, bound-constrained optimization by
+SciPy's L-BFGS-B, the intrusive spectral Newton solve, and the non-intrusive
+spectral projection oracle used to verify it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -328,72 +328,50 @@ class OptimizeResult:
     value: float
     iterations: int
     converged: bool
-    history: list = field(default_factory=list)
-
-
-def _project(p, lower, upper):
-    return np.minimum(np.maximum(p, lower), upper)
-
-
-#: sufficient-decrease factor, step shrink and backtrack limit of the
-#: optimizer's Armijo line search
-_ARMIJO = 1e-4
-_SHRINK = 0.5
-_MAX_BACKTRACKS = 25
+    history: list    # (p, g) at the start and at each accepted iterate
+    reason: str      # why the run stopped
 
 
 def optimize(func, p0, bounds, tol=1e-6, max_iters=50):
-    """Projected-gradient BFGS with a backtracking Armijo line search.
+    """SciPy's L-BFGS-B (Byrd, Lu, Nocedal & Zhu 1995) on ``func(p) -> (g,
+    dg/dp)`` from ``p0`` clipped to ``bounds`` = (lower, upper): ``tol`` is
+    its projected-gradient tolerance, the rest are SciPy's defaults.
 
-    ``func(p) -> (g, dg/dp)``; ``bounds`` is (lower, upper) arrays. Stops when
-    the projected gradient norm falls below ``tol`` or the step shrinks under
-    1e-8. Steps are only accepted when they decrease the objective; on an
-    inner failure the best point so far is returned with ``converged=False``.
+    ``converged`` is SciPy's success, met by the gradient test or by the
+    relative decrease of g, and ``reason`` is its message, which names the
+    test that stopped the run. A ``SolveFailure`` at the start raises.
+    L-BFGS-B cannot take one at a trial point, so that ends the run at the
+    last accepted iterate, with a ``reason`` that names the failed p.
     """
-    lower, upper = (np.asarray(b, dtype=float) for b in bounds)
-    p = _project(np.asarray(p0, dtype=float).copy(), lower, upper)
+    from scipy.optimize import minimize   # 17 MB that only optimize needs
+    history = []
+
+    def objective(p):
+        try:
+            g, grad = func(p)
+        except SolveFailure as err:
+            where = f"p = {p.tolist()}" if history else "start"
+            raise SolveFailure(f"objective evaluation failed at {where}: "
+                               f"{err}") from err
+        if not history:
+            history.append((p.copy(), g))
+        return g, grad
+
+    def accept(intermediate_result):
+        history.append((intermediate_result.x.copy(), intermediate_result.fun))
+
     try:
-        g, grad = func(p)
+        result = minimize(objective, np.clip(p0, *bounds), jac=True,
+                          method="L-BFGS-B", bounds=list(zip(*bounds)),
+                          callback=accept,
+                          options=dict(gtol=tol, maxiter=max_iters))
+        converged, reason = result.success, result.message
     except SolveFailure as err:
-        raise SolveFailure(f"objective evaluation failed at start: {err}")
-    history = [(p.copy(), g)]
-    hess_inv = np.eye(p.size)
-    for it in range(1, max_iters + 1):
-        projected = p - _project(p - grad, lower, upper)
-        if np.linalg.norm(projected, ord=np.inf) <= tol:
-            return OptimizeResult(p, g, it - 1, True, history)
-        direction = -hess_inv @ grad
-        if np.dot(direction, grad) >= 0.0:
-            direction = -grad
-        alpha = 1.0
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            candidate = _project(p + alpha * direction, lower, upper)
-            step = candidate - p
-            if np.linalg.norm(step, ord=np.inf) < 1e-8:
-                break
-            try:
-                g_new, grad_new = func(candidate)
-            except SolveFailure:
-                alpha *= _SHRINK
-                continue
-            if g_new <= g + _ARMIJO * np.dot(grad, step):
-                accepted = True
-                break
-            alpha *= _SHRINK
-        if not accepted:
-            return OptimizeResult(p, g, it, False, history)
-        s = candidate - p
-        y = grad_new - grad
-        sy = float(np.dot(s, y))
-        if sy > 1e-12 * np.linalg.norm(s) * np.linalg.norm(y):
-            rho = 1.0 / sy
-            eye = np.eye(p.size)
-            hess_inv = (eye - rho * np.outer(s, y)) @ hess_inv @ \
-                       (eye - rho * np.outer(y, s)) + rho * np.outer(s, s)
-        p, g, grad = candidate, g_new, grad_new
-        history.append((p.copy(), g))
-    return OptimizeResult(p, g, max_iters, False, history)
+        if not history:
+            raise
+        converged, reason = False, str(err)
+    return OptimizeResult(*history[-1], len(history) - 1, converged, history,
+                          reason)
 
 
 # ---------------------------------------------------------------------------

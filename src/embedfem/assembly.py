@@ -395,6 +395,12 @@ class ScatterResidual(_Specialized):
     def start(self, **keys):
         self.f = np.zeros(self.conn.num_global_dofs)
 
+    def release(self):
+        """Drop what ``start`` allocated when an assembly fails: its arrays."""
+        for name, value in tuple(vars(self).items()):
+            if isinstance(value, np.ndarray):
+                setattr(self, name, None)
+
     def _local(self, ctx, part, trailing):
         """Element-local block (n_ws, n_nodes, n_eq, *trailing) of one part
         of the residual storage, e.g. its values or its partials."""

@@ -163,6 +163,7 @@ def _run_optimize(cfg, model, out_dir):
         "objective_star": result.value,
         "optimizer_iterations": result.iterations,
         "optimizer_converged": bool(result.converged),
+        "optimizer_termination": result.reason,
     })
     write_summary(out_dir / "summary.json", summary)
     return 0

@@ -78,7 +78,7 @@ class ContinuationSection:
 
 @dataclass
 class OptimizeSection:
-    """Projected-BFGS shape optimization; start: deflection or top, bottom."""
+    """L-BFGS-B shape optimization; start: deflection or top, bottom."""
 
     start: str = "0.15"
     lower: float = -0.3
@@ -353,7 +353,7 @@ def build_model(cfg, sg_basis=None):
                           "'deflection' nor a registered parameter")
     sweeps = cfg.run.mode == "continuation"
     shapes = []   # the first and last shapes a run morphs to
-    if cfg.run.mode == "optimize":   # the optimizer projects its start
+    if cfg.run.mode == "optimize":   # the optimizer clips its start
         o = cfg.optimize
         shapes = [np.clip(o.p0, o.lower, o.upper)]
     elif sweeps and c.parameter == "deflection":

@@ -190,8 +190,12 @@ class ThermoElectricModel:
         self.library.push(**seeds)
         scatter.start(**keys)
         graph = self.graphs[ev_type]
-        for ws in self.worksets:
-            graph.execute(WorksetContext(ws, graph.arena_for(ws.size, **keys)))
+        try:
+            for ws in self.worksets:
+                graph.execute(WorksetContext(ws, graph.arena_for(ws.size, **keys)))
+        except BaseException:
+            scatter.release()
+            raise
         return scatter.finish(self.dirichlet)
 
     # -- convenience wrappers ---------------------------------------------------

@@ -549,6 +549,34 @@ def test_optimize_never_accepts_an_increase():
     assert np.allclose(result.p, [1.0, 1.0], atol=1e-4)
 
 
+def test_optimize_failure_at_the_start_raises():
+    def unsolvable(p):
+        raise SolveFailure("Newton did not converge")
+
+    with pytest.raises(SolveFailure, match="^objective evaluation failed at "
+                                           "start: Newton did not converge$"):
+        optimize(unsolvable, [0.0], ([-1.0], [2.0]), tol=1e-8)
+
+
+def test_optimize_failure_at_a_trial_point_keeps_the_best_point():
+    # g = (p - 1)^2 / 4 from 0: the first step reaches 0.5 and the second
+    # aims at the minimizer 1, past the last p whose solve succeeds
+    def fails_past_three_quarters(p):
+        if p[0] > 0.75:
+            raise SolveFailure("Newton did not converge")
+        return 0.25 * float(p[0] - 1.0) ** 2, np.array([0.5 * (p[0] - 1.0)])
+
+    result = optimize(fails_past_three_quarters, [0.0], ([-1.0], [2.0]),
+                      tol=1e-8)
+    assert not result.converged
+    assert result.reason == ("objective evaluation failed at p = [1.0]: "
+                             "Newton did not converge")
+    assert [(p.tolist(), g) for p, g in result.history] == [([0.0], 0.25),
+                                                            ([0.5], 0.0625)]
+    assert result.p.tolist() == [0.5] and result.value == 0.0625
+    assert result.iterations == 1
+
+
 # ---------------------------------------------------------------------------
 # continuation
 # ---------------------------------------------------------------------------

@@ -611,3 +611,8 @@ def test_any_config_value_exits_cleanly(config, data):
         assert "Traceback" not in err.getvalue()
         if code == 2:
             assert not out.exists(), err.getvalue()
+        if code == 0:   # a run that did not converge says why it stopped
+            summary = json.loads((out / "summary.json").read_text())
+            if summary.get("optimizer_converged") is False:
+                assert isinstance(summary["optimizer_termination"], str)
+                assert summary["optimizer_termination"]

@@ -493,6 +493,7 @@ def test_outputs_belong_to_the_caller():
     for tag, call in _assemblies(model, bad).items():
         with pytest.raises(NonPhysicalStateError):
             call()
+        assert_no_scatter_holds_an_array()
         assert_kept()
     for call in _assemblies(model, x).values():
         call()
