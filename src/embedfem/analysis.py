@@ -52,12 +52,12 @@ class NewtonConfig:
 #: GMRES settings of the ILU(0) branch of ``_linear_solve``
 _GMRES = dict(rtol=1e-10, atol=0.0, restart=80, maxiter=400)
 
-#: The SG Jacobian is exact only in deterministic directions, so SG Newton
-#: converges linearly however fresh its Jacobian is. ``sg_newton_solve`` is
-#: therefore a chord iteration (Shamanskii; Kelley 2003, ch. 5): it keeps one
-#: SG Jacobian and its mean-block factor, and re-assembles them only after a
-#: step that cuts ||F|| by less than this factor.
-_SG_REFRESH = 0.05
+#: A kept factor or SG Jacobian is refreshed only after a Newton step that
+#: cuts ||f|| by less than this factor, and a refinement sweep that cuts its
+#: residual by less abandons its factor (Shamanskii; Kelley 2003, ch. 5). SG
+#: Newton, whose SG Jacobian is exact only in deterministic directions, is
+#: thus a chord iteration that keeps one SG Jacobian and its mean-block LU.
+_REFRESH = 0.05
 
 #: Forcing terms of the SG GMRES, its relative tolerances (Eisenstat &
 #: Walker 1996, choice 2): eta = gamma (||F_k|| / ||F_k-1||)^alpha, at most
@@ -74,6 +74,9 @@ class NewtonResult:
     iterations: int
     converged: bool
     jacobian: object    # the Jacobian at x
+    factor: object = None     # the last LU's solve; None on the ILU branch
+    factorizations: int = 0   # LUs made
+    refinement_sweeps: int = 0   # solves with a kept factor
 
 
 #: SuperLU's diagonal pivot threshold in ``sparse_lu``: the diagonal entry
@@ -142,24 +145,52 @@ def sparse_lu(matrix, order=None, label="LU factorization"):
     return solve
 
 
-def _linear_solve(jacobian, rhs, config, order=None):
-    """Solve ``jacobian @ x = rhs`` for one vector or an (n, k) block.
+def _refine(jacobian, rhs, solve, tol):
+    """For each column b of ``rhs``: x = solve(b), then x += solve(b -
+    jacobian @ x) until ||b - jacobian @ x|| <= tol ||b||. Returns (x,
+    sweeps), x None once a sweep cuts a residual by less than 1 / _REFRESH."""
+    columns, sweeps = [], 0
+    for b in np.reshape(rhs, (len(rhs), -1)).T:
+        x, r, norm = 0.0, b, np.linalg.norm(b)
+        target = tol * norm
+        while True:
+            x, sweeps = x + solve(r), sweeps + 1
+            r = b - jacobian @ x
+            res = np.linalg.norm(r)
+            if res <= target:
+                break
+            if not res <= _REFRESH * norm:   # a NaN residual abandons too
+                return None, sweeps
+            norm = res
+        columns.append(x)
+    return np.column_stack(columns).reshape(np.shape(rhs)), sweeps
 
-    At or below ``dense_dof_limit`` unknowns one sparse LU factorization
-    (:func:`sparse_lu`, in ``order`` if given) solves every right-hand side;
-    above it, ILU(0)-preconditioned GMRES solves them column by column. A
-    factorization that breaks down raises FactorizationFailure with
-    SuperLU's message.
+
+def _linear_solve(jacobian, rhs, config, order=None, factor=None):
+    """Solve ``jacobian @ x = rhs`` for one vector or an (n, k) block;
+    returns ``(x, factor, sweeps)``.
+
+    A kept ``factor`` of a nearby matrix (a :func:`sparse_lu` solve) is
+    refined with to ``rel_tol`` in ``sweeps`` solves. Without one, or once it
+    stalls, at or below ``dense_dof_limit`` unknowns one sparse LU (in
+    ``order`` if given) solves every column and is the factor returned;
+    above it, ILU(0)-preconditioned GMRES solves column by column and None
+    is. A factorization that breaks down raises FactorizationFailure.
     """
+    x, sweeps = (None, 0) if factor is None else _refine(
+        jacobian, rhs, factor, config.rel_tol)
+    if x is not None:
+        return x, factor, sweeps
     n = jacobian.shape[0]
     if n <= config.dense_dof_limit:
-        return sparse_lu(jacobian, order)(rhs)
+        factor = sparse_lu(jacobian, order)
+        return factor(rhs), factor, sweeps
     try:
-        factor = spla.spilu(jacobian.tocsc(), drop_tol=0.0, fill_factor=1.0)
+        ilu = spla.spilu(jacobian.tocsc(), drop_tol=0.0, fill_factor=1.0)
     except RuntimeError as err:
         raise FactorizationFailure(
             f"ILU factorization failed: {str(err).strip()}") from err
-    precond = spla.LinearOperator((n, n), factor.solve)
+    precond = spla.LinearOperator((n, n), ilu.solve)
 
     def gmres(b):
         sol, info = spla.gmres(jacobian, b, M=precond, **_GMRES)
@@ -168,11 +199,11 @@ def _linear_solve(jacobian, rhs, config, order=None):
         return sol
 
     if rhs.ndim == 1:
-        return gmres(rhs)
-    return np.column_stack([gmres(b) for b in rhs.T])
+        return gmres(rhs), None, sweeps
+    return np.column_stack([gmres(b) for b in rhs.T]), None, sweeps
 
 
-def newton_solve(model, config=None, x0=None):
+def newton_solve(model, config=None, x0=None, factor=None):
     """Newton on f(x) = 0 with the embedded-derivative Jacobian.
 
     Steps are damped by a backtracking line search on ||f||, which guards the
@@ -182,9 +213,11 @@ def newton_solve(model, config=None, x0=None):
     full step's trial assembles the Jacobian, whose residual is bitwise the
     plain residual, so an accepted full step already holds the next
     iteration's (f, J); damped trials assemble the residual alone, and the
-    Jacobian follows at the accepted point. Steps are solved in the model's
-    ``lu_order`` when it has one. Converges when ||f|| <= abs_tol or
-    ||f|| <= rel_tol * ||f(x0)||; the result carries the Jacobian at its x.
+    Jacobian follows at the accepted point. The first step (unless given a
+    nearby solve's ``factor``) and each step after one that cut ||f|| by less
+    than ``_REFRESH`` factor J in the model's ``lu_order``; the others refine
+    with the kept factor. Converges when ||f|| <= abs_tol or ||f|| <= rel_tol
+    * ||f(x0)||; the result carries the Jacobian at its x and the factor.
     """
     config = config or NewtonConfig()
     if x0 is None:
@@ -197,9 +230,13 @@ def newton_solve(model, config=None, x0=None):
     norm = norm0 = float(np.linalg.norm(f))
     history = [norm]
     if norm <= config.abs_tol:
-        return NewtonResult(x, history, 0, True, jac)
+        return NewtonResult(x, history, 0, True, jac, factor)
+    refresh, factorizations, sweeps = False, 0, 0
     for it in range(1, config.max_iters + 1):
-        step = _linear_solve(jac, f, config, order)
+        kept = None if refresh else factor
+        step, factor, spent = _linear_solve(jac, f, config, order, kept)
+        factorizations += factor is not kept
+        sweeps += spent
         alpha = 1.0
         for _ in range(40):
             candidate = x - alpha * step
@@ -217,6 +254,7 @@ def newton_solve(model, config=None, x0=None):
         else:
             raise SolveFailure("Newton line search failed to find a decrease",
                                history)
+        refresh = new_norm > _REFRESH * norm
         x, norm = candidate, new_norm
         history.append(norm)
         if trial_jac is None:
@@ -224,7 +262,8 @@ def newton_solve(model, config=None, x0=None):
         else:
             f, jac = trial_f, trial_jac
         if norm <= config.abs_tol or norm <= config.rel_tol * norm0:
-            return NewtonResult(x, history, it, True, jac)
+            return NewtonResult(x, history, it, True, jac, factor,
+                                factorizations, sweeps)
     raise SolveFailure(f"Newton did not converge in {config.max_iters} iterations",
                        history)
 
@@ -260,7 +299,8 @@ _MAX_BISECTIONS = 4
 
 
 def continuation(model, setter, values, config=None):
-    """Natural continuation: previous solution predicts, Newton corrects.
+    """Natural continuation: the previous solution predicts, and Newton
+    corrects with the previous factor.
 
     ``setter(model, p)`` applies one parameter value p to the model (a
     library value or a shape morph); ``values`` is the uniform sweep, and
@@ -272,7 +312,7 @@ def continuation(model, setter, values, config=None):
     """
     config = config or NewtonConfig()
     table = []
-    x = None
+    x = factor = None
     current = None
     for target in values:
         start = current
@@ -281,7 +321,7 @@ def continuation(model, setter, values, config=None):
             p = queue[0]
             setter(model, p)
             try:
-                result = newton_solve(model, config, x0=x)
+                result = newton_solve(model, config, x0=x, factor=factor)
             except SolveFailure as err:
                 if (start is None or len(queue) > _MAX_BISECTIONS
                         or isinstance(err, FactorizationFailure)):
@@ -290,7 +330,7 @@ def continuation(model, setter, values, config=None):
                         f"{err}", history=[s.__dict__ for s in table]) from err
                 queue.insert(0, 0.5 * (start + p))
                 continue
-            x = result.x
+            x, factor = result.x, result.factor
             current = p
             start = p
             queue.pop(0)
@@ -305,20 +345,20 @@ def continuation(model, setter, values, config=None):
 # ---------------------------------------------------------------------------
 
 def reduced_gradient(jacobian, f_p, objective_gradient, config=None,
-                     order=None):
+                     order=None, factor=None):
     """dg/dp = -(dg/dx)^T J^{-1} f_p via the forward-sensitivity solves.
 
     ``f_p`` holds one column per parameter, ``objective_gradient`` the dense
-    dg/dx. One linear solve takes all columns, so the direct branch factors J
-    once (in ``order`` if given) however many parameters there are. The
-    explicit dg/dp term is zero for the shape problem (parameters never
-    appear in the objective directly).
+    dg/dx. One linear solve takes all columns, refined with a kept ``factor``
+    such as Newton's, or with one LU of J (in ``order``). The explicit dg/dp
+    term is zero for the shape problem (parameters never appear in the
+    objective directly).
     """
     config = config or NewtonConfig()
     f_p = np.atleast_2d(np.asarray(f_p, dtype=float))
     if f_p.shape[0] != jacobian.shape[0]:
         f_p = f_p.T
-    sens = _linear_solve(jacobian, f_p, config, order)
+    sens = _linear_solve(jacobian, f_p, config, order, factor)[0]
     return -(np.asarray(objective_gradient) @ sens)
 
 
@@ -432,15 +472,15 @@ def sg_newton_solve(model, uncertain, config=None):
     The mean block starts from the deterministic solve (hot start), which is
     the natural initial expansion and makes the zero-uncertainty case reduce
     to the deterministic solution immediately. The first step is mean-based
-    (Powell & Elman 2009): one LU of the hot start's Jacobian solves every
-    coefficient block of F(x0), and the first SG Jacobian, whose residual is
-    bitwise F, is assembled where it lands; a step that does not reduce ||F||
-    or lands on a non-physical state is discarded. The SG Jacobian, its block
-    operator and the mean-block factor are kept across steps and re-assembled
-    at the current state only when the last step cut ||F|| by less than
-    ``_SG_REFRESH``; each GMRES solve stops at its forcing term. Convergence
-    is judged on the SG residual: ||F|| <= abs_tol or ||F|| <= rel_tol *
-    ||F(x0)||; ``iterations`` counts the mean-based step.
+    (Powell & Elman 2009): the hot start's Jacobian, refined with its factor,
+    solves every coefficient block of F(x0), and the first SG Jacobian, whose
+    residual is bitwise F, is assembled where it lands; a step that does not
+    reduce ||F|| or lands on a non-physical state is discarded. The SG
+    Jacobian, its block operator and the mean-block factor are kept across
+    steps and re-assembled at the current state only when the last step cut
+    ||F|| by less than ``_REFRESH``; each GMRES solve stops at its forcing
+    term. Convergence is judged on the SG residual: ||F|| <= abs_tol or
+    ||F|| <= rel_tol * ||F(x0)||; ``iterations`` counts the mean-based step.
     """
     config = config or NewtonConfig()
     basis = model.sg_basis
@@ -465,9 +505,9 @@ def sg_newton_solve(model, uncertain, config=None):
     if norm0 <= config.abs_tol:
         return SGResult(x_block, history, 0, True)
     stop = max(config.abs_tol, config.rel_tol * norm0)
-    trial = x_block - sparse_lu(hot.jacobian, model.lu_order,
-                                "LU factorization of the mean Jacobian")(f.T).T
-    del hot   # the factor went with the expression; the Jacobian goes too
+    trial = x_block - _linear_solve(hot.jacobian, f.T, config, model.lu_order,
+                                    hot.factor)[0].T
+    del hot   # its factor and Jacobian go before the SG Jacobian comes
     try:
         trial_f, blocks = model.sg_jacobian(trial, uncertain)
         new_norm = float(np.linalg.norm(trial_f))
@@ -502,7 +542,7 @@ def sg_newton_solve(model, uncertain, config=None):
         if new_norm <= stop:
             return SGResult(x_block, history, it, True)
         rate, norm = new_norm / norm, new_norm
-        refresh = rate > _SG_REFRESH
+        refresh = rate > _REFRESH
         if refresh:   # the old system goes before the new one is assembled
             blocks = system = operator = precond = None
             f, blocks = model.sg_jacobian(x_block, uncertain)
@@ -515,10 +555,10 @@ def shape_objective_gradient(model, params, config=None):
     """Objective and reduced gradient of the shape problem at one design.
 
     Morphs the base mesh, solves, and evaluates dg/dp = -(dg/dx)^T J^{-1} f_p
-    with J the Jacobian that Newton returns at its solution and f_p from the
-    shape-tangent assembly seeded by the exact coordinate sensitivities. The
-    explicit dg/dp term is identically zero (the parameters never appear in
-    the objective).
+    with J the Jacobian that Newton returns at its solution, solved by
+    refinement with Newton's last factor, and f_p from the shape-tangent
+    assembly seeded by the exact coordinate sensitivities. The explicit dg/dp
+    term is identically zero (the parameters never appear in the objective).
     """
     from .morphing import mesh_sensitivity, morph
 
@@ -533,7 +573,7 @@ def shape_objective_gradient(model, params, config=None):
                                                        2, params.size))
     grad = reduced_gradient(result.jacobian, f_p,
                             objective.dense_gradient(model.num_dofs), config,
-                            model.lu_order)
+                            model.lu_order, result.factor)
     return objective.value, np.atleast_1d(grad), result
 
 

@@ -18,7 +18,7 @@ from embedfem.analysis import (FactorizationFailure, NewtonConfig,
                                sg_newton_solve, shape_objective_gradient,
                                sparse_lu)
 from embedfem.mesh import Mesh, build_rect_mesh, nested_dissection
-from embedfem.morphing import mesh_sensitivity
+from embedfem.morphing import mesh_sensitivity, morph
 from embedfem.model import ThermoElectricModel
 from embedfem.physics import (MaterialTable, NonPhysicalStateError,
                               RegionMaterial)
@@ -117,17 +117,18 @@ def test_newton_takes_the_initial_norm_from_the_first_jacobian():
 
 def residual_trial_newton(model, config, x):
     """Newton with residual-only line-search trials and a fresh Jacobian at
-    every iterate: the reference that ``newton_solve``'s Jacobian trials
-    must reproduce bit for bit. Returns x, the history and the number of
-    damped steps."""
+    every iterate, whose steps keep a factor by the same rule: the reference
+    that ``newton_solve``'s Jacobian trials must reproduce bit for bit.
+    Returns x, the history and the number of damped steps."""
     f, jac = model.jacobian(x)
     norm = norm0 = float(np.linalg.norm(f))
     history = [norm]
     damped = 0
+    factor = None
     for it in range(1, config.max_iters + 1):
         if it > 1:
             f, jac = model.jacobian(x)
-        step = _linear_solve(jac, f, config, model.lu_order)
+        step, factor, _ = _linear_solve(jac, f, config, model.lu_order, factor)
         alpha = 1.0
         for _ in range(40):
             candidate = x - alpha * step
@@ -141,6 +142,8 @@ def residual_trial_newton(model, config, x):
         else:
             raise AssertionError("reference line search found no decrease")
         damped += alpha < 1.0
+        if new_norm > analysis._REFRESH * norm:
+            factor = None
         x, norm = candidate, new_norm
         history.append(norm)
         if norm <= config.abs_tol or norm <= config.rel_tol * norm0:
@@ -246,7 +249,7 @@ def test_linear_solve_matches_dense_lu_on_demo_jacobian(demo):
     assert model.num_dofs <= NewtonConfig().dense_dof_limit
     reference = sla.lu_solve(sla.lu_factor(jac.toarray()), block)
     for rhs, ref in ((f, reference[:, 0]), (block, reference)):
-        got = _linear_solve(jac, rhs, NewtonConfig())
+        got = _linear_solve(jac, rhs, NewtonConfig())[0]
         assert got.shape == ref.shape
         assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -265,8 +268,9 @@ def test_linear_solve_ilu_branch_solves_a_block_column_by_column():
     jac = sp.csr_matrix(toy.mat)
     block = np.random.default_rng(1).normal(size=(toy.num_dofs, 3))
     cfg = NewtonConfig(dense_dof_limit=toy.num_dofs - 1)
-    got = _linear_solve(jac, block, cfg)
-    by_column = np.column_stack([_linear_solve(jac, b, cfg) for b in block.T])
+    got = _linear_solve(jac, block, cfg)[0]
+    by_column = np.column_stack([_linear_solve(jac, b, cfg)[0]
+                                 for b in block.T])
     assert np.array_equal(got, by_column)
     assert np.allclose(toy.mat @ got, block, rtol=0.0, atol=1e-9)
 
@@ -480,7 +484,8 @@ def test_reduced_gradient_linear_in_objective_gradient():
 
 
 def test_reduced_gradient_two_shape_parameters_matches_per_column_solves(demo):
-    # deflection_top and deflection_bottom: one factorization, two columns
+    # deflection_top and deflection_bottom: Newton's last factor refines
+    # both columns, each as if alone
     model, _ = demo
     base = model.mesh.replace_coords(model.base_coords)
     p = np.array([0.05, -0.03])
@@ -495,13 +500,77 @@ def test_reduced_gradient_two_shape_parameters_matches_per_column_solves(demo):
         g_x = model.objective(state.x).dense_gradient(model.num_dofs)
     finally:
         model.reset_coords()
-    solve = sparse_lu(jac, model.lu_order)
-    per_column = np.column_stack([solve(f_p[:, k]) for k in range(p.size)])
+    per_column = np.column_stack([
+        _linear_solve(jac, f_p[:, k], NewtonConfig(), model.lu_order,
+                      state.factor)[0] for k in range(p.size)])
     expected = -(g_x @ per_column)
     assert grad.shape == (2,)
-    assert np.array_equal(reduced_gradient(jac, f_p, g_x, order=model.lu_order),
-                          expected)
+    assert np.array_equal(reduced_gradient(jac, f_p, g_x, order=model.lu_order,
+                                           factor=state.factor), expected)
     assert np.array_equal(grad, expected)
+
+
+def test_shape_gradient_on_the_demo_strip_makes_three_lus(monkeypatch):
+    # the potential block, J(x0) and J(x1): the first step cuts ||f|| by
+    # less than _REFRESH, so the second factors without trying the kept
+    # factor, and the later Newton steps and the gradient refine with J(x1)'s
+    model = config.build_model(config.RunConfig())
+    labels, handed = [], []
+    lu, linear_solve = analysis.sparse_lu, analysis._linear_solve
+
+    def counting_lu(matrix, order=None, label="LU factorization"):
+        labels.append(label)
+        return lu(matrix, order, label)
+
+    def recording_solve(jacobian, rhs, config, order=None, factor=None):
+        handed.append(factor is not None)
+        return linear_solve(jacobian, rhs, config, order, factor)
+
+    monkeypatch.setattr(analysis, "sparse_lu", counting_lu)
+    monkeypatch.setattr("embedfem.model.sparse_lu", counting_lu)
+    monkeypatch.setattr(analysis, "_linear_solve", recording_solve)
+    try:
+        _, _, result = shape_objective_gradient(model, [0.1])
+    finally:
+        model.reset_coords()
+    assert labels == ["LU factorization of the potential block",
+                      "LU factorization", "LU factorization"]
+    assert handed == [False, False, True, True, True]
+    assert result.iterations == 4 and result.factorizations == 2
+    assert result.refinement_sweeps >= 2
+
+
+def test_a_far_kept_factor_stalls_and_falls_back_to_a_fresh_lu(demo):
+    # the warm start's Jacobian is far from the one at the solution: its
+    # factor's first sweep cuts the residual by less than 1 / _REFRESH
+    model, x = demo
+    cfg = NewtonConfig()
+    far = sparse_lu(model.jacobian(model.warm_start())[1], model.lu_order)
+    _, jac = model.jacobian(x)
+    b = np.random.default_rng(2).normal(size=model.num_dofs)
+    got, factor, sweeps = _linear_solve(jac, b, cfg, model.lu_order, far)
+    assert factor is not far and sweeps == 1
+    fresh = sparse_lu(jac, model.lu_order)(b)
+    assert np.linalg.norm(got - fresh) <= 1e-12 * np.linalg.norm(fresh)
+    # a residual that is not finite abandons the factor too
+    nan = np.full(model.num_dofs, np.nan)
+    assert _linear_solve(jac, nan, cfg, model.lu_order, factor)[1] is not factor
+
+
+@pytest.mark.parametrize("n, p", [(16, [0.1]), (16, [0.05, -0.03]),
+                                  (32, [0.1]), (32, [0.05, -0.03])])
+def test_kept_factor_gradient_matches_a_fresh_lu_gradient(n, p):
+    model = config.build_model(_strip(n))
+    cfg = NewtonConfig(dense_dof_limit=10 ** 6)
+    p = np.array(p)
+    _, grad, state = shape_objective_gradient(model, p, cfg)
+    assert state.refinement_sweeps > 0
+    base = model.mesh.replace_coords(model.base_coords)
+    _, f_p = model.shape_tangent(state.x, mesh_sensitivity(base, p).reshape(
+        len(base.coords), 2, p.size))
+    g_x = model.objective(state.x).dense_gradient(model.num_dofs)
+    fresh = reduced_gradient(state.jacobian, f_p, g_x, cfg, model.lu_order)
+    assert np.max(np.abs(grad - fresh)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -626,6 +695,47 @@ def test_continuation_tracks_parameter():
     gs = np.array([s.objective for s in table])
     assert np.allclose(np.diff(gs, 2), 0.0, atol=1e-12)
     assert np.allclose(toy.residual(x_last), 0.0, atol=1e-9)
+
+
+def test_continuation_hands_each_step_its_predecessor_factor(monkeypatch):
+    handed, made = [], []
+    solve = analysis.newton_solve
+
+    def recording(model, config, x0=None, factor=None):
+        handed.append(factor)
+        result = solve(model, config, x0=x0, factor=factor)
+        made.append(result.factor)
+        return result
+
+    def setter(model, value):
+        model.p = value
+
+    monkeypatch.setattr(analysis, "newton_solve", recording)
+    continuation(ParametrizedToy(), setter, np.linspace(0.0, 2.0, 3))
+    assert handed[0] is None and made[0] is not None
+    assert all(h is m for h, m in zip(handed[1:], made))
+
+
+def test_continuation_with_handed_factors_keeps_its_iterations(monkeypatch):
+    # the demo's deflection sweep against correctors that factor afresh
+    model = config.build_model(config.RunConfig())
+    base = model.mesh.replace_coords(model.base_coords)
+
+    def setter(m, value):
+        m.set_coords(morph(base, [value]).coords)
+
+    values = np.linspace(-0.3, 0.3, 4)
+    try:
+        kept, _ = continuation(model, setter, values)
+        solve = analysis.newton_solve
+        monkeypatch.setattr(analysis, "newton_solve",
+                            lambda m, c, x0=None, factor=None: solve(m, c, x0))
+        fresh, _ = continuation(model, setter, values)
+    finally:
+        model.reset_coords()
+    assert [s.iterations for s in kept] == [s.iterations for s in fresh]
+    assert np.allclose([s.objective for s in kept],
+                       [s.objective for s in fresh], rtol=1e-14, atol=0.0)
 
 
 def test_continuation_failure_names_the_parameter_and_keeps_the_cause():
@@ -773,13 +883,19 @@ def test_sg_newton_is_a_chord_iteration_on_true_sg_residuals(monkeypatch):
     f0_block = sg_residual(x0, uncertain)
     assert np.allclose(hot_jacobian @ (x0 - x1).T, f0_block.T, rtol=0.0,
                        atol=1e-12 * np.max(np.abs(f0_block)))
+    # bitwise the refinement with the hot start's last factor
+    hot = newton_solve(model)
+    assert np.array_equal(_bits(hot.x), _bits(x0[0]))
+    step = _linear_solve(hot.jacobian, f0_block.T, NewtonConfig(),
+                         model.lu_order, hot.factor)[0]
+    assert np.array_equal(_bits(x1), _bits(x0 - step.T))
     # then one SG residual after each GMRES step
     iterates = [x0, x1] + residual_states[1:]
     assert len(residual_states) == k and len(tolerances) == k - 1
     # the Jacobian is refreshed only at states the loop reached, after a step
-    # that cut ||F|| by less than _SG_REFRESH, and fewer than k times
+    # that cut ||F|| by less than _REFRESH, and fewer than k times
     h = result.history
-    stalled = [j for j in range(2, k) if h[j] > analysis._SG_REFRESH * h[j - 1]]
+    stalled = [j for j in range(2, k) if h[j] > analysis._REFRESH * h[j - 1]]
     assert len(jacobian_states) == 1 + len(stalled) < k
     for x_block, j in zip(jacobian_states[1:], stalled):
         assert np.array_equal(_bits(x_block), _bits(iterates[j]))
@@ -826,7 +942,7 @@ def chord_from_the_hot_start(model, uncertain, config):
         if new_norm <= stop:
             return x_block, history
         rate, norm = new_norm / norm, new_norm
-        refresh = rate > analysis._SG_REFRESH
+        refresh = rate > analysis._REFRESH
         if refresh:
             f, blocks = model.sg_jacobian(x_block, uncertain)
         eta = min(analysis._SG_ETA_MAX,
@@ -850,15 +966,14 @@ def test_refused_mean_step_gives_the_chord_from_the_hot_start(monkeypatch,
     uncertain = {"PadSigma0": [35.0, 15.0, 0.0, 0.0]}
     want_x, want_history = chord_from_the_hot_start(model, uncertain,
                                                     NewtonConfig())
-    lu = analysis.sparse_lu
+    linear_solve = analysis._linear_solve
 
-    def bad_mean_step(matrix, order=None, label="LU factorization"):
-        solve = lu(matrix, order, label)
-        if "mean Jacobian" not in label:
-            return solve
-        return lambda rhs: bad_step(solve(rhs))
+    def bad_mean_step(jacobian, rhs, *args):
+        # every Newton step solves a vector, the mean-based step a block
+        x, *rest = linear_solve(jacobian, rhs, *args)
+        return (bad_step(x) if rhs.ndim == 2 else x), *rest
 
-    monkeypatch.setattr(analysis, "sparse_lu", bad_mean_step)
+    monkeypatch.setattr(analysis, "_linear_solve", bad_mean_step)
     result = sg_newton_solve(model, uncertain)
     assert result.iterations == len(want_history) - 1
     assert np.array_equal(_bits(result.coefficients), _bits(want_x))
