@@ -32,12 +32,11 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model = build_model(RunConfig())
-    base = model.mesh.replace_coords(model.base_coords)
 
     values = np.linspace(-0.3, 0.3, 21)
 
     def setter(m, value):
-        m.set_coords(morph(base, [value]).coords)
+        m.set_coords(morph(m.mesh, [value]).coords)
 
     table, _ = continuation(model, setter, values)
     write_table_csv(out / "response_curve.csv",
@@ -63,9 +62,9 @@ def main():
           f"g* = {result.value:.6f} after {result.iterations} iterations "
           f"({result.reason})")
     if n_params == 2:
-        area = slider_area(morph(base, result.p))
+        area = slider_area(morph(model.mesh, result.p))
         print(f"slider area at the optimum: {area:.12f} "
-              f"(base {slider_area(base):.12f})")
+              f"(base {slider_area(model.mesh):.12f})")
     model.reset_coords()
     write_summary(out / "summary.json", {
         "sweep_argmin": best.parameter,

@@ -52,9 +52,9 @@ class NewtonConfig:
 #: GMRES settings of the ILU(0) branch of ``_linear_solve``
 _GMRES = dict(rtol=1e-10, atol=0.0, restart=80, maxiter=400)
 
-#: A kept factor or SG Jacobian is refreshed only after a Newton step that
-#: cuts ||f|| by less than this factor, and a refinement sweep that cuts its
-#: residual by less abandons its factor (Shamanskii; Kelley 2003, ch. 5). SG
+#: A refinement sweep that cuts its residual by less than this factor
+#: abandons its kept factor, and SG Newton re-assembles its SG Jacobian only
+#: after a step that cuts ||F|| by less (Shamanskii; Kelley 2003, ch. 5). SG
 #: Newton, whose SG Jacobian is exact only in deterministic directions, is
 #: thus a chord iteration that keeps one SG Jacobian and its mean-block LU.
 _REFRESH = 0.05
@@ -70,9 +70,8 @@ _SG_GAMMA, _SG_ALPHA, _SG_ETA_MAX = 0.9, 2.0, 1e-3
 @dataclass
 class NewtonResult:
     x: np.ndarray
-    history: list
+    history: list    # ||f|| per iterate; the last meets the stop test
     iterations: int
-    converged: bool
     jacobian: object    # the Jacobian at x
     factor: object = None     # the last LU's solve; None on the ILU branch
     factorizations: int = 0   # LUs made
@@ -213,11 +212,11 @@ def newton_solve(model, config=None, x0=None, factor=None):
     full step's trial assembles the Jacobian, whose residual is bitwise the
     plain residual, so an accepted full step already holds the next
     iteration's (f, J); damped trials assemble the residual alone, and the
-    Jacobian follows at the accepted point. The first step (unless given a
-    nearby solve's ``factor``) and each step after one that cut ||f|| by less
-    than ``_REFRESH`` factor J in the model's ``lu_order``; the others refine
-    with the kept factor. Converges when ||f|| <= abs_tol or ||f|| <= rel_tol
-    * ||f(x0)||; the result carries the Jacobian at its x and the factor.
+    Jacobian follows at the accepted point. Each step refines with the last
+    factor (a nearby solve's ``factor`` at first), which ``_refine`` abandons
+    once it stalls, and otherwise factors J in the model's ``lu_order``.
+    Converges when ||f|| <= abs_tol or ||f|| <= rel_tol * ||f(x0)||; the
+    result carries the Jacobian at its x and the factor.
     """
     config = config or NewtonConfig()
     if x0 is None:
@@ -230,10 +229,10 @@ def newton_solve(model, config=None, x0=None, factor=None):
     norm = norm0 = float(np.linalg.norm(f))
     history = [norm]
     if norm <= config.abs_tol:
-        return NewtonResult(x, history, 0, True, jac, factor)
-    refresh, factorizations, sweeps = False, 0, 0
+        return NewtonResult(x, history, 0, jac, factor)
+    factorizations = sweeps = 0
     for it in range(1, config.max_iters + 1):
-        kept = None if refresh else factor
+        kept = factor
         step, factor, spent = _linear_solve(jac, f, config, order, kept)
         factorizations += factor is not kept
         sweeps += spent
@@ -254,7 +253,6 @@ def newton_solve(model, config=None, x0=None, factor=None):
         else:
             raise SolveFailure("Newton line search failed to find a decrease",
                                history)
-        refresh = new_norm > _REFRESH * norm
         x, norm = candidate, new_norm
         history.append(norm)
         if trial_jac is None:
@@ -262,8 +260,8 @@ def newton_solve(model, config=None, x0=None, factor=None):
         else:
             f, jac = trial_f, trial_jac
         if norm <= config.abs_tol or norm <= config.rel_tol * norm0:
-            return NewtonResult(x, history, it, True, jac, factor,
-                                factorizations, sweeps)
+            return NewtonResult(x, history, it, jac, factor, factorizations,
+                                sweeps)
     raise SolveFailure(f"Newton did not converge in {config.max_iters} iterations",
                        history)
 
@@ -312,10 +310,8 @@ def continuation(model, setter, values, config=None):
     """
     config = config or NewtonConfig()
     table = []
-    x = factor = None
-    current = None
+    x = factor = start = None
     for target in values:
-        start = current
         queue = [target]
         while queue:
             p = queue[0]
@@ -331,7 +327,6 @@ def continuation(model, setter, values, config=None):
                 queue.insert(0, 0.5 * (start + p))
                 continue
             x, factor = result.x, result.factor
-            current = p
             start = p
             queue.pop(0)
         table.append(ContinuationStep(float(target),
@@ -461,9 +456,8 @@ class SGSystem:
 @dataclass
 class SGResult:
     coefficients: np.ndarray   # (num_coeffs, num_dofs)
-    history: list
+    history: list    # ||F|| per iterate; the last meets the stop test
     iterations: int
-    converged: bool
 
 
 def sg_newton_solve(model, uncertain, config=None):
@@ -503,7 +497,7 @@ def sg_newton_solve(model, uncertain, config=None):
     norm = norm0 = float(np.linalg.norm(f))
     history = [norm0]
     if norm0 <= config.abs_tol:
-        return SGResult(x_block, history, 0, True)
+        return SGResult(x_block, history, 0)
     stop = max(config.abs_tol, config.rel_tol * norm0)
     trial = x_block - _linear_solve(hot.jacobian, f.T, config, model.lu_order,
                                     hot.factor)[0].T
@@ -518,7 +512,7 @@ def sg_newton_solve(model, uncertain, config=None):
         x_block, f, rate, norm = trial, trial_f, new_norm / norm, new_norm
         history.append(norm)
         if norm <= stop:
-            return SGResult(x_block, history, 1, True)
+            return SGResult(x_block, history, 1)
     else:
         f, blocks = model.sg_jacobian(x_block, uncertain)
     refresh = True
@@ -540,7 +534,7 @@ def sg_newton_solve(model, uncertain, config=None):
         if not np.isfinite(new_norm):
             raise SolveFailure("spectral Newton diverged", history)
         if new_norm <= stop:
-            return SGResult(x_block, history, it, True)
+            return SGResult(x_block, history, it)
         rate, norm = new_norm / norm, new_norm
         refresh = rate > _REFRESH
         if refresh:   # the old system goes before the new one is assembled
@@ -564,13 +558,10 @@ def shape_objective_gradient(model, params, config=None):
 
     config = config or NewtonConfig()
     params = np.atleast_1d(np.asarray(params, dtype=float))
-    base = model.mesh.replace_coords(model.base_coords)
-    model.set_coords(morph(base, params).coords)
+    model.set_coords(morph(model.mesh, params).coords)
     result = newton_solve(model, config)
     objective = model.objective(result.x)
-    x_p = mesh_sensitivity(base, params)
-    _, f_p = model.shape_tangent(result.x, x_p.reshape(len(base.coords),
-                                                       2, params.size))
+    _, f_p = model.shape_tangent(result.x, mesh_sensitivity(model.mesh, params))
     grad = reduced_gradient(result.jacobian, f_p,
                             objective.dense_gradient(model.num_dofs), config,
                             model.lu_order, result.factor)

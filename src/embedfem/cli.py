@@ -113,18 +113,17 @@ def _run_solve(cfg, model, out_dir):
     return 0
 
 
-def _set_sweep_parameter(cfg, model):
+def _set_sweep_parameter(cfg):
     name = cfg.continuation.parameter
     if name != "deflection":
         return lambda m, value: m.library.set_value(name, value)
-    base = model.mesh.replace_coords(model.base_coords)
-    return lambda m, value: m.set_coords(morph(base, [value]).coords)
+    return lambda m, value: m.set_coords(morph(m.mesh, [value]).coords)
 
 
 def _run_continuation(cfg, model, out_dir):
     c = cfg.continuation
     values = np.linspace(c.start, c.stop, c.steps)
-    table, x_last = continuation(model, _set_sweep_parameter(cfg, model),
+    table, x_last = continuation(model, _set_sweep_parameter(cfg),
                                  values, cfg.solver)
     rows = [(s.parameter, s.objective, s.iterations, s.residual_norm)
             for s in table]

@@ -168,18 +168,18 @@ class ElementGeometryEvaluator(Evaluator):
     """Maps gathered coordinates to weighted basis tables and qp coordinates;
     ``bf`` holds the basis values as a real field (Albany's BF).
 
-    Plain coordinates are memoized per arena by the workset start and the
-    coordinate bits last mapped into it (bits, so -0.0 and NaN never hit):
-    on a match the arena's fields still hold that geometry, and the call
-    returns without touching them. Worksets of equal size share one arena.
-    Dual coordinates (shape tangents) are mapped on every call.
+    Plain coordinates are memoized per arena by the coordinate bits last
+    mapped into it (bits, so -0.0 and NaN never hit): on a match the arena's
+    fields still hold that geometry, and the call returns without touching
+    them, whichever of the worksets of that size it serves. Dual coordinates
+    (shape tangents) are mapped on every call.
     """
 
     name = "element_geometry"
 
     def __init__(self, basis):
         self.basis = basis
-        self._memo = {}   # arena -> (workset start, coordinate bits)
+        self._memo = {}   # arena -> coordinate bits
         self.depends = (FieldSpec("coords_node", ("elem", "node", "dim"), "mesh"),)
         self.evaluates = (
             FieldSpec("bf", ("elem", "node", "qp"), "real"),
@@ -196,12 +196,11 @@ class ElementGeometryEvaluator(Evaluator):
             return
         bits = coords.view(np.int64)
         last = self._memo.get(ctx.arena)
-        if (last is not None and last[0] == ctx.workset.start
-                and np.array_equal(last[1], bits)):
+        if last is not None and np.array_equal(last, bits):
             return
         self._memo[ctx.arena] = None   # a failed computation leaves no memo
         self._compute(ctx, coords)
-        self._memo[ctx.arena] = (ctx.workset.start, bits.copy(order="K"))
+        self._memo[ctx.arena] = bits.copy(order="K")
 
     def _compute(self, ctx, coords):
         ctx.arena.geometry_maps += 1
@@ -225,15 +224,15 @@ class SolutionAtQPEvaluator(Evaluator):
     """Interpolates one nodal unknown and its gradient to quadrature points.
 
     With constant nodal seeds (``arena.seeded``) the partials are constants
-    of the arena's geometry: while the workset start and geometry stamp
-    (``arena.geometry_maps``) match the memo, only values are interpolated.
-    Tangent arenas are never seeded; dual geometry is stamped on every call.
+    of the arena's geometry: while its stamp (``arena.geometry_maps``)
+    matches the memo, only values are interpolated. Tangent arenas are never
+    seeded; dual geometry is stamped on every call.
     """
 
     def __init__(self, unknown):
         self.unknown = unknown
         self.name = f"{unknown}_at_qp"
-        self._memo = {}   # arena -> (workset start, geometry stamp)
+        self._memo = {}   # arena -> geometry stamp
         self.depends = (
             FieldSpec(f"{unknown}_node", ("elem", "node"), "solution"),
             FieldSpec("bf", ("elem", "node", "qp"), "real"),
@@ -248,7 +247,7 @@ class SolutionAtQPEvaluator(Evaluator):
         u, arena = self.unknown, ctx.arena
         nodal, qp, grad = (ctx.field(name) for name in
                            (f"{u}_node", f"{u}_qp", f"grad_{u}_qp"))
-        key = (ctx.workset.start, arena.geometry_maps) if arena.seeded else None
+        key = arena.geometry_maps if arena.seeded else None
         if key is not None and self._memo.get(arena) == key:
             nodal, qp, grad = nodal.val, qp.val, grad.val
         qp[:] = interpolate_to_qp(nodal, ctx.field("bf"))

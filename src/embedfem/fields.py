@@ -104,8 +104,9 @@ def make_storage(kind, extents, deriv_width=None, basis=None, samples=None):
 class FieldArena:
     """Owns the field storage for one graph instance at one workset size.
 
-    Allocation happens on first request per field; later executions reuse the
-    same storage. ``allocations`` counts creations so reuse is testable.
+    ``EvaluatorGraph.arena_for`` allocates every field of its schedule when
+    it builds the arena; later executions reuse the same storage.
+    ``allocations`` counts creations so reuse is testable.
 
     Kernels keep per-arena constants by two stamps: ``seeded`` (the gather's
     partials are constant seeds) and ``geometry_maps`` (geometry mappings).

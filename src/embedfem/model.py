@@ -59,7 +59,6 @@ class ThermoElectricModel:
         self.worksets = build_worksets(mesh, workset_size)
         self.sg_basis = sg_basis
         self.state = AssemblyState(self.system, mesh.coords.copy(), sg_basis)
-        self.base_coords = mesh.coords.copy()
         self.library = ParameterLibrary()
         self._ends = {}   # each type's solution gather and scatter
 
@@ -141,7 +140,7 @@ class ThermoElectricModel:
         self.state.coords = np.asarray(coords, dtype=float)
 
     def reset_coords(self):
-        self.state.coords = self.base_coords.copy()
+        self.state.coords = self.mesh.coords.copy()
 
     def initial_guess(self):
         x = np.zeros(self.num_dofs)

@@ -140,7 +140,7 @@ def test_criterion_03_parameter_sensitivities():
 
 def test_criterion_04_shape_sensitivity_chain():
     model = demo_model()
-    base = model.mesh.replace_coords(model.base_coords)
+    base = model.mesh
     p = np.array([0.05])
 
     model.set_coords(morph(base, p).coords)
@@ -224,7 +224,7 @@ def test_criterion_07_sg_vs_nisp():
 
 def test_criterion_08_optimizer_continuation_consistency():
     model = demo_model()
-    base = model.mesh.replace_coords(model.base_coords)
+    base = model.mesh
     values = np.linspace(-0.3, 0.3, 21)
 
     def setter(m, value):

@@ -115,10 +115,17 @@ def test_newton_takes_the_initial_norm_from_the_first_jacobian():
     assert counting.calls == {"residual": 0, "jacobian": 5}
 
 
+def meets_stop_test(history):
+    """Newton's and SG Newton's stop test on the last residual norm, with
+    the default tolerances."""
+    cfg = NewtonConfig()
+    return history[-1] <= cfg.abs_tol or history[-1] <= cfg.rel_tol * history[0]
+
+
 def residual_trial_newton(model, config, x):
     """Newton with residual-only line-search trials and a fresh Jacobian at
-    every iterate, whose steps keep a factor by the same rule: the reference
-    that ``newton_solve``'s Jacobian trials must reproduce bit for bit.
+    every iterate, whose steps refine with the last factor as ``newton_solve``
+    does: the reference that its Jacobian trials must reproduce bit for bit.
     Returns x, the history and the number of damped steps."""
     f, jac = model.jacobian(x)
     norm = norm0 = float(np.linalg.norm(f))
@@ -142,8 +149,6 @@ def residual_trial_newton(model, config, x):
         else:
             raise AssertionError("reference line search found no decrease")
         damped += alpha < 1.0
-        if new_norm > analysis._REFRESH * norm:
-            factor = None
         x, norm = candidate, new_norm
         history.append(norm)
         if norm <= config.abs_tol or norm <= config.rel_tol * norm0:
@@ -197,7 +202,7 @@ def test_newton_rejected_full_step_takes_residual_trials_and_returns_jacobian():
     toy = ArctanToy()
     x0 = np.array([1.6, 0.0])
     result = newton_solve(toy, x0=x0)
-    assert result.converged
+    assert meets_stop_test(result.history)
     assert toy.calls["residual"] >= 1     # the full step from x0 failed
     # the first accepted iterate is the half step, so the Jacobian after it
     # is assembled at that point
@@ -213,7 +218,7 @@ def test_newton_non_physical_trial_jacobian_counts_as_an_infinite_norm():
     step = (np.arctan(x0) - 0.1) * (1.0 + x0 ** 2)
     assert (x0 - step)[0] > toy.valid_below
     result = newton_solve(toy, x0=x0)
-    assert result.converged
+    assert meets_stop_test(result.history)
     assert result.history[1] == np.linalg.norm(toy._residual(x0 - 0.5 * step))
 
 
@@ -487,7 +492,7 @@ def test_reduced_gradient_two_shape_parameters_matches_per_column_solves(demo):
     # deflection_top and deflection_bottom: Newton's last factor refines
     # both columns, each as if alone
     model, _ = demo
-    base = model.mesh.replace_coords(model.base_coords)
+    base = model.mesh
     p = np.array([0.05, -0.03])
     try:
         _, grad, state = shape_objective_gradient(model, p)
@@ -511,9 +516,9 @@ def test_reduced_gradient_two_shape_parameters_matches_per_column_solves(demo):
 
 
 def test_shape_gradient_on_the_demo_strip_makes_three_lus(monkeypatch):
-    # the potential block, J(x0) and J(x1): the first step cuts ||f|| by
-    # less than _REFRESH, so the second factors without trying the kept
-    # factor, and the later Newton steps and the gradient refine with J(x1)'s
+    # the potential block, J(x0) and J(x1): J(x0)'s factor stalls on J(x1)
+    # after one sweep, so the second step factors afresh, and the later
+    # Newton steps and the gradient refine with J(x1)'s
     model = config.build_model(config.RunConfig())
     labels, handed = [], []
     lu, linear_solve = analysis.sparse_lu, analysis._linear_solve
@@ -535,9 +540,9 @@ def test_shape_gradient_on_the_demo_strip_makes_three_lus(monkeypatch):
         model.reset_coords()
     assert labels == ["LU factorization of the potential block",
                       "LU factorization", "LU factorization"]
-    assert handed == [False, False, True, True, True]
+    assert handed == [False, True, True, True, True]
     assert result.iterations == 4 and result.factorizations == 2
-    assert result.refinement_sweeps >= 2
+    assert result.refinement_sweeps == 15
 
 
 def test_a_far_kept_factor_stalls_and_falls_back_to_a_fresh_lu(demo):
@@ -565,7 +570,7 @@ def test_kept_factor_gradient_matches_a_fresh_lu_gradient(n, p):
     p = np.array(p)
     _, grad, state = shape_objective_gradient(model, p, cfg)
     assert state.refinement_sweeps > 0
-    base = model.mesh.replace_coords(model.base_coords)
+    base = model.mesh
     _, f_p = model.shape_tangent(state.x, mesh_sensitivity(base, p).reshape(
         len(base.coords), 2, p.size))
     g_x = model.objective(state.x).dense_gradient(model.num_dofs)
@@ -719,7 +724,7 @@ def test_continuation_hands_each_step_its_predecessor_factor(monkeypatch):
 def test_continuation_with_handed_factors_keeps_its_iterations(monkeypatch):
     # the demo's deflection sweep against correctors that factor afresh
     model = config.build_model(config.RunConfig())
-    base = model.mesh.replace_coords(model.base_coords)
+    base = model.mesh
 
     def setter(m, value):
         m.set_coords(morph(base, [value]).coords)
@@ -868,7 +873,7 @@ def test_sg_newton_is_a_chord_iteration_on_true_sg_residuals(monkeypatch):
     monkeypatch.setattr(analysis.spla, "gmres", recording_gmres)
     result = sg_newton_solve(model, uncertain)
     k = result.iterations
-    assert result.converged and k >= 3
+    assert meets_stop_test(result.history) and k >= 3
     # ||F(x0)|| from one SG residual at the hot start, whose higher
     # coefficients are zero
     x0 = residual_states[0]
@@ -1017,7 +1022,7 @@ def test_sg_degenerate_uncertainty_reduces_to_deterministic():
     model = linear_heat_model()
     result = sg_newton_solve(model, {"Alpha": [1.0, 0.0, 0.0, 0.0]})
     # the hot start is the exact solution: no step is taken
-    assert result.iterations == 0 and result.converged
+    assert result.iterations == 0 and meets_stop_test(result.history)
     model.library.set_value("Alpha", 1.0)
     deterministic = newton_solve(model).x
     assert np.max(np.abs(result.coefficients[0] - deterministic)) <= 1e-12

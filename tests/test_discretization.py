@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from embedfem import scalars as sc
-from embedfem.discretization import (REF_NODES, bilinear_basis,
-                                     element_geometry, element_tables,
-                                     integrate, interpolate_to_qp,
-                                     shape_values)
-from embedfem.fields import make_storage
+from embedfem.assembly import Workset
+from embedfem.discretization import (REF_NODES, ElementGeometryEvaluator,
+                                     bilinear_basis, element_geometry,
+                                     element_tables, integrate,
+                                     interpolate_to_qp, shape_values)
+from embedfem.fields import FieldArena, make_storage
+from embedfem.graph import WorksetContext
 from embedfem.mesh import MeshError
 
 
@@ -262,3 +264,16 @@ def test_patch_test_linear_reproduction_on_distorted_mesh():
     grad_bf = grad_table(phys_grad)
     assert np.allclose(interpolate_to_qp(nodal, grad_bf[..., 0]), ax, atol=1e-13)
     assert np.allclose(interpolate_to_qp(nodal, grad_bf[..., 1]), ay, atol=1e-13)
+
+
+def test_geometry_memo_is_keyed_by_the_coordinates_alone():
+    # two worksets of one arena with bitwise-equal coordinates: the second
+    # finds the first one's geometry in the arena and maps nothing
+    geometry = ElementGeometryEvaluator(bilinear_basis(2))
+    arena = FieldArena({"elem": 2, "node": 4, "qp": 4, "dim": 2})
+    for spec in geometry.depends + geometry.evaluates:
+        arena.ensure(spec.name, spec.dims, "real")
+    arena.get("coords_node")[:] = square_coords(n_elems=2)
+    for start in (0, 2):
+        geometry.evaluate(WorksetContext(Workset(start, start + 2), arena))
+    assert arena.geometry_maps == 1

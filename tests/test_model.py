@@ -316,7 +316,7 @@ def test_geometry_cache_follows_every_coordinate_change():
     # coordinate set, the outputs of a model that only saw that set
     model = demo_model(sg_basis=BASIS, workset_size=7)
     x = random_state(model, seed=8)
-    base = model.mesh.replace_coords(model.base_coords)
+    base = model.mesh
     morphed = morph(base, np.array([0.05])).coords
 
     def base_coords(m):
@@ -354,7 +354,7 @@ def test_solution_memo_follows_every_coordinate_change_in_one_workset(
     # of a model that only saw the coordinates
     model = demo_model(sg_basis=BASIS)
     x = random_state(model, seed=19)
-    base = model.mesh.replace_coords(model.base_coords)
+    base = model.mesh
     morphed = morph(base, np.array([-0.04])).coords
 
     def base_coords(m):
