@@ -63,7 +63,11 @@ def main(argv=None):
 def _dispatch(cfg, dump_graph=False):
     model = build_model(cfg)
     out_dir = Path(cfg.run.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create output directory {str(out_dir)!r}: "
+                          f"{err.strerror}") from None
     if dump_graph:
         for ev_type, graph in model.graphs.items():
             (out_dir / f"graph_{ev_type.tag}.txt").write_text(graph.dump_text())
@@ -153,7 +157,7 @@ def _run_optimize(cfg, model, out_dir):
     rows = [(i, *p, g) for i, (p, g) in enumerate(result.history)]
     write_table_csv(out_dir / "optimize.csv",
                     ["iteration", *o.shape_parameters, "objective"], rows)
-    g_final, _, state = shape_objective_gradient(model, result.p, cfg.solver)
+    _, _, state = shape_objective_gradient(model, result.p, cfg.solver)
     _write_state(out_dir, model, state.x)
     summary = _base_summary(cfg, model)
     summary.update({
@@ -210,7 +214,3 @@ def _run_verify(cfg, model, out_dir):
          "tolerance": c.tolerance} for c in checks]
     write_summary(out_dir / "summary.json", summary)
     return 0 if all(c.passed for c in checks) else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

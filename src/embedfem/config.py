@@ -15,10 +15,10 @@ import numpy as np
 from numpy.polynomial import Legendre
 
 from .analysis import NewtonConfig
-from .mesh import GeometryParams, MeshError, Resolution, build_slider_mesh
+from .mesh import MeshError, StripGeometry, build_slider_mesh
 from .model import ThermoElectricModel
 from .morphing import SHAPE_PARAMETERS, morph
-from .physics import DemoMaterials, ParameterError, default_materials
+from .physics import PAD_SIGMA0, Materials, ParameterError
 from . import scalars as sc
 
 
@@ -40,7 +40,7 @@ class RunSection:
 
 
 @dataclass
-class GeometrySection(Resolution, GeometryParams):
+class GeometrySection(StripGeometry):
     """Strip dimensions and mesh resolution (defaults: the 16x16 demo)."""
 
     quad_order: int = 2
@@ -52,7 +52,7 @@ class GeometrySection(Resolution, GeometryParams):
 
 
 @dataclass
-class MaterialsSection(DemoMaterials):
+class MaterialsSection(Materials):
     """Region constants; the pad conductivity is [parameters] PadSigma0."""
 
     joule: bool = True
@@ -146,7 +146,7 @@ _DEFAULT_BOUNDARY = {
     "psi.symmetry_plane": 0.5,
     "temp.left_conductor_end": 0.0,
 }
-_DEFAULT_PARAMETERS = {"Alpha": 0.0, "Beta": 0.0, "PadSigma0": 35.0}
+_DEFAULT_PARAMETERS = {"Alpha": 0.0, "Beta": 0.0, "PadSigma0": PAD_SIGMA0}
 
 _MODES = ("solve", "continuation", "optimize", "uq", "verify")
 _MODE_SECTIONS = ("continuation", "optimize", "uq")   # each needs its section
@@ -201,7 +201,12 @@ def parse_config(path, overrides=()):
     """Parse a config file and apply ``section.key=value`` overrides."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str  # parameter names are case sensitive
-    if not parser.read(path):
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot parse config file {path!r}: "
+                          f"{err}") from None
+    if not read:
         raise ConfigError(f"cannot read config file {path!r}")
 
     data = {name: list(parser.items(name)) for name in parser.sections()}
@@ -241,10 +246,9 @@ def validate_config(cfg):
         parts = key.split(".")
         if len(parts) != 2 or parts[0] not in ("psi", "temp"):
             raise ConfigError(f"boundary key {key!r} is not unknown.node_set")
-    try:
-        build_materials(cfg)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    pad = cfg.parameters["PadSigma0"]
+    if not pad > 0.0:
+        raise ConfigError(f"[parameters] PadSigma0 must be positive, got {pad}")
     m, g = cfg.materials, cfg.geometry
     speed = float(np.hypot(m.v0_x, m.v0_y))
     if speed > 0.0 and g.nx_conductor > 0:
@@ -301,17 +305,6 @@ def config_documentation():
 # builders
 # ---------------------------------------------------------------------------
 
-def build_mesh(cfg):
-    return build_slider_mesh(cfg.geometry, cfg.geometry)
-
-
-def build_materials(cfg):
-    m = cfg.materials
-    return default_materials(
-        cfg.parameters["PadSigma0"],
-        **{f.name: getattr(m, f.name) for f in fields(DemoMaterials)})
-
-
 def build_dirichlet(cfg, mesh):
     out = []
     for key, value in cfg.boundary.items():
@@ -333,9 +326,9 @@ def newton_config(cfg):
 def build_model(cfg, sg_basis=None):
     if sg_basis is None and cfg.uq is not None:
         sg_basis = sc.build_basis_data(cfg.uq.degree)
-    mesh = build_mesh(cfg)
+    mesh = build_slider_mesh(cfg.geometry)
     model = ThermoElectricModel(
-        mesh, build_materials(cfg), quad_order=cfg.geometry.quad_order,
+        mesh, cfg.materials, quad_order=cfg.geometry.quad_order,
         sg_basis=sg_basis, with_joule=cfg.materials.joule,
         dirichlet=build_dirichlet(cfg, mesh))
     for name, value in cfg.parameters.items():

@@ -23,19 +23,14 @@ class MeshError(ValueError):
 
 
 @dataclass
-class GeometryParams:
-    """Strip dimensions; the slider length is the meshed half."""
+class StripGeometry:
+    """Strip dimensions (the slider length is the meshed half), then the
+    elements per region along x and the rows along y."""
 
     conductor_length: float = 2.0
     pad_length: float = 0.25
     slider_length: float = 1.0
     height: float = 1.0
-
-
-@dataclass
-class Resolution:
-    """Elements per region along x, and rows along y."""
-
     nx_conductor: int = 8
     nx_pad: int = 2
     nx_slider: int = 6
@@ -165,7 +160,7 @@ def nested_dissection(mesh):
                                 2 * p + upper)
 
 
-def build_slider_mesh(geom, res):
+def build_slider_mesh(geom):
     """Structured three-region strip mesh with symmetry plane at the right end.
 
     Node sets: ``left_conductor_end`` (x = 0), ``symmetry_plane`` (right end),
@@ -175,7 +170,7 @@ def build_slider_mesh(geom, res):
     the degenerate case with pad and slider lengths zero.
     """
     lengths = (geom.conductor_length, geom.pad_length, geom.slider_length)
-    counts = (res.nx_conductor, res.nx_pad, res.nx_slider)
+    counts = (geom.nx_conductor, geom.nx_pad, geom.nx_slider)
     if not 0.0 < geom.height < np.inf:   # NaN fails too
         raise MeshError("degenerate geometry: height must be positive and "
                         f"finite, got {geom.height}")
@@ -187,7 +182,7 @@ def build_slider_mesh(geom, res):
             raise MeshError(f"region {name!r} has positive length but no elements")
         if l == 0.0 and n != 0:
             raise MeshError(f"region {name!r} has zero length but {n} elements")
-    if res.ny < 1:
+    if geom.ny < 1:
         raise MeshError("ny must be >= 1")
     if all(l == 0.0 for l in lengths):
         raise MeshError("degenerate geometry: no region has positive length")
@@ -202,8 +197,8 @@ def build_slider_mesh(geom, res):
         xs.extend((x0 + l * (i + 1) / n) for i in range(n))
         col_region.extend([r] * n)
     xs = np.asarray(xs)
-    ys = np.linspace(0.0, geom.height, res.ny + 1)
-    nx, ny = len(xs) - 1, res.ny
+    ys = np.linspace(0.0, geom.height, geom.ny + 1)
+    nx, ny = len(xs) - 1, geom.ny
 
     xv, yv = np.meshgrid(xs, ys, indexing="ij")
     coords = np.column_stack([xv.ravel(), yv.ravel()])
@@ -211,32 +206,22 @@ def build_slider_mesh(geom, res):
     def node(ix, iy):
         return ix * (ny + 1) + iy
 
-    conn = np.empty((nx * ny, 4), dtype=np.int64)
-    region_of = np.empty(nx * ny, dtype=np.int64)
-    e = 0
-    for ex in range(nx):
-        for ey in range(ny):
-            conn[e] = (node(ex, ey), node(ex + 1, ey),
-                       node(ex + 1, ey + 1), node(ex, ey + 1))
-            region_of[e] = col_region[ex]
-            e += 1
+    ex, ey = np.divmod(np.arange(nx * ny), ny)   # column-major elements
+    conn = np.column_stack([node(ex, ey), node(ex + 1, ey),
+                            node(ex + 1, ey + 1), node(ex, ey + 1)])
+    region_of = np.asarray(col_region, dtype=np.int64)[ex]
 
     all_iy = np.arange(ny + 1)
+    before = counts[0] + counts[1]   # element columns left of the slider
     node_sets = {
         "left_conductor_end": node(0, all_iy),
         "symmetry_plane": node(nx, all_iy),
+        "pad_interface": (node(before, all_iy) if counts[2] and before
+                          else np.empty(0, dtype=np.int64)),
+        # empty without a slider, where nx == before
+        "slider_interior": node(np.arange(before + 1, nx + 1)[:, None],
+                                all_iy).ravel(),
     }
-    n_cols_before_slider = sum(n for r, n in zip(range(2), counts))
-    if counts[2] > 0 and (counts[0] + counts[1]) > 0:
-        node_sets["pad_interface"] = node(n_cols_before_slider, all_iy)
-    else:
-        node_sets["pad_interface"] = np.empty(0, dtype=np.int64)
-    if counts[2] > 0:
-        slider_cols = np.arange(n_cols_before_slider + 1, nx + 1)
-        node_sets["slider_interior"] = np.concatenate(
-            [node(ix, all_iy) for ix in slider_cols])
-    else:
-        node_sets["slider_interior"] = np.empty(0, dtype=np.int64)
 
     mesh = Mesh(coords, conn, region_of, node_sets)
     validate_element_orientation(mesh)
@@ -245,9 +230,7 @@ def build_slider_mesh(geom, res):
 
 def build_rect_mesh(nx, ny, lx=1.0, ly=1.0):
     """Single-region rectangle with boundary node sets (for verification runs)."""
-    geom = GeometryParams(conductor_length=lx, pad_length=0.0,
-                          slider_length=0.0, height=ly)
-    mesh = build_slider_mesh(geom, Resolution(nx, 0, 0, ny))
+    mesh = build_slider_mesh(StripGeometry(lx, 0.0, 0.0, ly, nx, 0, 0, ny))
     x, y = mesh.coords[:, 0], mesh.coords[:, 1]
     tol = 1e-12 * max(lx, ly)
     sets = dict(mesh.node_sets)

@@ -52,7 +52,6 @@ class ThermoElectricModel:
                  sg_basis=None, with_joule=True, mms_forcing=None,
                  dirichlet=()):
         self.mesh = mesh
-        self.materials = materials
         self.basis = bilinear_basis(quad_order)
         self.conn = ConnectivityMap(mesh.connectivity, N_EQ)
         self.system = GlobalSystem(self.conn)

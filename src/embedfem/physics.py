@@ -5,8 +5,11 @@ The model couples a potential equation with a heat balance,
     -div(sigma grad psi) = 0
     -div(kappa grad T) - v . grad T = sigma |grad psi|^2
 
-with conductivity sigma(T) = sigma0 / (1 + beta (T - T0)) per material region
-and an optional volumetric source s = alpha + beta_s T^2. Every kernel below
+with conductivity sigma(T) = sigma0 / (1 + beta (T - T0)) and an optional
+volumetric source s = alpha + beta_s T^2. One :class:`Materials` holds the
+constants: sigma0 of the conductor and the slider, kappa, beta and T0 of every
+region, and the velocity v of the conductor (the other regions rest); the pad's
+sigma0 is the registered parameter "PadSigma0". Every kernel below
 is written once against generic scalar storage; the evaluation type decides
 what flows through it, and a kernel reads each parameter as the library
 promoted it once for the running assembly.
@@ -94,62 +97,16 @@ class ParameterLibrary:
 # materials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RegionMaterial:
-    sigma0: float
-    kappa: float
-    velocity: tuple
-    beta: float
-    T0: float
-
-
-@dataclass(frozen=True)
-class MaterialTable:
-    """Per-region constitutive constants for the strip demo."""
-
-    conductor: RegionMaterial
-    pad: RegionMaterial
-    slider: RegionMaterial
-
-    def __post_init__(self):
-        for name, mat in zip(REGIONS, (self.conductor, self.pad, self.slider)):
-            if not (mat.sigma0 > 0.0 and mat.kappa > 0.0):   # NaN fails too
-                raise ValueError(f"{name}: sigma0 and kappa must be positive")
-        if any(v != 0.0 for v in self.slider.velocity):
-            raise ValueError("the slider moves with the frame, its velocity is 0")
-
-
-class ElementMaterials:
-    """A MaterialTable resolved per element, built once per model.
-
-    Each constant is a (num_elems, 1) column, so the rows of a workset
-    broadcast over its quadrature points whatever regions it spans.
-    ``pad_runs`` holds the [start, stop) ranges of consecutive pad elements;
-    elements need not be numbered region by region.
-    """
-
-    def __init__(self, table, region_of):
-        per_region = np.array([(m.sigma0, m.kappa, *m.velocity, m.beta, m.T0)
-                               for m in (table.conductor, table.pad, table.slider)])
-        (self.sigma0, self.kappa, vx, vy, self.beta,
-         self.T0) = np.split(per_region[region_of], 6, axis=1)
-        self.velocity = (vx, vy)
-        self.pad_sigma0 = table.pad.sigma0
-        # the padded pad indicator steps up at each run's start, down at its stop
-        is_pad = np.concatenate(([0], region_of == REGIONS.index("pad"), [0]))
-        self.pad_runs = np.flatnonzero(np.diff(is_pad)).reshape(-1, 2).tolist()
-
-    def pad_slices(self, ws):
-        """Workset-local slices of the pad elements inside workset ``ws``."""
-        return [slice(max(a, ws.start) - ws.start, min(b, ws.stop) - ws.start)
-                for a, b in self.pad_runs if a < ws.stop and b > ws.start]
+#: default of the registered parameter "PadSigma0", the pad conductivity
+PAD_SIGMA0 = 35.0
 
 
 @dataclass
-class DemoMaterials:
-    """The demo's region constants other than the pad conductivity.
+class Materials:
+    """The demo's constants other than the pad conductivity ("PadSigma0").
 
-    The convective weak-form term is -(v . grad T) phi, so the conductor
+    kappa, beta and T0 hold in every region; only the conductor moves. The
+    convective weak-form term is -(v . grad T) phi, so the conductor
     velocity v0 = (-10, 0) transports heat toward the slider and makes the
     fixed-temperature set at the far conductor end the true inflow; the
     opposite sign has no bounded steady solution on this geometry (the
@@ -165,26 +122,43 @@ class DemoMaterials:
     v0_y: float = 0.0
 
     def __post_init__(self):
-        for f in fields(DemoMaterials):
+        for f in fields(Materials):
             value = getattr(self, f.name)
             if not np.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+        for name in ("sigma0_conductor", "sigma0_slider", "kappa"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
-def default_materials(sigma0_pad=35.0, **constants):
-    """The demo's MaterialTable: resistive pads inside conducting beams.
+class ElementMaterials:
+    """Materials resolved per element, built once per model.
 
-    ``constants`` override fields of :class:`DemoMaterials`, which kappa,
-    beta and T0 give to every region; only the conductor moves. The pad
-    conductivity becomes the default of the registered parameter "PadSigma0".
+    Each constant is a (num_elems, 1) column, so the rows of a workset
+    broadcast over its quadrature points whatever regions it spans. The pad
+    rows of ``sigma0`` hold ``PAD_SIGMA0``; every assembly replaces them by
+    the "PadSigma0" scalar. ``pad_runs`` holds the [start, stop) ranges of
+    consecutive pad elements; elements need not be numbered region by region.
     """
-    c = DemoMaterials(**constants)
 
-    def region(sigma0, velocity=(0.0, 0.0)):
-        return RegionMaterial(sigma0, c.kappa, velocity, c.beta, c.T0)
+    def __init__(self, materials, region_of):
+        m = materials
+        per_region = np.array([   # rows in REGIONS order
+            (m.sigma0_conductor, m.kappa, m.v0_x, m.v0_y, m.beta, m.T0),
+            (PAD_SIGMA0, m.kappa, 0.0, 0.0, m.beta, m.T0),
+            (m.sigma0_slider, m.kappa, 0.0, 0.0, m.beta, m.T0)])
+        (self.sigma0, self.kappa, vx, vy, self.beta,
+         self.T0) = np.split(per_region[region_of], 6, axis=1)
+        self.velocity = (vx, vy)
+        # the padded pad indicator steps up at each run's start, down at its stop
+        is_pad = np.concatenate(([0], region_of == REGIONS.index("pad"), [0]))
+        self.pad_runs = np.flatnonzero(np.diff(is_pad)).reshape(-1, 2).tolist()
 
-    return MaterialTable(region(c.sigma0_conductor, (c.v0_x, c.v0_y)),
-                         region(sigma0_pad), region(c.sigma0_slider))
+    def pad_slices(self, ws):
+        """Workset-local slices of the pad elements inside workset ``ws``."""
+        return [slice(max(a, ws.start) - ws.start, min(b, ws.stop) - ws.start)
+                for a, b in self.pad_runs if a < ws.stop and b > ws.start]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +170,7 @@ class ConductivityEvaluator(Evaluator):
 
     The pad conductivity is the registered parameter "PadSigma0", so it can be
     a design variable or an uncertain spectral input; the other regions use
-    their table constants. ``materials`` is the model's ElementMaterials.
+    their Materials constants. ``materials`` is the model's ElementMaterials.
     """
 
     name = "conductivity"
@@ -206,7 +180,7 @@ class ConductivityEvaluator(Evaluator):
     def __init__(self, materials, library):
         self.materials = materials
         self.library = library
-        library.register("PadSigma0", materials.pad_sigma0)
+        library.register("PadSigma0", PAD_SIGMA0)
 
     def evaluate(self, ctx):
         ws, mats = ctx.workset, self.materials

@@ -19,7 +19,7 @@ from .analysis import (NewtonConfig, SolveFailure, newton_solve,
 from .discretization import element_geometry, element_tables, interpolate_to_qp
 from .mesh import build_rect_mesh
 from .model import ThermoElectricModel, UNKNOWNS
-from .physics import MaterialTable, RegionMaterial
+from .physics import Materials
 
 
 @dataclass
@@ -128,10 +128,7 @@ def _mms_model(n, velocity=(-3.0, 1.0), kappa=1.0):
                 np.pi * np.sin(np.pi * x) * np.cos(np.pi * y))
         return kappa * lap + velocity[0] * grad[0] + velocity[1] * grad[1]
 
-    materials = MaterialTable(
-        conductor=RegionMaterial(1.0, kappa, tuple(velocity), 0.0, 0.0),
-        pad=RegionMaterial(1.0, kappa, (0.0, 0.0), 0.0, 0.0),
-        slider=RegionMaterial(1.0, kappa, (0.0, 0.0), 0.0, 0.0))
+    materials = Materials(1.0, 1.0, kappa, 0.0, 0.0, *velocity)
     bc = [("left", "psi", 0.0), ("right", "psi", 0.5),
           ("boundary", "temp", exact)]
     model = ThermoElectricModel(mesh, materials, with_joule=False,

@@ -19,10 +19,10 @@ from embedfem.analysis import (NewtonConfig, continuation,
                                optimize, shape_objective_gradient)
 from embedfem.cli import main
 from embedfem.fields import Layout
-from embedfem.mesh import GeometryParams, Resolution, build_slider_mesh
+from embedfem.mesh import StripGeometry, build_slider_mesh
 from embedfem.model import ThermoElectricModel
 from embedfem.morphing import mesh_sensitivity, morph
-from embedfem.physics import default_materials
+from embedfem.physics import Materials
 from embedfem.verification import check_mms, fd_jacobian, sg_vs_nisp
 from test_scalars import _ZOO
 
@@ -35,9 +35,9 @@ PAD_EXPANSION = {"PadSigma0": [35.0, 15.0, 0.0, 0.0]}
 
 def demo_model(**kw):
     kw.setdefault("dirichlet", DEMO_BC)
-    kw.setdefault("materials", default_materials())
+    kw.setdefault("materials", Materials())
     materials = kw.pop("materials")
-    return ThermoElectricModel(build_slider_mesh(GeometryParams(), Resolution()),
+    return ThermoElectricModel(build_slider_mesh(StripGeometry()),
                                materials, **kw)
 
 
@@ -180,7 +180,7 @@ def test_criterion_05_mms_convergence_order():
 
 
 def test_criterion_06_newton_iteration_behavior():
-    linear = demo_model(materials=default_materials(beta=0.0),
+    linear = demo_model(materials=Materials(beta=0.0),
                         with_joule=False)
     linear.library.set_value("Alpha", 1.0)
     lin_result = newton_solve(linear)

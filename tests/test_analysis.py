@@ -17,11 +17,11 @@ from embedfem.analysis import (FactorizationFailure, NewtonConfig,
                                nisp_project, optimize, reduced_gradient,
                                sg_newton_solve, shape_objective_gradient,
                                sparse_lu)
-from embedfem.mesh import Mesh, build_rect_mesh, nested_dissection
+from embedfem.mesh import (Mesh, StripGeometry, build_rect_mesh,
+                           build_slider_mesh, nested_dissection)
 from embedfem.morphing import mesh_sensitivity, morph
 from embedfem.model import ThermoElectricModel
-from embedfem.physics import (MaterialTable, NonPhysicalStateError,
-                              RegionMaterial)
+from embedfem.physics import Materials, NonPhysicalStateError
 
 
 class AffineToy:
@@ -314,10 +314,10 @@ def _renumbered(mesh, rng):
 
 @pytest.mark.parametrize("mesh", ["strip", "square", "renumbered"])
 def test_mesh_order_is_a_permutation_keeping_node_dofs_together(mesh):
-    strip = config.build_mesh(config.RunConfig())
+    strip = build_slider_mesh(StripGeometry())
     mesh = {"strip": strip, "square": build_rect_mesh(12, 12),
             "renumbered": _renumbered(strip, np.random.default_rng(0))}[mesh]
-    model = ThermoElectricModel(mesh, config.build_materials(config.RunConfig()))
+    model = ThermoElectricModel(mesh, Materials())
     nodes = nested_dissection(mesh)
     assert np.array_equal(np.sort(nodes), np.arange(mesh.num_nodes))
     perm = model.lu_order.perm
@@ -372,7 +372,7 @@ def recursive_nested_dissection(mesh, leaf=8):
 def test_nested_dissection_matches_the_recursive_reference(mesh):
     # collapsing nodes onto one point leaves parts that no cut separates,
     # which take COLAMD's order: the whole mesh for "point"
-    strip = config.build_mesh(config.RunConfig())
+    strip = build_slider_mesh(StripGeometry())
     square = build_rect_mesh(12, 12)
     collapsed = square.coords.copy()
     collapsed[:80] = 0.0
@@ -825,9 +825,7 @@ def test_nisp_recovers_input_expansion():
 def linear_heat_model():
     """Heat-only problem whose solution is affine in the uncertain source."""
     mesh = build_rect_mesh(6, 6)
-    mat = RegionMaterial(1.0, 1.0, (0.0, 0.0), 0.0, 0.0)
-    materials = MaterialTable(mat, RegionMaterial(1.0, 1.0, (0.0, 0.0), 0.0, 0.0),
-                              RegionMaterial(1.0, 1.0, (0.0, 0.0), 0.0, 0.0))
+    materials = Materials(1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0)
     bc = [("left", "psi", 0.0), ("right", "psi", 0.5),
           ("boundary", "temp", 0.0)]
     return ThermoElectricModel(mesh, materials, with_joule=False,

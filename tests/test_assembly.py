@@ -7,9 +7,9 @@ import scipy.sparse as sp
 from embedfem import graph as gr
 from embedfem import scalars as sc
 from embedfem.assembly import ConnectivityMap, GlobalSystem, build_worksets
-from embedfem.mesh import GeometryParams, Resolution, build_rect_mesh, build_slider_mesh
+from embedfem.mesh import StripGeometry, build_rect_mesh, build_slider_mesh
 from embedfem.model import ThermoElectricModel
-from embedfem.physics import default_materials
+from embedfem.physics import Materials
 
 DEMO_BC = [("left_conductor_end", "psi", 0.0),
            ("symmetry_plane", "psi", 0.5),
@@ -17,11 +17,11 @@ DEMO_BC = [("left_conductor_end", "psi", 0.0),
 
 
 def demo_mesh():
-    return build_slider_mesh(GeometryParams(), Resolution())
+    return build_slider_mesh(StripGeometry())
 
 
 def demo_model(**kw):
-    return ThermoElectricModel(demo_mesh(), default_materials(),
+    return ThermoElectricModel(demo_mesh(), Materials(),
                                dirichlet=DEMO_BC, **kw)
 
 
@@ -175,7 +175,7 @@ def test_assembly_names_a_missing_input_before_any_evaluator_runs(
 def test_scatter_sums_shared_rows():
     # two elements sharing an edge: shared dofs accumulate both contributions
     mesh = build_rect_mesh(2, 1)
-    materials = default_materials(beta=0.0, v0_x=0.0)
+    materials = Materials(beta=0.0, v0_x=0.0)
     bc = [("left", "psi", 0.0), ("right", "psi", 0.5), ("left", "temp", 0.0)]
     model = ThermoElectricModel(mesh, materials, with_joule=False, dirichlet=bc)
     x = random_state(model, seed=3)
@@ -189,7 +189,7 @@ def test_scatter_sums_shared_rows():
 
 def test_jacobian_of_affine_problem_is_its_matrix():
     mesh = build_rect_mesh(3, 2)
-    materials = default_materials(beta=0.0, v0_x=-2.0)
+    materials = Materials(beta=0.0, v0_x=-2.0)
     bc = [("left", "psi", 0.0), ("right", "psi", 0.5), ("left", "temp", 0.0)]
     model = ThermoElectricModel(mesh, materials, with_joule=False, dirichlet=bc)
     x = random_state(model, seed=5)
@@ -201,7 +201,7 @@ def test_jacobian_of_affine_problem_is_its_matrix():
 
 def test_zero_local_contributions_leave_globals_zero():
     mesh = build_rect_mesh(2, 2)
-    materials = default_materials(beta=0.0, v0_x=0.0)
+    materials = Materials(beta=0.0, v0_x=0.0)
     model = ThermoElectricModel(mesh, materials, with_joule=False, dirichlet=[])
     f = model.residual(np.zeros(model.num_dofs))
     assert np.all(f == 0.0)

@@ -198,6 +198,38 @@ def test_parse_config_rejects_missing_file(tmp_path):
         parse_config(tmp_path / "nope.ini")
 
 
+@pytest.mark.parametrize("content", [
+    b"mode = solve\n",
+    b"[run]\nmode = solve\nmode = verify\n",
+    b"[run]\nmode = solve\n\n[run]\noutput_dir = elsewhere\n",
+    b"[run]\n  stray line\nmode = solve\n",
+    b"[run]\nmode = solve\n# caf\xe9\n",
+], ids=["no-section-header", "repeated-key", "repeated-section",
+        "indented-stray-line", "not-utf-8"])
+def test_malformed_config_file_exits_two(tmp_path, capsys, content):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(content)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), f"run.output_dir={out}"]) == 2
+    err = capsys.readouterr().err
+    assert (f"config error: cannot parse config file {str(cfg)!r}: " in err
+            and "Traceback" not in err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["a-file", "below-a-file"])
+def test_output_dir_that_cannot_be_made_exits_two(tmp_path, capsys, below):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "out" if below else blocker
+    code = main(["run", str(CONFIGS / "laplace8.ini"), f"run.output_dir={out}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert (f"config error: cannot create output directory {str(out)!r}: "
+            in err and "Traceback" not in err)
+    assert blocker.is_file()
+
+
 def test_parse_config_type_errors(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[run]\nmode = solve\n\n[geometry]\nny = not_an_int\n")
@@ -361,6 +393,12 @@ nisp_order = 3
      "continuation.start and stop must be finite, got nan and 0.3"),
     ("continuation.ini", ["continuation.stop=inf"],
      "continuation.start and stop must be finite, got -0.3 and inf"),
+    ("demo.ini", ["materials.sigma0_slider=0"],
+     "[materials] sigma0_slider must be positive, got 0.0"),
+    ("demo.ini", ["materials.kappa=-1"],
+     "[materials] kappa must be positive, got -1.0"),
+    ("demo.ini", ["parameters.PadSigma0=0"],
+     "[parameters] PadSigma0 must be positive, got 0.0"),
     # the checks of registered names, made by build_model
     ("continuation.ini", ["continuation.parameter=deflection_top"],
      "continuation parameter 'deflection_top' is neither 'deflection' nor a "
@@ -396,6 +434,8 @@ nisp_order = 3
         "solver-nan-tol", "optimize-start-text", "optimize-start-nan",
         "optimize-three-starts", "optimize-parameters-key",
         "continuation-nan-start", "continuation-inf-stop",
+        "materials-zero-sigma0", "materials-negative-kappa",
+        "pad-sigma0-zero",
         "continuation-shape-name", "continuation-unknown-name",
         "uq-unknown-name", "unknown-parameter", "continuation-no-slider",
         "optimize-no-slider", "continuation-pad-sigma0-to-zero",
@@ -566,10 +606,18 @@ def _float_list(low, high, sizes):
                     max_size=sizes[1]).map(lambda v: ", ".join(map(repr, v)))
 
 
-#: every key of [solver], [continuation], [optimize] and [uq] with values of
-#: its type: in its documented range (steps <= 3, max_iters <= 2, degree
-#: <= 2), at its edges, non-finite, or a registered name or not
+#: every key of [materials], [solver], [continuation], [optimize] and [uq]
+#: with values of its type: in its documented range (steps <= 3, max_iters
+#: <= 2, degree <= 2), at its edges, non-finite, or a registered name or not
 _OVERRIDES = {
+    "materials.sigma0_conductor": _float(1.0, 200.0),
+    "materials.sigma0_slider": _float(1.0, 200.0),
+    "materials.kappa": _float(0.5, 10.0),
+    "materials.beta": _float(0.0, 0.5),
+    "materials.T0": _float(-1.0, 1.0),
+    "materials.v0_x": _float(-10.0, 0.0),
+    "materials.v0_y": _float(-1.0, 1.0),
+    "materials.joule": st.sampled_from(["true", "false", "maybe"]),
     "solver.abs_tol": _float(1e-14, 1e-6),
     "solver.rel_tol": _float(1e-14, 1e-6),
     "solver.max_iters": _int(1, 30),

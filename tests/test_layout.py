@@ -16,7 +16,7 @@ from embedfem.discretization import (bilinear_basis, element_tables,
                                      integrate, interpolate_to_qp,
                                      mapping_jacobian)
 from embedfem.fields import make_storage
-from embedfem.mesh import GeometryParams, Resolution, build_slider_mesh
+from embedfem.mesh import StripGeometry, build_slider_mesh
 from test_model import BASIS, _bitwise, demo_model, random_state
 
 EXTENTS = (64, 4, 3)   # (elem, node, qp)
@@ -185,7 +185,7 @@ QUAD = bilinear_basis(2)
 def _workset_sizes():
     """Element counts of the demo mesh's worksets of 7: full ones and the
     short last one (256 = 36 * 7 + 4)."""
-    mesh = build_slider_mesh(GeometryParams(), Resolution())
+    mesh = build_slider_mesh(StripGeometry())
     sizes = sorted({ws.stop - ws.start for ws in build_worksets(mesh, 7)})
     assert sizes == [4, 7]
     return sizes

@@ -3,18 +3,16 @@
 import numpy as np
 import pytest
 
-from embedfem.mesh import (GeometryParams, MeshError, Resolution, REGIONS,
-                           build_rect_mesh, build_slider_mesh,
-                           corner_jacobians)
+from embedfem.mesh import (MeshError, REGIONS, StripGeometry, build_rect_mesh,
+                           build_slider_mesh, corner_jacobians)
 
 
 def demo_mesh():
-    return build_slider_mesh(GeometryParams(), Resolution())
+    return build_slider_mesh(StripGeometry())
 
 
 def test_unit_square_counts():
-    m = build_slider_mesh(GeometryParams(1.0, 0.0, 0.0, 1.0),
-                          Resolution(2, 0, 0, 2))
+    m = build_slider_mesh(StripGeometry(1.0, 0.0, 0.0, 1.0, 2, 0, 0, 2))
     assert m.num_nodes == 9
     assert m.num_elems == 4
 
@@ -59,7 +57,7 @@ def test_connectivity_is_counterclockwise():
 
 def test_node_set_coordinates():
     m = demo_mesh()
-    g = GeometryParams()
+    g = StripGeometry()
     assert np.allclose(m.coords[m.node_sets["left_conductor_end"], 0], 0.0)
     total = g.conductor_length + g.pad_length + g.slider_length
     assert np.allclose(m.coords[m.node_sets["symmetry_plane"], 0], total)
@@ -71,11 +69,11 @@ def test_node_set_coordinates():
 
 def test_degenerate_geometry_rejected():
     with pytest.raises(MeshError):
-        build_slider_mesh(GeometryParams(height=0.0), Resolution())
+        build_slider_mesh(StripGeometry(height=0.0))
     with pytest.raises(MeshError):
-        build_slider_mesh(GeometryParams(pad_length=0.0), Resolution())
+        build_slider_mesh(StripGeometry(pad_length=0.0))
     with pytest.raises(MeshError):
-        build_slider_mesh(GeometryParams(), Resolution(ny=0))
+        build_slider_mesh(StripGeometry(ny=0))
 
 
 def test_rect_mesh_boundary_sets():

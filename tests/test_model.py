@@ -12,11 +12,10 @@ from embedfem import graph as gr
 from embedfem import scalars as sc
 from embedfem.analysis import SGSystem, SolveFailure
 from embedfem.assembly import GlobalSystem
-from embedfem.mesh import (GeometryParams, Mesh, MeshError, Resolution,
-                           build_slider_mesh)
+from embedfem.mesh import Mesh, MeshError, StripGeometry, build_slider_mesh
 from embedfem.model import ThermoElectricModel
 from embedfem.morphing import morph
-from embedfem.physics import NonPhysicalStateError, default_materials
+from embedfem.physics import Materials, NonPhysicalStateError
 from embedfem.verification import jacobian_fd_error
 
 DEMO_BC = [("left_conductor_end", "psi", 0.0),
@@ -28,8 +27,8 @@ BASIS = sc.build_basis_data(3)
 
 def demo_model(**kw):
     kw.setdefault("dirichlet", DEMO_BC)
-    return ThermoElectricModel(build_slider_mesh(GeometryParams(), Resolution()),
-                               default_materials(), **kw)
+    return ThermoElectricModel(build_slider_mesh(StripGeometry()), Materials(),
+                               **kw)
 
 
 def random_state(model, seed=0, scale=0.3):
@@ -159,7 +158,7 @@ def test_sg_workset_partition_invariance_is_bitwise():
 
 def test_model_on_permuted_elements_matches_ordered_mesh():
     # elements not grouped by region: every element keeps its own material
-    ordered = build_slider_mesh(GeometryParams(), Resolution())
+    ordered = build_slider_mesh(StripGeometry())
     perm = np.random.default_rng(0).permutation(ordered.num_elems)
     permuted = Mesh(ordered.coords, ordered.connectivity[perm],
                     ordered.region_of[perm], ordered.node_sets)
@@ -168,7 +167,7 @@ def test_model_on_permuted_elements_matches_ordered_mesh():
     f0, jac0 = reference.jacobian(x)
     _, fp0 = reference.tangent(x, ("PadSigma0",))
     for size in (0, 33):
-        model = ThermoElectricModel(permuted, default_materials(),
+        model = ThermoElectricModel(permuted, Materials(),
                                     dirichlet=DEMO_BC, workset_size=size)
         f, jac = model.jacobian(x)
         _, fp = model.tangent(x, ("PadSigma0",))

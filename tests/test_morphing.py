@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from embedfem.mesh import GeometryParams, Resolution, build_slider_mesh
+from embedfem.mesh import StripGeometry, build_slider_mesh
 from embedfem.morphing import (SHAPE_PARAMETERS, MorphError, _slider_frame,
                                mesh_sensitivity, morph, slider_area)
 
 
 def base_mesh():
-    return build_slider_mesh(GeometryParams(), Resolution())
+    return build_slider_mesh(StripGeometry())
 
 
 def test_zero_parameters_is_bitwise_identity():

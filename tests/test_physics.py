@@ -9,29 +9,30 @@ from embedfem.assembly import Workset
 from embedfem.discretization import bilinear_basis
 from embedfem.mesh import build_rect_mesh
 from embedfem.model import ThermoElectricModel
-from embedfem.physics import (ElementMaterials, MaterialTable,
+from embedfem.physics import (PAD_SIGMA0, ElementMaterials, Materials,
                               NonPhysicalStateError, ParameterError,
-                              ParameterLibrary, RegionMaterial,
-                              default_materials, objective_max_temperature)
+                              ParameterLibrary, objective_max_temperature)
 
 
-def material(sigma0=1.0, kappa=1.0, velocity=(0.0, 0.0), beta=0.0, T0=0.0):
-    return RegionMaterial(sigma0, kappa, velocity, beta, T0)
-
-
-def uniform_materials(**kw):
-    m = material(**kw)
-    return MaterialTable(conductor=m,
-                         pad=material(**{**kw, "velocity": (0.0, 0.0)}),
-                         slider=material(**{**kw, "velocity": (0.0, 0.0)}))
+def uniform_materials(sigma0=1.0, kappa=1.0, velocity=(0.0, 0.0), beta=0.0,
+                      T0=0.0):
+    """Materials with one sigma0 in the conductor and the slider."""
+    return Materials(sigma0, sigma0, kappa, beta, T0, *velocity)
 
 
 def test_element_materials_columns_and_unsorted_pad_runs():
     region_of = np.array([1, 1, 0, 1, 2, 2, 1])
-    mats = ElementMaterials(default_materials(), region_of)
-    assert mats.sigma0.shape == (7, 1)
-    assert mats.sigma0[:, 0].tolist() == [35, 35, 100, 35, 100, 100, 35]
+    mats = ElementMaterials(Materials(100.0, 70.0, 2.0, 0.3, 0.4, -10.0, 5.0),
+                            region_of)
+    columns = (mats.sigma0, mats.kappa, mats.beta, mats.T0, *mats.velocity)
+    assert all(c.shape == (7, 1) for c in columns)
+    pad = PAD_SIGMA0   # replaced by the "PadSigma0" scalar in assembly
+    assert mats.sigma0[:, 0].tolist() == [pad, pad, 100, pad, 70, 70, pad]
+    assert mats.kappa[:, 0].tolist() == [2.0] * 7
+    assert mats.beta[:, 0].tolist() == [0.3] * 7
+    assert mats.T0[:, 0].tolist() == [0.4] * 7
     assert mats.velocity[0][:, 0].tolist() == [0, 0, -10, 0, 0, 0, 0]
+    assert mats.velocity[1][:, 0].tolist() == [0, 0, 5, 0, 0, 0, 0]
     assert mats.pad_runs == [[0, 2], [3, 4], [6, 7]]
     assert mats.pad_slices(Workset(1, 6)) == [slice(0, 1), slice(2, 3)]
     assert mats.pad_slices(Workset(4, 6)) == []
@@ -51,7 +52,8 @@ def weak_form_oracle(coords, psi, temp, mat, alpha=0.0, beta_s=0.0,
     """Element residual of the coupled system by straight-line quadrature.
 
     Plain loops and plain floats: independent of the field/graph machinery.
-    Returns (r_psi, r_temp) of shape (4,).
+    ``mat`` is read as the Materials of a conductor element. Returns (r_psi,
+    r_temp) of shape (4,).
     """
     gauss = {1: ([0.0], [2.0]),
              2: ([-1/np.sqrt(3), 1/np.sqrt(3)], [1.0, 1.0]),
@@ -78,10 +80,10 @@ def weak_form_oracle(coords, psi, temp, mat, alpha=0.0, beta_s=0.0,
             u_t = sum(phi[n] * temp[n] for n in range(4))
             g_psi = [sum(grads[n][d] * psi[n] for n in range(4)) for d in range(2)]
             g_t = [sum(grads[n][d] * temp[n] for n in range(4)) for d in range(2)]
-            sigma = mat.sigma0 / (1.0 + mat.beta * (u_t - mat.T0))
+            sigma = mat.sigma0_conductor / (1.0 + mat.beta * (u_t - mat.T0))
             joule = sigma * (g_psi[0] ** 2 + g_psi[1] ** 2) if with_joule else 0.0
             source = alpha + beta_s * u_t * u_t
-            conv = mat.velocity[0] * g_t[0] + mat.velocity[1] * g_t[1]
+            conv = mat.v0_x * g_t[0] + mat.v0_y * g_t[1]
             w = wa * wb * det
             for n in range(4):
                 r_psi[n] += w * sigma * (g_psi[0] * grads[n][0]
@@ -94,9 +96,9 @@ def weak_form_oracle(coords, psi, temp, mat, alpha=0.0, beta_s=0.0,
 
 def test_full_residual_matches_standalone_oracle():
     mesh = build_rect_mesh(1, 1, 0.8, 1.3)
-    mat = material(sigma0=35.0, kappa=2.0, velocity=(1.5, -0.7), beta=0.1, T0=0.2)
-    model = build_model(mesh, MaterialTable(mat, material(sigma0=35.0, beta=0.1, T0=0.2, kappa=2.0),
-                                            material(sigma0=35.0, beta=0.1, T0=0.2, kappa=2.0)))
+    mat = uniform_materials(sigma0=35.0, kappa=2.0, velocity=(1.5, -0.7),
+                            beta=0.1, T0=0.2)
+    model = build_model(mesh, mat)
     model.library.set_value("Alpha", 0.4)
     model.library.set_value("Beta", 0.9)
     rng = np.random.default_rng(11)
@@ -114,10 +116,9 @@ def test_full_residual_matches_standalone_oracle():
 
 def test_shared_node_rows_sum_element_oracles():
     mesh = build_rect_mesh(2, 1)
-    mat = material(sigma0=3.0, kappa=1.5, velocity=(0.5, 0.0), beta=0.05)
-    table = MaterialTable(mat, material(sigma0=3.0, kappa=1.5, beta=0.05),
-                          material(sigma0=3.0, kappa=1.5, beta=0.05))
-    model = build_model(mesh, table)
+    mat = uniform_materials(sigma0=3.0, kappa=1.5, velocity=(0.5, 0.0),
+                            beta=0.05)
+    model = build_model(mesh, mat)
     rng = np.random.default_rng(4)
     x = rng.normal(size=model.num_dofs) * 0.4
     f = model.residual(x)
@@ -423,6 +424,3 @@ def test_objective_examples():
 def test_materials_validation():
     with pytest.raises(ValueError, match="positive"):
         uniform_materials(sigma0=-1.0)
-    with pytest.raises(ValueError, match="slider"):
-        MaterialTable(material(), material(),
-                      material(velocity=(1.0, 0.0)))

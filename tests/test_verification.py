@@ -6,9 +6,9 @@ import scipy.sparse as sp
 
 from embedfem import verification
 from embedfem.assembly import ConnectivityMap, GlobalSystem
-from embedfem.mesh import GeometryParams, Resolution, build_rect_mesh, build_slider_mesh
+from embedfem.mesh import StripGeometry, build_rect_mesh, build_slider_mesh
 from embedfem.model import ThermoElectricModel
-from embedfem.physics import default_materials
+from embedfem.physics import Materials
 from embedfem.verification import check_jacobian_fd, fd_jacobian, jacobian_fd_error
 
 DEMO_BC = [("left_conductor_end", "psi", 0.0),
@@ -18,12 +18,12 @@ DEMO_BC = [("left_conductor_end", "psi", 0.0),
 
 def strip_mesh(n):
     """The demo's n x n element strip (n = 16 is the demo mesh)."""
-    return build_slider_mesh(GeometryParams(),
-                             Resolution(n // 2, n // 8, 3 * n // 8, n))
+    return build_slider_mesh(StripGeometry(nx_conductor=n // 2, nx_pad=n // 8,
+                                           nx_slider=3 * n // 8, ny=n))
 
 
 def strip_model(n=16, **kw):
-    return ThermoElectricModel(strip_mesh(n), default_materials(),
+    return ThermoElectricModel(strip_mesh(n), Materials(),
                                dirichlet=DEMO_BC, **kw)
 
 
